@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -269,24 +270,25 @@ def _layer_T(k: int, n: int, c: np.ndarray, kappa: np.ndarray) -> np.ndarray:
 
 
 _EVALUATOR_CACHE: dict = {}
-_ROOT_TABLE_CACHE: dict = {}
 
 
-def _root_table(d: int, a_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened arrays (a_i, b0_i) of residues b0^2 ≡ d (mod 4a), a <= a_max."""
-    cached = _ROOT_TABLE_CACHE.get(d)
-    if cached is not None and cached[0] >= a_max:
-        mask = cached[1] <= a_max
-        return cached[1][mask], cached[2][mask]
-    a_list, b_list = [], []
-    for a in range(1, a_max + 1):
-        for b0 in sqrt_mod_roots(d, a):
-            a_list.append(a)
-            b_list.append(b0)
-    arr_a = np.array(a_list, dtype=np.int64)
-    arr_b = np.array(b_list, dtype=np.int64)
-    _ROOT_TABLE_CACHE[d] = (a_max, arr_a, arr_b)
-    return arr_a, arr_b
+def _reduce_to_rep(a: np.ndarray, b: np.ndarray, d: int, rep: BQF) -> np.ndarray:
+    """Mask of the definite forms [a, b, (b^2 - d)/4a] whose Gauss
+    reduction is rep: `reduce_definite` run on int64 arrays at once."""
+    a, b = a.copy(), b.copy()
+    c = (b * b - d) // (4 * a)
+    active = np.arange(len(a))
+    while active.size:
+        aa, bb = a[active], b[active]
+        bb = bb + 2 * aa * ((aa - bb) // (2 * aa))
+        cc = (bb * bb - d) // (4 * aa)
+        a[active], b[active], c[active] = aa, bb, cc
+        swap = aa > cc
+        active = active[swap]
+        a[active], b[active], c[active] = cc[swap], -bb[swap], aa[swap]
+    flip = (a == c) & (b < 0)
+    b[flip] = -b[flip]
+    return (a == rep.a) & (b == rep.b) & (c == rep.c)
 
 
 class FkAEvaluator:
@@ -298,12 +300,21 @@ class FkAEvaluator:
     the fundamental domain because their CM heights stay below
     sqrt(3)/2.  Points are reduced modulo SL(2,Z) with the automorphy
     factor restored, so any z in the upper half-plane is accepted.
+
+    The evaluator owns its table of pairs (a, b0), b0^2 ≡ d (mod 4a)
+    with -a < b0 <= a, as int64 arrays in increasing a.  The table grows
+    one shell lo < a <= hi at a time, built from the table itself (see
+    `_shell_pairs`), and each shell is filtered to the class once, by a
+    vectorized Gauss reduction.  The layers are additive: g_n(A) is
+    g_n(A/2) plus the sum over the shell A/2 < a <= A.  One lock guards
+    the table and the layers, so worker threads may share an evaluator.
     """
 
     Y_MIN = 0.85
     N_LAYERS = 14
     A_START = 1 << 11
     A_CEILING = 1 << 21
+    A_ROOTS = 32  # pairs with a <= A_ROOTS come from sqrt_mod_roots
 
     def __init__(self, k: int, d: int, rep: BQF | None = None):
         if k < 2:
@@ -319,44 +330,93 @@ class FkAEvaluator:
         self.prefactor = (-d) ** ((k + 1) / 2) / math.pi
         self._polys = _cot_polys(k)
         self._kappa = _kappa_coeffs(k)
-        self._direct_pairs = [
-            (a, b0)
-            for a in range(1, self.a_direct + 1)
-            for b0 in sqrt_mod_roots(d, a)
-            if self._in_class(a, b0)
-        ]
+        # the table: a, b0 and the class mask, complete for a <= _a_max
+        self._a = np.zeros(0, dtype=np.int64)
+        self._b = np.zeros(0, dtype=np.int64)
+        self._in_class = np.zeros(0, dtype=bool)
+        self._a_max = 0
+        direct = self._pairs(0, self.a_direct)
+        self._direct_pairs = [(int(a), int(b0)) for a, b0 in zip(*direct)]
         self._gn: dict[int, np.ndarray] = {}  # A -> layer coefficient vector
-        self._a_built = self.a_direct
+        self._lock = threading.RLock()
 
-    def _in_class(self, a: int, b0: int) -> bool:
-        if not self.filter_class:
-            return True
-        Q = BQF(a, b0, (b0 * b0 - self.d) // (4 * a))
-        return reduce_definite(Q)[0] == self.rep
+    def _shell_pairs(self, lo: int, hi: int, c_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs with lo < a <= hi, sorted, from the table rows a <= c_max.
+
+        A pair [a, b0, c] has b0^2 - d = 4ac, so b0 mod 2c is a root r of
+        the table row a = c, and c <= c_max = hi/4 + |d|/4(lo + 1) because
+        |b0| <= a.  Each row (c, r) gives b = r + 2ct over the t with
+        4c lo < b^2 - d <= 4c hi, with a margin for the float square roots;
+        the exact conditions on a and b are applied after.
+        """
+        rows = int(np.searchsorted(self._a, c_max, side="right"))
+        c, r = self._a[:rows], self._b[:rows]
+        u = 4 * c * lo + self.d
+        v = np.maximum(4 * c * hi + self.d, 0)
+        top = np.floor(np.sqrt(v)).astype(np.int64) + 1
+        bottom = np.maximum(np.floor(np.sqrt(np.maximum(u, 0))).astype(np.int64) - 1, 0)
+        # b in [bottom, top] and in [-top, -max(bottom, 1)]
+        b1 = np.concatenate([bottom, -top])
+        b2 = np.concatenate([top, -np.maximum(bottom, 1)])
+        c, r = np.concatenate([c, c]), np.concatenate([r, r])
+        t1 = -((r - b1) // (2 * c))
+        count = np.maximum((b2 - r) // (2 * c) - t1 + 1, 0)
+        row = np.repeat(np.arange(len(c)), count)
+        start = np.cumsum(count) - count
+        t = t1[row] + np.arange(len(row)) - start[row]
+        b = r[row] + 2 * c[row] * t
+        a = (b * b - self.d) // (4 * c[row])
+        ok = (a > lo) & (a <= hi) & (-a < b) & (b <= a)
+        a, b = a[ok], b[ok]
+        order = np.lexsort((b, a))
+        return a[order], b[order]
+
+    def _grow_table(self, A: int) -> None:
+        """Extend the table to a <= A, one shell lo < a <= 2 lo at a time."""
+        while self._a_max < A:
+            lo = self._a_max
+            hi = min(A, max(2 * lo, self.A_ROOTS))
+            c_max = (hi * (lo + 1) - self.d) // (4 * (lo + 1))
+            if lo < self.A_ROOTS or c_max > lo:
+                pairs = [(a, b0) for a in range(lo + 1, hi + 1)
+                         for b0 in sqrt_mod_roots(self.d, a)]
+                a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            else:
+                a, b = self._shell_pairs(lo, hi, c_max)
+            if self.filter_class:
+                keep = _reduce_to_rep(a, b, self.d, self.rep)
+            else:
+                keep = np.ones(len(a), dtype=bool)
+            self._a = np.concatenate([self._a, a])
+            self._b = np.concatenate([self._b, b])
+            self._in_class = np.concatenate([self._in_class, keep])
+            self._a_max = hi
+
+    def _pairs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The class's pairs with lo < a <= hi."""
+        self._grow_table(hi)
+        i, j = np.searchsorted(self._a, [lo, hi], side="right")
+        keep = self._in_class[i:j]
+        return self._a[i:j][keep], self._b[i:j][keep]
 
     def _ensure_layers(self, A: int) -> None:
-        if A in self._gn:
-            return
-        if A > self.A_CEILING:
-            raise NoConvergence(f"layer cutoff {A} above ceiling")
-        arr_a, arr_b = _root_table(self.d, A)
-        mask = arr_a > self.a_direct
-        if self.filter_class:
-            keep = np.array(
-                [self._in_class(int(a), int(b)) for a, b in zip(arr_a[mask], arr_b[mask])]
-            )
-            aa = arr_a[mask][keep].astype(float)
-            bb = arr_b[mask][keep].astype(float)
-        else:
-            aa = arr_a[mask].astype(float)
-            bb = arr_b[mask].astype(float)
-        c = math.sqrt(-self.d) / (2 * aa)
-        weights = aa ** (-self.k)
-        gn = np.zeros(self.N_LAYERS + 1)
-        for n in range(1, self.N_LAYERS + 1):
-            Tn = _layer_T(self.k, n, c, self._kappa)
-            gn[n] = np.sum(weights * Tn * np.cos(np.pi * n * bb / aa))
-        self._gn[A] = gn
+        with self._lock:
+            if A in self._gn:
+                return
+            if A > self.A_CEILING:
+                raise NoConvergence(f"layer cutoff {A} above ceiling")
+            gn = np.zeros(self.N_LAYERS + 1)
+            if A > self.a_direct:
+                self._ensure_layers(A // 2)
+                a, b = self._pairs(max(A // 2, self.a_direct), A)
+                aa, bb = a.astype(float), b.astype(float)
+                c = math.sqrt(-self.d) / (2 * aa)
+                weights = aa ** (-self.k)
+                for n in range(1, self.N_LAYERS + 1):
+                    Tn = _layer_T(self.k, n, c, self._kappa)
+                    gn[n] = np.sum(weights * Tn * np.cos(np.pi * n * bb / aa))
+                gn += self._gn[A // 2]
+            self._gn[A] = gn
 
     def layer_delta(self, A: int) -> float:
         """Heuristic coefficient-tail proxy: weighted change A/2 -> A."""
@@ -395,9 +455,11 @@ class FkAEvaluator:
 
     def eval_adaptive(self, zs, tol: float) -> tuple[np.ndarray, float, int]:
         """Values with the layer cutoff doubled until the change is < tol."""
-        A = max(self._gn, default=self.A_START)
+        with self._lock:
+            A = max(self._gn, default=self.A_START)
+            warm = A // 2 in self._gn
         prev = self.eval(zs, A)
-        if A // 2 in self._gn:
+        if warm:
             older = self.eval(zs, A // 2)
             delta = float(np.max(np.abs(prev - older)))
             if delta < tol:
@@ -495,7 +557,8 @@ def cycle_integral(
     z1 = arc.automorph.moebius(z0)
     theta1 = math.atan2((z1 - C).imag, (z1 - C).real)
     # the automorph flow never crosses the arc's endpoints
-    assert 0 < theta1 < math.pi
+    if not 0 < theta1 < math.pi:
+        raise NoConvergence(f"automorph image of the base point left the arc of {Q}")
 
     # pick the layer cutoff from the coefficient-tail proxy
     probe = C + R * np.exp(1j * np.linspace(theta0, theta1, 17))
@@ -521,7 +584,8 @@ def cycle_integral(
     period = arc.period_length
     u1 = u0 + flow * period
     # loose consistency check against the float image of the base point
-    assert abs(math.log(math.tan(theta1 / 2)) - u1) < 1e-4 * (1 + period)
+    if not abs(math.log(math.tan(theta1 / 2)) - u1) < 1e-4 * (1 + period):
+        raise NoConvergence(f"period window of {Q} disagrees with the image of its base point")
 
     def quad(panels: int) -> complex:
         edges = np.linspace(u0, u1, panels + 1)
@@ -568,30 +632,35 @@ def cycle_integral(
 
 def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
     """Trace by numerical quadrature: sum of cycle integrals over classes."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if not hypothesis_check(D, d):
         raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
     ev = get_evaluator(k, d)
     total = 0j
     err = 0.0
-    cutoff = {}
+    metas = []
     reps = indefinite_class_reps(D)
     for Q in reps:
         val, e, meta = cycle_integral(Q, k, d, tol=tol / max(1, len(reps)), evaluator=ev,
                                       check_pole=False)
         total += val
         err += e
-        cutoff = meta
+        metas.append(meta)
+    error_estimate = max(err, abs(total.imag))
+    # the largest cutoffs over the classes, and any class's noise floor
+    cutoff = {key: max(m[key] for m in metas) for key in ("panels", "layer_cutoff")}
+    if any(m.get("noise_floor") for m in metas):
+        cutoff["noise_floor"] = True
     return TraceReport(
         k=k,
         D=D,
         d=d,
         method="geodesic",
         value=total.real,
-        error_estimate=max(err, abs(total.imag)),
+        error_estimate=error_estimate,
         hypothesis_ok=True,
-        seconds=time.time() - t0,
-        cutoff={**cutoff, "classes": len(reps)},
+        seconds=time.perf_counter() - t0,
+        cutoff={**cutoff, "classes": len(reps), "met_tol": error_estimate <= tol},
     )
 
 
@@ -682,7 +751,7 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     composes the trace scaling with the raised-form series constants.
     The s-cutoff is doubled until the change is below tol.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if not hypothesis_check(D, d):
         raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
     w_stab = stabilizer_order(d)
@@ -697,14 +766,14 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         # sgn(s)^k is odd while N(s) is even in s: exact cancellation
         return TraceReport(
             k=k, D=D, d=d, method="latticesum", value=0.0, error_estimate=0.0,
-            hypothesis_ok=True, seconds=time.time() - t0, cutoff={"s_cutoff": 0},
+            hypothesis_ok=True, seconds=time.perf_counter() - t0, cutoff={"s_cutoff": 0},
         )
     if d != -4:
         value, err, cut = _latticesum_generic(k, D, d, tol / abs(pref))
         return TraceReport(
             k=k, D=D, d=d, method="latticesum", value=pref * value,
             error_estimate=abs(pref) * err, hypothesis_ok=True,
-            seconds=time.time() - t0, cutoff=cut,
+            seconds=time.perf_counter() - t0, cutoff=cut,
         )
     S = 1 << 12
     N = _parity_counts(D, S)
@@ -735,7 +804,7 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         value=pref * total,
         error_estimate=max(abs(pref * inc), 1e-15),
         hypothesis_ok=True,
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
         cutoff={"s_cutoff": S},
     )
 

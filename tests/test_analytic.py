@@ -1,5 +1,6 @@
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,13 +22,21 @@ from cyclotrace.analytic import (
     _hyp_series,
     _hyp2f1_half_vec,
     _kappa_coeffs,
+    _reduce_to_rep,
     _layer_T,
     _parity_counts,
     _r2_table,
     _translate_sum,
     _latticesum_generic,
 )
-from cyclotrace.bqf import BQF, SL2Z, indefinite_class_reps, sqrt_mod_roots
+from cyclotrace.bqf import (
+    BQF,
+    SL2Z,
+    definite_class_reps,
+    indefinite_class_reps,
+    reduce_definite,
+    sqrt_mod_roots,
+)
 from cyclotrace.errors import DivergentParameters, HypothesisViolated, PoleOnGeodesic
 from cyclotrace.special_forms import rhs_trace
 
@@ -123,6 +132,86 @@ def test_fundamental_domain_reduction():
         assert j != 0
 
 
+# ------------------------------------------------------- the root table
+
+
+def _brute_pairs(d, a_max):
+    return np.array([(a, b0) for a in range(1, a_max + 1) for b0 in sqrt_mod_roots(d, a)])
+
+
+# d = -260 puts the pair (65, 0) in a shell built from the table
+@pytest.mark.parametrize("d", [-3, -4, -7, -12, -20, -23, -84, -260])
+def test_root_table_matches_sqrt_mod_roots(d):
+    a_max = 1 << 13
+    brute = _brute_pairs(d, a_max)
+    one_step = FkAEvaluator(2, d)
+    one_step._grow_table(a_max)
+    # irregular targets: shells that are not dyadic, one call per target
+    shells = FkAEvaluator(2, d)
+    for A in (45, 100, 257, 1000, 4097, a_max):
+        shells._grow_table(A)
+        assert shells._a[-1] <= A
+    for ev in (one_step, shells):
+        assert np.array_equal(np.column_stack([ev._a, ev._b]), brute)
+
+
+@pytest.mark.parametrize("d", [-12, -20, -23, -56, -84])
+def test_class_filter_matches_reduce_definite(d):
+    pairs = _brute_pairs(d, 1500)
+    reduced = [reduce_definite(BQF(int(a), int(b), int((b * b - d) // (4 * a))))[0] for a, b in pairs]
+    reps = definite_class_reps(d)
+    assert len(reps) > 1
+    for rep in reps:
+        mask = _reduce_to_rep(pairs[:, 0], pairs[:, 1], d, rep)
+        assert mask.tolist() == [Q == rep for Q in reduced]
+    # the evaluator of a non-principal class keeps exactly that class
+    ev = FkAEvaluator(3, d, rep=reps[-1])
+    ev._grow_table(1500)
+    assert ev._in_class.tolist() == [Q == reps[-1] for Q in reduced]
+
+
+def test_additive_layers_match_from_scratch():
+    k, d = 2, -20
+    ev = FkAEvaluator(k, d)
+    top = 1 << 14
+    ev.layer_delta(top)
+    pairs = [
+        (a, b0)
+        for a in range(ev.a_direct + 1, top + 1)
+        for b0 in sqrt_mod_roots(d, a)
+        if reduce_definite(BQF(a, b0, (b0 * b0 - d) // (4 * a)))[0] == ev.rep
+    ]
+    a_all = np.array([p[0] for p in pairs], dtype=float)
+    b_all = np.array([p[1] for p in pairs], dtype=float)
+    prev = None
+    for A in (1 << 11, 1 << 12, 1 << 13, top):
+        aa, bb = a_all[a_all <= A], b_all[a_all <= A]
+        g = np.zeros(ev.N_LAYERS + 1)
+        for n in range(1, ev.N_LAYERS + 1):
+            Tn = _layer_T(k, n, math.sqrt(-d) / (2 * aa), ev._kappa)
+            g[n] = np.sum(aa ** (-k) * Tn * np.cos(np.pi * n * bb / aa))
+        assert np.max(np.abs(ev._gn[A] - g)) <= 1e-12 * np.max(np.abs(g))
+        if prev is not None:
+            # the change A/2 -> A is the change of the from-scratch sums
+            change = ev._gn[A] - ev._gn[A // 2]
+            assert np.max(np.abs(change - (g - prev))) <= 1e-12 * np.max(np.abs(g))
+        prev = g
+
+
+def test_threads_share_an_evaluator():
+    # worker threads that grow one evaluator at once build the same table
+    # and layers as a single thread does
+    k, d, top = 2, -20, 1 << 15
+    alone = FkAEvaluator(k, d)
+    alone.layer_delta(top)
+    shared = FkAEvaluator(k, d)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        list(pool.map(shared.layer_delta, [top >> i for i in range(4)] * 4))
+    assert np.array_equal(shared._a, alone._a) and np.array_equal(shared._b, alone._b)
+    assert np.array_equal(shared._in_class, alone._in_class)
+    assert all(np.array_equal(shared._gn[A], alone._gn[A]) for A in alone._gn)
+
+
 # ------------------------------------------------------- the form itself
 
 
@@ -213,6 +302,26 @@ def test_lhs_geodesic():
     assert abs(rep.value - 24) < 1e-6 * 25
     with pytest.raises(HypothesisViolated):
         lhs_geodesic(2, 5, -4)
+
+
+# D = 60 and 85: the class with the largest layer cutoff is not the one
+# with the most panels, nor the last; D = 48 at 1e-9 hits a noise floor;
+# k = 2, D = 12 at 1e-7 stops on its coefficient noise floor near 1.3e-6
+@pytest.mark.parametrize("k, D, d, tol", [(4, 60, -4, 1e-6), (3, 85, -3, 1e-6), (4, 48, -4, 1e-9),
+                                          (2, 12, -4, 1e-7), (2, 12, -4, 1e-5)])
+def test_lhs_geodesic_keeps_every_class(k, D, d, tol):
+    rep = lhs_geodesic(k, D, d, tol=tol)
+    reps = indefinite_class_reps(D)
+    metas = [
+        cycle_integral(Q, k, d, tol=tol / len(reps), evaluator=get_evaluator(k, d),
+                       check_pole=False)[2]
+        for Q in reps
+    ]
+    assert rep.cutoff["classes"] == len(reps)
+    assert rep.cutoff["panels"] == max(m["panels"] for m in metas)
+    assert rep.cutoff["layer_cutoff"] == max(m["layer_cutoff"] for m in metas)
+    assert rep.cutoff.get("noise_floor", False) == any(m.get("noise_floor") for m in metas)
+    assert rep.cutoff["met_tol"] == (rep.error_estimate <= tol)
 
 
 # ------------------------------------------------------- lattice sum

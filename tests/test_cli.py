@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,20 @@ def test_trace_exact(capsys):
 def test_trace_hypothesis_exit_2():
     proc = run_cli("trace", "--k", "2", "--D", "5", "--method", "geodesic")
     assert proc.returncode == 2
+
+
+def test_trace_geodesic_same_under_optimize():
+    # python -O strips assert statements; the integration-window checks
+    # of the geodesic method are real checks, so the run is unchanged
+    args = ["-m", "cyclotrace.cli", "trace", "--k", "4", "--D", "12", "--method", "geodesic",
+            "--tol", "1e-6"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *args], capture_output=True, text=True)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0
+    seconds = re.compile(r"seconds=\S+")
+    assert seconds.sub("", optimized.stdout) == seconds.sub("", plain.stdout)
 
 
 def test_trace_square_exit_3():
@@ -106,6 +121,18 @@ def test_table_deterministic_values(tmp_path):
         return [ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()]
 
     assert strip_seconds(p1) == strip_seconds(p2)
+
+
+def test_table_geodesic_threads_agree():
+    # the geodesic jobs of one (k, d) share an evaluator across threads;
+    # each run is a fresh process, so the threads grow it from cold
+    def values(threads):
+        proc = run_cli("table", "--k", "2", "--Dmax", "40", "--method", "geodesic",
+                       "--threads", threads)
+        assert proc.returncode == 0, proc.stderr
+        return [ln.rsplit(",", 1)[0] for ln in proc.stdout.splitlines()]
+
+    assert values("4") == values("1")
 
 
 def test_table_unwritable_exit_3(tmp_path):
