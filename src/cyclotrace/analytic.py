@@ -18,10 +18,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, isqrt
 
 import numpy as np
 
+from .arith import check_discriminant
 from .bqf import (
     BQF,
     equivalent_indefinite,
@@ -84,54 +86,39 @@ def _hyp_series(a: float, b: float, c: float, w, terms: int = 90):
     return acc
 
 
-def hyp2f1(a: float, b: float, c: float, w: float) -> float:
-    """2F1(a, b; c; w) for 0 <= w < 1, relative error ~1e-12.
+def _hyp2f1_vec(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
+    """2F1(a, b; c; w) on an array with 0 <= w < 1, relative error ~1e-12.
 
     For w > 1/2 the standard linear transformation in 1 - w is applied;
     it requires c - a - b non-integral (true for every in-scope call,
     where c - a - b = 1/2).
     """
-    if not (0 <= w < 1):
-        raise DivergentParameters(f"w = {w} outside [0, 1)")
-    if c <= 0 and float(c).is_integer():
-        raise DivergentParameters(f"c = {c} is a non-positive integer")
-    if w <= 0.5:
-        return float(_hyp_series(a, b, c, w))
-    s = c - a - b
-    if float(s).is_integer():
-        # fall back to the (slow) direct series; in-scope calls never land here
-        return float(_hyp_series(a, b, c, w, terms=4000))
-    u = 1.0 - w
-    g = math.gamma
-    t1 = g(c) * g(s) / (g(c - a) * g(c - b)) * _hyp_series(a, b, 1 - s, u)
-    t2 = (
-        u**s
-        * g(c)
-        * g(-s)
-        / (g(a) * g(b))
-        * _hyp_series(c - a, c - b, 1 + s, u)
-    )
-    return float(t1 + t2)
-
-
-def _hyp2f1_half_vec(k: int, w: np.ndarray) -> np.ndarray:
-    """2F1(k/2, k/2; k+1/2; w) on an array with 0 <= w < 1 (c - a - b = 1/2)."""
-    a = b = k / 2
-    c = k + 0.5
     out = np.empty_like(w)
     lo = w <= 0.5
     if lo.any():
         out[lo] = _hyp_series(a, b, c, w[lo])
     hi = ~lo
     if hi.any():
+        s = c - a - b
+        if float(s).is_integer():
+            raise DivergentParameters(f"c - a - b = {s} is an integer and some w > 1/2")
         u = 1.0 - w[hi]
         g = math.gamma
-        c1 = g(c) * g(0.5) / (g(c - a) * g(c - b))
-        c2 = g(c) * g(-0.5) / (g(a) * g(b))
-        out[hi] = c1 * _hyp_series(a, b, 0.5, u) + c2 * np.sqrt(u) * _hyp_series(
-            c - a, c - b, 1.5, u
+        c1 = g(c) * g(s) / (g(c - a) * g(c - b))
+        c2 = g(c) * g(-s) / (g(a) * g(b))
+        out[hi] = c1 * _hyp_series(a, b, 1 - s, u) + c2 * u**s * _hyp_series(
+            c - a, c - b, 1 + s, u
         )
     return out
+
+
+def hyp2f1(a: float, b: float, c: float, w: float) -> float:
+    """2F1(a, b; c; w) for 0 <= w < 1, relative error ~1e-12; see _hyp2f1_vec."""
+    if not (0 <= w < 1):
+        raise DivergentParameters(f"w = {w} outside [0, 1)")
+    if c <= 0 and float(c).is_integer():
+        raise DivergentParameters(f"c = {c} is a non-positive integer")
+    return float(_hyp2f1_vec(a, b, c, np.array([w], dtype=float))[0])
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +256,6 @@ def _layer_T(k: int, n: int, c: np.ndarray, kappa: np.ndarray) -> np.ndarray:
 # the meromorphic form evaluator
 
 
-_EVALUATOR_CACHE: dict = {}
-
-
 def _reduce_to_rep(a: np.ndarray, b: np.ndarray, d: int, rep: BQF) -> np.ndarray:
     """Mask of the definite forms [a, b, (b^2 - d)/4a] whose Gauss
     reduction is rep: `reduce_definite` run on int64 arrays at once."""
@@ -319,8 +303,7 @@ class FkAEvaluator:
     def __init__(self, k: int, d: int, rep: BQF | None = None):
         if k < 2:
             raise ValueError("k must be >= 2")
-        if d >= 0 or d % 4 not in (0, 1):
-            raise ValueError(f"{d} is not a negative discriminant")
+        check_discriminant(d, positive=False)
         self.k = k
         self.d = d
         reps = definite_class_reps(d)
@@ -475,13 +458,10 @@ class FkAEvaluator:
             prev = cur
 
 
+@lru_cache(maxsize=None)
 def get_evaluator(k: int, d: int, rep: BQF | None = None) -> FkAEvaluator:
-    key = (k, d, (rep.a, rep.b, rep.c) if rep is not None else None)
-    ev = _EVALUATOR_CACHE.get(key)
-    if ev is None:
-        ev = FkAEvaluator(k, d, rep)
-        _EVALUATOR_CACHE[key] = ev
-    return ev
+    """The process's shared evaluator of (k, d, rep); its tables only grow."""
+    return FkAEvaluator(k, d, rep)
 
 
 def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None, tol: float = 1e-9) -> complex:
@@ -490,7 +470,9 @@ def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None, tol: float = 1e
     Truncated class sum with the family cutoff doubled until the last
     doubling changes the value by less than tol.
     """
-    ev = get_evaluator(k, d, rep)
+    # the cache keys on the arguments as passed: share the geodesic
+    # method's get_evaluator(k, d) for the principal class
+    ev = get_evaluator(k, d) if rep is None else get_evaluator(k, d, rep)
     vals, _, _ = ev.eval_adaptive(np.array([z], dtype=complex), tol)
     return complex(vals[0])
 
@@ -504,13 +486,9 @@ def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None, tol: float = 1e
 CYCLE_ORIENTATION = 1
 
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGGAUSS_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def cycle_integral(
@@ -542,23 +520,20 @@ def cycle_integral(
     arc = pell_automorph(Q)
     C = float(arc.center)
     R = math.sqrt(float(arc.radius_squared))
+    # the flow moves toward increasing u = log tan(theta/2) for a > 0,
+    # decreasing for a < 0
+    flow = 1.0 if Q.a > 0 else -1.0
     if theta_start is None:
-        # the flow moves toward increasing u for a > 0, decreasing for a < 0
-        flow = 1.0 if Q.a > 0 else -1.0
         theta_start = 2 * math.atan(math.exp(-flow * arc.period_length / 2))
     if not 0 < theta_start < math.pi:
         raise ValueError("theta_start must be interior to (0, pi)")
-    flow = 1.0 if Q.a > 0 else -1.0
     theta0 = theta_start
-    # the interval endpoint comes from the exact period length, not from
-    # the float image of the base point: for long arcs the image sits at
-    # height ~ R sech(period) whose relative error would shift the window
-    z0 = C + R * complex(math.cos(theta_start), math.sin(theta_start))
-    z1 = arc.automorph.moebius(z0)
-    theta1 = math.atan2((z1 - C).imag, (z1 - C).real)
-    # the automorph flow never crosses the arc's endpoints
-    if not 0 < theta1 < math.pi:
-        raise NoConvergence(f"automorph image of the base point left the arc of {Q}")
+    # the window's far end comes from the exact period length, not from the
+    # float image of the base point: on long arcs that image lies within
+    # ~R sech(period) of an endpoint, where its rounding moves it far in u
+    u0 = math.log(math.tan(theta0 / 2))
+    u1 = u0 + flow * arc.period_length
+    theta1 = 2 * math.atan(math.exp(u1))
 
     # pick the layer cutoff from the coefficient-tail proxy
     probe = C + R * np.exp(1j * np.linspace(theta0, theta1, 17))
@@ -580,12 +555,6 @@ def cycle_integral(
     # so fixed-order panels with the panel count doubled converge fast even
     # for long arcs (a single rule uniform in theta undersamples the ends)
     x0, w0 = _gauss_legendre(48)
-    u0 = math.log(math.tan(theta0 / 2))
-    period = arc.period_length
-    u1 = u0 + flow * period
-    # loose consistency check against the float image of the base point
-    if not abs(math.log(math.tan(theta1 / 2)) - u1) < 1e-4 * (1 + period):
-        raise NoConvergence(f"period window of {Q} disagrees with the image of its base point")
 
     def quad(panels: int) -> complex:
         edges = np.linspace(u0, u1, panels + 1)
@@ -680,17 +649,17 @@ def _primes_up_to(n: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
-def _r2_table(D: int, S: int) -> np.ndarray:
-    """r2(D + s^2) for s = 1..S via a quadratic-progression sieve.
+def _r2_table(D: int, lo: int, hi: int) -> np.ndarray:
+    """r2(D + s^2) for s = lo+1..hi via a quadratic-progression sieve.
 
     r2(n) counts all (b, e) with b^2 + e^2 = n; it vanishes unless every
     prime ≡ 3 (mod 4) divides n to an even power, and otherwise equals
-    4 * prod (e_p + 1) over p ≡ 1 (mod 4).
+    4 * prod (e_p + 1) over p ≡ 1 (mod 4).  Entry i belongs to s = lo+1+i.
     """
-    vals = [D + s * s for s in range(S + 1)]
-    mult = np.ones(S + 1, dtype=np.int64)
-    bad = np.zeros(S + 1, dtype=bool)
-    bound = isqrt(D + S * S) + 1
+    vals = [D + s * s for s in range(lo + 1, hi + 1)]
+    mult = np.ones(hi - lo, dtype=np.int64)
+    bad = np.zeros(hi - lo, dtype=bool)
+    bound = isqrt(D + hi * hi) + 1
     from .bqf import _sqrt_mod_prime
 
     for p in _primes_up_to(bound):
@@ -699,38 +668,37 @@ def _r2_table(D: int, S: int) -> np.ndarray:
         else:
             roots = _sqrt_mod_prime((-D) % p, p)
         for r in set(x % p for x in roots):
-            start = r if r >= 1 else p
-            for s in range(start, S + 1, p):
-                v = vals[s]
+            # the first index whose s = lo+1+i is ≡ r (mod p)
+            for i in range((r - lo - 1) % p, hi - lo, p):
+                v = vals[i]
                 e = 0
                 while v % p == 0:
                     v //= p
                     e += 1
-                vals[s] = v
+                vals[i] = v
                 if p % 4 == 1:
-                    mult[s] *= e + 1
+                    mult[i] *= e + 1
                 elif p % 4 == 3 and e % 2:
-                    bad[s] = True
-    for s in range(1, S + 1):
-        v = vals[s]
+                    bad[i] = True
+    for i, v in enumerate(vals):
         if v > 1:
             # leftover prime (exponent 1)
             if v % 4 == 1:
-                mult[s] *= 2
+                mult[i] *= 2
             elif v % 4 == 3:
-                bad[s] = True
+                bad[i] = True
     r2 = 4 * mult
     r2[bad] = 0
-    r2[0] = 0
     return r2
 
 
-def _parity_counts(D: int, S: int) -> np.ndarray:
-    """N(s) = #{(b, e): b^2 + e^2 = D + s^2, e ≡ s (mod 2)} for s = 1..S."""
-    r2 = _r2_table(D, S)
-    s = np.arange(S + 1)
+def _parity_counts(D: int, lo: int, hi: int) -> np.ndarray:
+    """N(s) = #{(b, e): b^2 + e^2 = D + s^2, e ≡ s (mod 2)} for s = lo+1..hi,
+    entry i belonging to s = lo+1+i."""
+    r2 = _r2_table(D, lo, hi)
+    s = np.arange(lo + 1, hi + 1)
     n = D + s * s
-    N = np.zeros(S + 1, dtype=float)
+    N = np.zeros(hi - lo, dtype=float)
     odd = n % 2 == 1
     N[odd] = r2[odd] / 2.0
     zero4 = n % 4 == 0
@@ -775,23 +743,21 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
             error_estimate=abs(pref) * err, hypothesis_ok=True,
             seconds=time.perf_counter() - t0, cutoff=cut,
         )
-    S = 1 << 12
-    N = _parity_counts(D, S)
 
-    def tail_sum(Ncounts: np.ndarray, lo: int, hi: int) -> float:
-        s = np.arange(lo, hi + 1, dtype=float)
-        Ns = Ncounts[lo : hi + 1]
+    def tail_sum(lo: int, hi: int) -> float:
+        """The terms lo < s <= hi; each doubling sieves only its new half."""
+        s = np.arange(lo + 1, hi + 1, dtype=float)
         w = D / (D + s * s)
-        F = _hyp2f1_half_vec(k, w)
-        return float(np.sum(2.0 * Ns * (D + s * s) ** (-k / 2.0) * F))
+        F = _hyp2f1_vec(k / 2, k / 2, k + 0.5, w)
+        return float(np.sum(2.0 * _parity_counts(D, lo, hi) * (D + s * s) ** (-k / 2.0) * F))
 
-    total = tail_sum(N, 1, S)
+    S = 1 << 12
+    total = tail_sum(0, S)
     while True:
         S2 = 2 * S
         if S2 > 1 << 24:
             raise NoConvergence("lattice-sum cutoff above ceiling")
-        N = _parity_counts(D, S2)
-        inc = tail_sum(N, S + 1, S2)
+        inc = tail_sum(S, S2)
         total += inc
         S = S2
         if abs(pref * inc) < tol / 2:
@@ -872,14 +838,11 @@ def _latticesum_generic(k: int, D: int, d: int, tol: float) -> tuple[float, floa
     lo = 1
     prev_inc = None
     while True:
-        inc = 0.0
-        for t2 in range(lo, T + 1):
-            cnt = count_for(t2) + count_for(-t2)
-            if cnt == 0:
-                continue
-            p2 = t2 * t2 / (-d)
-            wv = D / (p2 + D)
-            inc += cnt * (p2 + D) ** (-k / 2.0) * hyp2f1(k / 2, k / 2, k + 0.5, wv)
+        t2 = np.arange(lo, T + 1)
+        cnt = np.array([count_for(t) + count_for(-t) for t in range(lo, T + 1)], dtype=float)
+        p2 = t2 * t2 / (-d)
+        F = _hyp2f1_vec(k / 2, k / 2, k + 0.5, D / (p2 + D))
+        inc = float(np.sum(cnt * (p2 + D) ** (-k / 2.0) * F))
         total += inc
         if prev_inc is not None and abs(inc) < tol / 2:
             return total, abs(inc), {"t_cutoff": T}
@@ -896,7 +859,8 @@ def _solve_linear_three(n: tuple[int, int, int], g: int) -> tuple[int, int, int]
 
     g01, x, y = _ext_gcd(n[0], n[1])
     g2, u, v = _ext_gcd(g01, n[2])
-    assert g2 == g
+    if g2 != g:
+        raise RuntimeError(f"gcd{n} = {g2}, not {g}")
     return (x * u, y * u, v)
 
 

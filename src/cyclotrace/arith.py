@@ -9,15 +9,14 @@ is no floating-point fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
-from .errors import NonFundamental
+from .errors import NonFundamental, SquareDiscriminant
 
 __all__ = [
-    "Discriminant",
+    "check_discriminant",
     "kronecker",
     "is_fundamental_discriminant",
     "fundamental_decomposition",
@@ -88,27 +87,18 @@ def fundamental_decomposition(D: int) -> tuple[int, int]:
     return 4 * s, f // 2
 
 
-@dataclass(frozen=True)
-class Discriminant:
-    """An integer D ≡ 0, 1 (mod 4), D ≠ 0, with its fundamental factorization."""
+def check_discriminant(D: int, positive: bool = True) -> None:
+    """Reject D unless it is a discriminant of the required sign.
 
-    value: int
-
-    def __post_init__(self):
-        if self.value == 0 or self.value % 4 not in (0, 1):
-            raise ValueError(f"{self.value} is not a discriminant")
-
-    @property
-    def fundamental_part(self) -> int:
-        return fundamental_decomposition(self.value)[0]
-
-    @property
-    def conductor(self) -> int:
-        return fundamental_decomposition(self.value)[1]
-
-    @property
-    def is_fundamental(self) -> bool:
-        return self.conductor == 1 or self.value == 1
+    A discriminant is D ≡ 0, 1 (mod 4), D ≠ 0; a positive one must also
+    be a non-square.  A positive square raises SquareDiscriminant, every
+    other bad D raises ValueError.
+    """
+    if D == 0 or (D > 0) != positive or D % 4 not in (0, 1):
+        sign = "positive" if positive else "negative"
+        raise ValueError(f"{D} is not a {sign} discriminant")
+    if positive and is_square(D):
+        raise SquareDiscriminant(f"{D} must be a positive non-square discriminant")
 
 
 def kronecker(a: int, n: int) -> int:

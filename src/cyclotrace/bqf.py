@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import is_square
-from .errors import NotDefinite, SquareDiscriminant
+from .arith import check_discriminant, is_square
+from .errors import NotDefinite
 
 __all__ = [
     "BQF",
     "SL2Z",
     "CMPoint",
     "GeodesicArc",
-    "disc",
     "reduce_definite",
     "definite_class_reps",
     "indefinite_class_reps",
@@ -112,19 +111,11 @@ class SL2Z:
     def moebius(self, z: complex) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
 
-    def cocycle(self, z: complex) -> complex:
-        """The automorphy factor j(g, z) = c z + d."""
-        return self.c * z + self.d
-
     def __repr__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
 
 S_FLIP = SL2Z(0, -1, 1, 0)
-
-
-def disc(Q: BQF) -> int:
-    return Q.disc
 
 
 def reduce_definite(Q: BQF) -> tuple[BQF, SL2Z]:
@@ -154,23 +145,14 @@ def reduce_definite(Q: BQF) -> tuple[BQF, SL2Z]:
             g = S_FLIP * g
         break
     red = BQF(a, b, c)
-    assert red == Q.apply(g)
+    if red != Q.apply(g):
+        raise RuntimeError(f"reduction matrix {g} does not send {Q} to {red}")
     return red, g
-
-
-def is_reduced_definite(Q: BQF) -> bool:
-    a, b, c = Q.a, Q.b, Q.c
-    if not (abs(b) <= a <= c):
-        return False
-    if (abs(b) == a or a == c) and b < 0:
-        return False
-    return True
 
 
 def definite_class_reps(d: int) -> list[BQF]:
     """All reduced positive definite forms of discriminant d < 0."""
-    if d >= 0 or d % 4 not in (0, 1):
-        raise ValueError(f"{d} is not a negative discriminant")
+    check_discriminant(d, positive=False)
     reps = []
     a = 1
     while 3 * a * a <= -d:
@@ -196,8 +178,7 @@ def enumerate_definite(d: int, a_max: int, translates: int = 0) -> list[BQF]:
     """
     if a_max < 1:
         raise ValueError("a_max must be >= 1")
-    if d >= 0 or d % 4 not in (0, 1):
-        raise ValueError(f"{d} is not a negative discriminant")
+    check_discriminant(d, positive=False)
     forms = []
     for a in range(1, a_max + 1):
         for b0 in sqrt_mod_roots(d, a):
@@ -367,7 +348,8 @@ def _rho(Q: BQF) -> tuple[BQF, SL2Z]:
     new = BQF(c, b1, c1)
     n = -(b + b1) // (2 * c)
     g = SL2Z(n, -1, 1, 0)
-    assert Q.apply(g) == new, (Q, new, g)
+    if Q.apply(g) != new:
+        raise RuntimeError(f"river step {g} does not send {Q} to {new}")
     return new, g
 
 
@@ -385,9 +367,7 @@ def reduced_cycle(Q: BQF) -> tuple[list[BQF], SL2Z]:
     Returns (cycle, g) where cycle[0] is the first reduced form reached from
     Q and g (the composition of the rho-steps once around) stabilises it.
     """
-    D = Q.disc
-    if D <= 0 or is_square(D):
-        raise SquareDiscriminant(f"disc {D} is not positive non-square")
+    check_discriminant(Q.disc)
     start, _ = _reduce_indefinite_with_matrix(Q)
     cycle = [start]
     cur = start
@@ -398,14 +378,14 @@ def reduced_cycle(Q: BQF) -> tuple[list[BQF], SL2Z]:
         if cur == start:
             break
         cycle.append(cur)
-    assert start.apply(total) == start
+    if start.apply(total) != start:
+        raise RuntimeError(f"cycle automorph {total} does not fix {start}")
     return cycle, total
 
 
 def indefinite_class_reps(D: int) -> list[BQF]:
     """One reduced representative per SL(2,Z)-class of forms of disc D."""
-    if D <= 0 or D % 4 not in (0, 1) or is_square(D):
-        raise SquareDiscriminant(f"{D} must be a positive non-square discriminant")
+    check_discriminant(D)
     s = isqrt(D)
     all_reduced = []
     for b in range(1, s + 1):
@@ -484,16 +464,15 @@ def pell_automorph(Q: BQF) -> GeodesicArc:
     signs.  An imprimitive form m*Q' has the same stabiliser as Q', with
     (t, u) taken at disc(Q').
     """
-    D = Q.disc
-    if D <= 0 or is_square(D):
-        raise SquareDiscriminant(f"disc {D} must be positive non-square")
+    check_discriminant(Q.disc)
     m = Q.content()
     Qp = BQF(Q.a // m, Q.b // m, Q.c // m)
     Dp = Qp.disc
     _, h = _reduce_indefinite_with_matrix(Qp)
     _, g0 = reduced_cycle(Qp)
     g = h.inverse() * g0 * h
-    assert Qp.apply(g) == Qp
+    if Qp.apply(g) != Qp:
+        raise RuntimeError(f"conjugated cycle automorph {g} does not fix {Qp}")
     t = g.a + g.d
     if t < 0:
         g = g.neg()
@@ -502,16 +481,16 @@ def pell_automorph(Q: BQF) -> GeodesicArc:
     if u < 0:
         g = g.inverse()
         u = -u
-    assert t > 0 and u > 0 and t * t - Dp * u * u == 4
-    assert 2 * g.a == t + Qp.b * u and g.b == Qp.c * u and -g.c == Qp.a * u
-    assert Q.apply(g) == Q
+    if not (t > 0 and u > 0 and t * t - Dp * u * u == 4):
+        raise RuntimeError(f"({t}, {u}) does not solve the Pell equation for {Dp}")
+    if not (2 * g.a == t + Qp.b * u and g.b == Qp.c * u and -g.c == Qp.a * u and Q.apply(g) == Q):
+        raise RuntimeError(f"{g} is not the Pell automorph of {Q}")
     return GeodesicArc(form=Q, automorph=g, t=t, u=u, primitive_disc=Dp)
 
 
 def pell_fundamental(D: int) -> tuple[int, int]:
     """Minimal (t, u), t, u > 0, with t^2 - D u^2 = 4."""
-    if D <= 0 or D % 4 not in (0, 1) or is_square(D):
-        raise SquareDiscriminant(f"{D} must be a positive non-square discriminant")
+    check_discriminant(D)
     if D % 4 == 0:
         Q = BQF(1, 0, -(D // 4))
     else:
@@ -536,10 +515,6 @@ class CMPoint:
     def x(self) -> Fraction:
         return Fraction(self.minus_b, self.two_a)
 
-    @property
-    def y_squared(self) -> Fraction:
-        return Fraction(self.abs_d, self.two_a * self.two_a)
-
     def as_complex(self) -> complex:
         return complex(self.x) + 1j * math.sqrt(self.abs_d) / self.two_a
 
@@ -561,8 +536,7 @@ def pairing(Q1: BQF, Q2: BQF) -> Fraction:
 
 def stabilizer_order(d: int) -> int:
     """Order of the stabiliser in PSL(2,Z) of a CM point of disc d < 0."""
-    if d >= 0:
-        raise ValueError("d must be negative")
+    check_discriminant(d, positive=False)
     if d == -4:
         return 2
     if d == -3:
@@ -594,8 +568,8 @@ def _orthogonal_basis(Q0: BQF) -> tuple[tuple[int, int, int], tuple[int, int, in
     g, _, _ = _ext_gcd(g01, n[2])
     s, t = n[2] // g, -(g01 // g)
     v2 = (x * s, y * s, t)
-    for v in (v1, v2):
-        assert n[0] * v[0] + n[1] * v[1] + n[2] * v[2] == 0
+    if any(n[0] * v[0] + n[1] * v[1] + n[2] * v[2] for v in (v1, v2)):
+        raise RuntimeError(f"basis {v1}, {v2} is not orthogonal to {Q0}")
     return v1, v2
 
 
@@ -611,8 +585,7 @@ def on_geodesic_forms(D: int, d: int) -> list[BQF]:
     lattice orthogonal to Q0; representations of disc D there are finite.
     CM points of every class of discriminant d are considered.
     """
-    if D <= 0 or D % 4 not in (0, 1) or is_square(D):
-        raise SquareDiscriminant(f"{D} must be a positive non-square discriminant")
+    check_discriminant(D)
     found = []
     for Q0 in definite_class_reps(d):
         v1, v2 = _orthogonal_basis(Q0)
@@ -622,7 +595,8 @@ def on_geodesic_forms(D: int, d: int) -> list[BQF]:
         h12 = -int(2 * _pairing_vec(v1, v2))
         h22 = -int(2 * _pairing_vec(v2, v2))
         det = h11 * h22 - h12 * h12
-        assert h11 > 0 and det > 0
+        if not (h11 > 0 and det > 0):
+            raise RuntimeError(f"the lattice orthogonal to {Q0} is not negative definite")
         xmax = isqrt(D * h22 // det) + 1
         for xv in range(-xmax, xmax + 1):
             delta = h12 * h12 * xv * xv - h22 * (h11 * xv * xv - D)
@@ -640,7 +614,8 @@ def on_geodesic_forms(D: int, d: int) -> list[BQF]:
                 if v == (0, 0, 0):
                     continue
                 Q = BQF(*v)
-                assert Q.disc == D
+                if Q.disc != D:
+                    raise RuntimeError(f"{Q} solved the norm equation but has disc {Q.disc} != {D}")
                 found.append(Q)
     return found
 
@@ -651,8 +626,6 @@ def hypothesis_check(D: int, d: int = -4) -> bool:
     For d = -4 this is equivalent to D not being representable as
     b^2 + 4a^2 with a != 0.
     """
-    if D <= 0 or D % 4 not in (0, 1) or is_square(D):
-        raise SquareDiscriminant(f"{D} must be a positive non-square discriminant")
-    if d >= 0 or d % 4 not in (0, 1):
-        raise ValueError(f"{d} is not a negative discriminant")
+    check_discriminant(D)
+    check_discriminant(d, positive=False)
     return not on_geodesic_forms(D, d)

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_square
+from .arith import check_discriminant, is_square
 from .bqf import hypothesis_check
 from .errors import (
     CyclotraceError,
@@ -51,22 +51,13 @@ class RunConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.d >= 0 or self.d % 4 not in (0, 1):
-            raise ValueError("d must be a negative discriminant")
+        check_discriminant(self.d, positive=False)
+        if self.D is not None:
+            check_discriminant(self.D)
 
     @property
     def thread_count(self) -> int:
-        if self.threads:
-            return self.threads
-        env = os.environ.get("CYCLOTRACE_THREADS")
-        if env:
-            return max(1, int(env))
-        return os.cpu_count() or 1
-
-
-def _check_D(D: int) -> None:
-    if D <= 0 or D % 4 not in (0, 1) or is_square(D):
-        raise ValueError(f"D = {D} must be a positive non-square discriminant")
+        return self.threads or os.cpu_count() or 1
 
 
 def _applicable(methods: tuple[str, ...], k: int, d: int) -> list[str]:
@@ -115,7 +106,6 @@ def _row_fields(r: TraceReport) -> dict:
 
 
 def cmd_trace(cfg: RunConfig) -> int:
-    _check_D(cfg.D)
     method = cfg.methods[0]
     report = compute_trace(method, cfg.k, cfg.D, cfg.d, cfg.tol)
     print(_fmt_value(report.value) if method == "exact" else "%.12e" % report.value)
@@ -135,7 +125,6 @@ _COMPUTE_FLOOR = {"geodesic": 2e-7, "latticesum": 5e-6}
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    _check_D(cfg.D)
     methods = _applicable(("exact", "geodesic", "latticesum"), cfg.k, cfg.d)
     reports = []
     scale = 1.0
@@ -242,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="negative discriminant of the CM class (default -4)")
         sp.add_argument("--tol", type=float, default=1e-6, help="tolerance")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: CYCLOTRACE_THREADS or all cores)")
+                        help="worker threads (default: all cores)")
 
     sp = sub.add_parser("trace", help="compute one trace by one method")
     common(sp)

@@ -271,7 +271,8 @@ class IntLattice:
     @property
     def det(self) -> int:
         d = _det(self.gram)
-        assert d.denominator == 1
+        if d.denominator != 1:
+            raise RuntimeError(f"the determinant {d} of an integral Gram matrix is not an integer")
         return int(d)
 
     @property
@@ -368,7 +369,8 @@ class FQModule:
         t = []
         for i in range(n):
             val = sum(self._u[i][j] * int(m[j]) for j in range(n))
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise RuntimeError(f"coset coordinate {val} of {x} is not an integer")
             t.append(int(val) % self.orders[i])
         return tuple(t)
 
@@ -445,9 +447,6 @@ class VVSeries:
             return Fraction(0)
         return Fraction(min(n for (_, n) in self.terms), self.den)
 
-    def nonzero_components(self) -> set[int]:
-        return {c for (c, _n) in self.terms}
-
     def validate_support(self) -> None:
         """Check the sigma-congruence n ≡ sigma q(mu) (mod 1) for all terms."""
         if self.sigma is None:
@@ -456,7 +455,9 @@ class VVSeries:
             mu = self.module.elements[c]
             want = _frac_mod1(self.sigma * self.module.q_value(mu))
             got = _frac_mod1(Fraction(n, self.den))
-            assert got == want, (c, Fraction(n, self.den), want)
+            if got != want:
+                raise ValueError(f"exponent {Fraction(n, self.den)} on component {c} is not "
+                                 f"congruent to {want} (mod 1)")
 
     def scale(self, factor: Fraction) -> "VVSeries":
         f = Fraction(factor)
@@ -483,13 +484,13 @@ class VVSeries:
         )
 
     def __add__(self, other: "VVSeries") -> "VVSeries":
-        if self.module.orders != other.module.orders or self.den != other.den:
+        if (self.module.orders != other.module.orders or self.den != other.den
+                or self.pi_power != other.pi_power or self.weight != other.weight):
             raise ValueError("incompatible series")
         terms = dict(self.terms)
         for k, v in other.terms.items():
             terms[k] = terms.get(k, Fraction(0)) + v
         terms = {k: v for k, v in terms.items() if v != 0}
-        assert self.pi_power == other.pi_power and self.weight == other.weight
         return VVSeries(
             module=self.module,
             weight=self.weight,
@@ -674,7 +675,8 @@ class LatticeEmbedding:
     @property
     def index(self) -> int:
         d = _det(self.matrix)
-        assert d.denominator == 1 and d != 0
+        if d.denominator != 1 or d == 0:
+            raise RuntimeError(f"the embedding matrix has determinant {d}, not a nonzero integer")
         return abs(int(d))
 
     def source_vector_in_target(self, x) -> tuple[Fraction, ...]:
@@ -888,7 +890,8 @@ def siegel_theta_eval(
     y = z.imag
     x = z.real
     out = np.zeros(len(module.elements), dtype=complex)
-    assert module.lattice.rank == 3
+    if module.lattice.rank != 3:
+        raise ValueError("the Siegel theta needs a rank-3 lattice of binary forms")
     F = np.array([[float(form_map[i][j]) for j in range(3)] for i in range(3)])
     rng = np.arange(-cutoff, cutoff + 1)
     g0, g1, g2 = np.meshgrid(rng, rng, rng, indexing="ij")

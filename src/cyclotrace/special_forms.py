@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .arith import cohen_H, dirichlet_L_value, is_square
+from .arith import check_discriminant, cohen_H, dirichlet_L_value
 from .bqf import hypothesis_check
-from .errors import HypothesisViolated, SquareDiscriminant, UnsupportedK
+from .errors import HypothesisViolated, UnsupportedK
 from .fqm import (
     FQModule,
     IntLattice,
@@ -263,8 +263,7 @@ def fD_const_term(k: int, D: int) -> Fraction:
     """
     if k < 2 or k % 2:
         raise UnsupportedK("the exact side needs even k >= 2")
-    if D <= 0 or D % 4 not in (0, 1) or is_square(D):
-        raise SquareDiscriminant(f"{D} must be a positive non-square discriminant")
+    check_discriminant(D)
     return -cohen_H(k, D) / cohen_H(k, 0)
 
 
@@ -299,10 +298,7 @@ def build_fD(k: int, D: int) -> PlusForm:
             "the exact side covers k in {2, 4}; for even k >= 6 the principal "
             "part q^(-D) + O(1) does not define a modular form"
         )
-    if D <= 0 or D % 4 not in (0, 1):
-        raise ValueError(f"{D} is not a positive discriminant")
-    if is_square(D):
-        raise SquareDiscriminant(f"D = {D} is a square; c_f(-D) must vanish")
+    check_discriminant(D)
     M = module_L()
     c0 = fD_const_term(k, D)
     comp = M.index[(0, 0, 0)] if D % 2 == 0 else M.index[_L_NONTRIVIAL]
@@ -336,14 +332,6 @@ def build_fD(k: int, D: int) -> PlusForm:
 _SHADOW_SCALE = Fraction(1, 2)
 
 
-@lru_cache(maxsize=None)
-def _bracket(k: int, prec_scaled: int) -> VVSeries:
-    prec = Fraction(prec_scaled, 4)
-    g = hurwitz_gen(prec)
-    th = theta_N_minus(prec)
-    return rankin_cohen(g, th, k // 2 - 1, module=module_K_minus())
-
-
 def rhs_trace(k: int, D: int) -> Fraction:
     """Exact trace of cycle integrals via the constant-term formula.
 
@@ -358,18 +346,19 @@ def rhs_trace(k: int, D: int) -> Fraction:
             "the exact side covers k in {2, 4}; for even k >= 6 the principal "
             "part q^(-D) + O(1) does not define a modular form"
         )
-    if D <= 0 or D % 4 not in (0, 1) or is_square(D):
-        raise SquareDiscriminant(f"{D} must be a positive non-square discriminant")
+    check_discriminant(D)
     if not hypothesis_check(D, -4):
         raise HypothesisViolated(
             f"the CM point of disc -4 lies on a geodesic of disc {D}"
         )
     f = build_fD(k, D)
-    prec_scaled = D + 4
-    bracket = _bracket(k, prec_scaled)
+    prec = Fraction(D + 4, 4)
+    bracket = rankin_cohen(hurwitz_gen(prec), theta_N_minus(prec), k // 2 - 1,
+                           module=module_K_minus())
     fK = restrict(f.series, embedding_PN_in_L())
     ct, pi_power = ct_pairing(fK, bracket)
-    assert pi_power == 1
+    if pi_power != 1:
+        raise RuntimeError(f"the pairing carries pi^{pi_power}, not the pi^1 the prefactor cancels")
     # 2^(k-3) * |d|^(1/2) / (pi * |stab(z_A)|) with |d|^(1/2) = 2, |stab| = 2;
     # the 1/pi cancels pi_power = 1
     prefactor = Fraction(2) ** (k - 3) * _SHADOW_SCALE
@@ -384,8 +373,7 @@ def closed_formula(k: int, D: int) -> Fraction:
 
     No bracket machinery is involved.
     """
-    if D <= 0 or D % 4 not in (0, 1) or is_square(D):
-        raise SquareDiscriminant(f"{D} must be a positive non-square discriminant")
+    check_discriminant(D)
     if k not in (2, 4):
         raise UnsupportedK(f"no closed formula for k = {k}")
     s = isqrt(D)

@@ -20,7 +20,7 @@ from cyclotrace.analytic import (
 from cyclotrace.analytic import (
     _cot_polys,
     _hyp_series,
-    _hyp2f1_half_vec,
+    _hyp2f1_vec,
     _kappa_coeffs,
     _reduce_to_rep,
     _layer_T,
@@ -71,7 +71,7 @@ def test_hyp2f1_branch_continuity():
 
 def test_hyp2f1_vectorized():
     w = np.linspace(0.0, 0.995, 200)
-    v = _hyp2f1_half_vec(2, w)
+    v = _hyp2f1_vec(1, 1, 2.5, w)
     for i in (0, 50, 100, 150, 199):
         assert abs(v[i] - hyp2f1(1, 1, 2.5, float(w[i]))) < 1e-12 * max(1, v[i])
 
@@ -83,6 +83,14 @@ def test_hyp2f1_errors():
         hyp2f1(1, 1, 2.5, -0.1)
     with pytest.raises(DivergentParameters):
         hyp2f1(1, 1, -2.0, 0.3)
+
+
+def test_hyp2f1_integral_c_minus_a_minus_b():
+    # the transformation in 1 - w needs c - a - b non-integral; the
+    # direct series still covers w <= 1/2
+    assert abs(hyp2f1(1, 1, 2, 0.5) - 2 * math.log(2)) < 1e-12
+    with pytest.raises(DivergentParameters):
+        hyp2f1(1, 1, 2, 0.7)
 
 
 # -------------------------------------------------- resummation internals
@@ -328,10 +336,10 @@ def test_lhs_geodesic_keeps_every_class(k, D, d, tol):
 
 
 def test_r2_table_vs_brute():
-    for D in (12, 21, 5):
+    for D, lo in ((12, 0), (21, 0), (5, 0), (12, 23)):
         S = 60
-        table = _r2_table(D, S)
-        for s in range(1, S + 1):
+        table = _r2_table(D, lo, S)
+        for s in range(lo + 1, S + 1):
             n = D + s * s
             brute = sum(
                 1
@@ -339,14 +347,14 @@ def test_r2_table_vs_brute():
                 for e in range(-int(math.isqrt(n)), int(math.isqrt(n)) + 1)
                 if b * b + e * e == n
             )
-            assert table[s] == brute, (D, s, n)
+            assert table[s - lo - 1] == brute, (D, s, n)
 
 
 def test_parity_counts_vs_brute():
-    for D in (12, 21, 24):
+    for D, lo in ((12, 0), (21, 0), (24, 0), (21, 17)):
         S = 40
-        N = _parity_counts(D, S)
-        for s in range(1, S + 1):
+        N = _parity_counts(D, lo, S)
+        for s in range(lo + 1, S + 1):
             n = D + s * s
             brute = sum(
                 1
@@ -354,7 +362,7 @@ def test_parity_counts_vs_brute():
                 for e in range(-int(math.isqrt(n)), int(math.isqrt(n)) + 1)
                 if b * b + e * e == n and (e - s) % 2 == 0 and (b - D) % 2 == 0
             )
-            assert N[s] == brute, (D, s)
+            assert N[s - lo - 1] == brute, (D, s)
 
 
 def test_lhs_latticesum():
@@ -403,6 +411,16 @@ def test_long_period_arc():
     ex = float(rhs_trace(4, 209))
     g = lhs_geodesic(4, 209, -4, tol=0.2e-6 * (1 + abs(ex)))
     assert abs(g.value - ex) < 1e-6 * (1 + abs(ex))
+
+
+@pytest.mark.parametrize("d, tol", [(-3, 1e-8), (-7, 1e-6)])
+def test_long_period_window_from_exact_period(d, tol):
+    # disc 97 has period ~37.3: the centered base point lies within 1.6e-8
+    # of theta = pi, and its float automorph image misses the window end
+    # by 0.01 in u, so only the exact period gives the window.  The odd-k
+    # trace is 0.
+    rep = lhs_geodesic(3, 97, d, tol=tol)
+    assert abs(rep.value) <= rep.error_estimate
 
 
 def test_convergence_monotonicity():

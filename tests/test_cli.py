@@ -153,3 +153,21 @@ def test_selftest_runs():
     proc = run_cli("selftest")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "passed, 0 failed" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["--k", "4", "--D", "21", "--method", "exact"],
+    ["--k", "2", "--D", "12", "--method", "latticesum", "--tol", "1e-3"],
+    ["--k", "4", "--D", "21", "--d", "-3", "--method", "latticesum", "--tol", "1e-5"],
+])
+def test_trace_same_under_optimize(args):
+    # the exact path's pi-power check and the general-d lattice solve are
+    # real checks too, so python -O leaves these runs unchanged
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "cyclotrace.cli", "trace", *args],
+                       capture_output=True, text=True)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0
+    seconds = re.compile(r"seconds=\S+")
+    assert seconds.sub("", optimized.stdout) == seconds.sub("", plain.stdout)

@@ -1,0 +1,74 @@
+"""Cross-module contracts: discriminant validation and real invariant checks."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cyclotrace
+from cyclotrace.analytic import FkAEvaluator
+from cyclotrace.bqf import (
+    definite_class_reps,
+    enumerate_definite,
+    hypothesis_check,
+    indefinite_class_reps,
+    on_geodesic_forms,
+    pell_fundamental,
+    stabilizer_order,
+)
+from cyclotrace.cli import RunConfig
+from cyclotrace.errors import SquareDiscriminant
+from cyclotrace.special_forms import build_fD, closed_formula, fD_const_term, rhs_trace
+
+SRC = Path(cyclotrace.__file__).parent
+
+# every public entry point that takes a positive discriminant D ...
+TAKES_D = {
+    "indefinite_class_reps": indefinite_class_reps,
+    "pell_fundamental": pell_fundamental,
+    "on_geodesic_forms": lambda D: on_geodesic_forms(D, -4),
+    "hypothesis_check": lambda D: hypothesis_check(D, -4),
+    "fD_const_term": lambda D: fD_const_term(2, D),
+    "build_fD": lambda D: build_fD(2, D),
+    "rhs_trace": lambda D: rhs_trace(2, D),
+    "closed_formula": lambda D: closed_formula(2, D),
+    "RunConfig": lambda D: RunConfig(k=2, D=D),
+}
+
+# ... or a negative discriminant d
+TAKES_d = {
+    "on_geodesic_forms": lambda d: on_geodesic_forms(12, d),
+    "hypothesis_check": lambda d: hypothesis_check(12, d),
+    "definite_class_reps": definite_class_reps,
+    "enumerate_definite": lambda d: enumerate_definite(d, 5),
+    "stabilizer_order": stabilizer_order,
+    "FkAEvaluator": lambda d: FkAEvaluator(2, d),
+    "RunConfig": lambda d: RunConfig(k=2, d=d),
+}
+
+
+@pytest.mark.parametrize("D, error", [(7, ValueError), (0, ValueError), (-8, ValueError),
+                                      (9, SquareDiscriminant)])
+@pytest.mark.parametrize("name", sorted(TAKES_D))
+def test_invalid_D_raises_documented_error(name, D, error):
+    # only a positive square is a SquareDiscriminant; 7 is not a square
+    with pytest.raises(error):
+        TAKES_D[name](D)
+
+
+@pytest.mark.parametrize("d", [-5, 4])
+@pytest.mark.parametrize("name", sorted(TAKES_d))
+def test_invalid_d_raises_value_error(name, d):
+    with pytest.raises(ValueError):
+        TAKES_d[name](d)
+
+
+def test_no_assert_statements_in_source():
+    # python -O strips assert statements; invariants must be real checks
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
