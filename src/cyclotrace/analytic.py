@@ -26,6 +26,7 @@ import numpy as np
 from .arith import check_discriminant
 from .bqf import (
     BQF,
+    PairingSolver,
     equivalent_indefinite,
     indefinite_class_reps,
     on_geodesic_forms,
@@ -291,7 +292,9 @@ class FkAEvaluator:
     `_shell_pairs`), and each shell is filtered to the class once, by a
     vectorized Gauss reduction.  The layers are additive: g_n(A) is
     g_n(A/2) plus the sum over the shell A/2 < a <= A.  One lock guards
-    the table and the layers, so worker threads may share an evaluator.
+    the table and the layers: `get_evaluator` shares one evaluator per
+    (k, d, rep) across the process, so callers on several threads may
+    grow it at once.
     """
 
     Y_MIN = 0.85
@@ -711,13 +714,17 @@ def _parity_counts(D: int, lo: int, hi: int) -> np.ndarray:
 def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceReport:
     """Trace via the closed hypergeometric series at the CM point.
 
-    For d = -4 the sum collapses to s = a + c:
+    The forms of disc D are grouped by their doubled pairing t with the
+    CM form Q0; with p^2 = t^2/|d| the series is
 
-      sum_{s != 0} sgn(s)^k N(s) (D + s^2)^{-k/2} 2F1(k/2, k/2; k+1/2; D/(D+s^2))
+      sum_{t != 0} sgn(t)^k N(t) (D + p^2)^{-k/2} 2F1(k/2, k/2; k+1/2; D/(D+p^2))
 
-    with N(s) counting b^2 + e^2 = D + s^2, e ≡ s (2); the prefactor
-    composes the trace scaling with the raised-form series constants.
-    The s-cutoff is doubled until the change is below tol.
+    with N(t) the number of forms in group t; the prefactor composes the
+    trace scaling with the raised-form series constants.  For d = -4 the
+    terms are indexed by s = t/2 = a + c, and N(t) = N(-t) counts
+    b^2 + e^2 = D + s^2, e ≡ s (2), by a factorization sieve; for other d
+    `PairingSolver` counts each group exactly.  The cutoff is doubled
+    until the change is below tol.
     """
     t0 = time.perf_counter()
     if not hypothesis_check(D, d):
@@ -731,31 +738,38 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         / (w_stab * comb(2 * k - 2, k - 1) * math.pi * (2 * k - 1))
     )
     if k % 2 == 1:
-        # sgn(s)^k is odd while N(s) is even in s: exact cancellation
+        # sgn(t)^k is odd while N(t) is even in t: exact cancellation
         return TraceReport(
             k=k, D=D, d=d, method="latticesum", value=0.0, error_estimate=0.0,
             hypothesis_ok=True, seconds=time.perf_counter() - t0, cutoff={"s_cutoff": 0},
         )
-    if d != -4:
-        value, err, cut = _latticesum_generic(k, D, d, tol / abs(pref))
-        return TraceReport(
-            k=k, D=D, d=d, method="latticesum", value=pref * value,
-            error_estimate=abs(pref) * err, hypothesis_ok=True,
-            seconds=time.perf_counter() - t0, cutoff=cut,
-        )
+    if d == -4:
+        first, ceiling, key = 1 << 12, 1 << 24, "s_cutoff"
+
+        def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            s = np.arange(lo + 1, hi + 1, dtype=float)
+            return s * s, 2.0 * _parity_counts(D, lo, hi)
+    else:
+        first, ceiling, key = 64, 1 << 16, "t_cutoff"
+        solver = PairingSolver(definite_class_reps(d)[0])
+
+        def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            # X -> -X maps the forms with pairing t/2 onto those with -t/2
+            t = np.arange(lo + 1, hi + 1)
+            counts = [2 * len(solver.forms(D, u)) for u in range(lo + 1, hi + 1)]
+            return t * t / (-d), np.array(counts, dtype=float)
 
     def tail_sum(lo: int, hi: int) -> float:
-        """The terms lo < s <= hi; each doubling sieves only its new half."""
-        s = np.arange(lo + 1, hi + 1, dtype=float)
-        w = D / (D + s * s)
-        F = _hyp2f1_vec(k / 2, k / 2, k + 0.5, w)
-        return float(np.sum(2.0 * _parity_counts(D, lo, hi) * (D + s * s) ** (-k / 2.0) * F))
+        """The terms lo < s <= hi (or t); each doubling counts only its new half."""
+        p2, counts = window(lo, hi)
+        F = _hyp2f1_vec(k / 2, k / 2, k + 0.5, D / (D + p2))
+        return float(np.sum(counts * (D + p2) ** (-k / 2.0) * F))
 
-    S = 1 << 12
+    S = first
     total = tail_sum(0, S)
     while True:
         S2 = 2 * S
-        if S2 > 1 << 24:
+        if S2 > ceiling:
             raise NoConvergence("lattice-sum cutoff above ceiling")
         inc = tail_sum(S, S2)
         total += inc
@@ -771,97 +785,8 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         error_estimate=max(abs(pref * inc), 1e-15),
         hypothesis_ok=True,
         seconds=time.perf_counter() - t0,
-        cutoff={"s_cutoff": S},
+        cutoff={key: S},
     )
-
-
-def _latticesum_generic(k: int, D: int, d: int, tol: float) -> tuple[float, float, dict]:
-    """Lattice sum for general d < 0 via the orthogonal-lattice decomposition.
-
-    Forms X of disc D are grouped by t = pairing(X, Q0); each group is a
-    coset of the rank-2 negative definite lattice orthogonal to Q0, where
-    representations are counted by an integer quadratic solve (vectorized
-    over the bounded coordinate).  Slower than the d = -4 sieve but exact.
-    """
-    from .bqf import _orthogonal_basis, _pairing_vec
-
-    Q0 = definite_class_reps(d)[0]
-    n_vec = (2 * Q0.c, -Q0.b, 2 * Q0.a)
-    g_all = math.gcd(math.gcd(abs(n_vec[0]), abs(n_vec[1])), abs(n_vec[2]))
-    v1, v2 = _orthogonal_basis(Q0)
-    Xg = _solve_linear_three(n_vec, g_all)
-    h11 = -int(2 * _pairing_vec(v1, v1))
-    h12 = -int(2 * _pairing_vec(v1, v2))
-    h22 = -int(2 * _pairing_vec(v2, v2))
-    det = h11 * h22 - h12 * h12
-    # doubled pairings of the particular solution with itself and the basis
-    s00 = -int(2 * _pairing_vec(Xg, Xg))
-    s01 = -int(2 * _pairing_vec(Xg, v1))
-    s02 = -int(2 * _pairing_vec(Xg, v2))
-
-    def count_for(t2: int) -> int:
-        # forms with pairing = t2/2; empty unless g_all | t2
-        if t2 % g_all:
-            return 0
-        lam = t2 // g_all
-        c0 = lam * lam * s00
-        c1 = lam * s01
-        c2 = lam * s02
-        # c0 + 2 c1 x + 2 c2 y + h11 x^2 + 2 h12 x y + h22 y^2 = D;
-        # the x-window comes from completing the square around the minimum
-        num_x = -(c1 * h22 - c2 * h12)
-        xc = num_x / det
-        fmin_num = c0 * det - (c1 * c1 * h22 - 2 * c1 * c2 * h12 + c2 * c2 * h11)
-        radq = D - fmin_num / det
-        if radq < 0:
-            return 0
-        xw = math.sqrt(radq * h22 / det) + 2
-        xs = np.arange(math.floor(xc - xw), math.ceil(xc + xw) + 1, dtype=np.int64)
-        bb = h12 * xs + c2
-        cc = c0 + 2 * c1 * xs + h11 * xs * xs - D
-        disc_y = bb * bb - h22 * cc
-        ok = disc_y >= 0
-        if not ok.any():
-            return 0
-        r = np.zeros_like(disc_y)
-        r[ok] = np.sqrt(disc_y[ok].astype(float)).round().astype(np.int64)
-        ok &= r * r == disc_y
-        count = 0
-        for bbv, rv in zip(bb[ok], r[ok]):
-            for sgn in ((1, -1) if rv else (1,)):
-                if (-bbv + sgn * rv) % h22 == 0:
-                    count += 1
-        return count
-
-    total = 0.0
-    T = 64
-    lo = 1
-    prev_inc = None
-    while True:
-        t2 = np.arange(lo, T + 1)
-        cnt = np.array([count_for(t) + count_for(-t) for t in range(lo, T + 1)], dtype=float)
-        p2 = t2 * t2 / (-d)
-        F = _hyp2f1_vec(k / 2, k / 2, k + 0.5, D / (p2 + D))
-        inc = float(np.sum(cnt * (p2 + D) ** (-k / 2.0) * F))
-        total += inc
-        if prev_inc is not None and abs(inc) < tol / 2:
-            return total, abs(inc), {"t_cutoff": T}
-        prev_inc = inc
-        lo = T + 1
-        T *= 2
-        if T > 1 << 16:
-            raise NoConvergence("generic lattice-sum cutoff above ceiling")
-
-
-def _solve_linear_three(n: tuple[int, int, int], g: int) -> tuple[int, int, int]:
-    """An integer vector X with n . X = g = gcd(n)."""
-    from .bqf import _ext_gcd
-
-    g01, x, y = _ext_gcd(n[0], n[1])
-    g2, u, v = _ext_gcd(g01, n[2])
-    if g2 != g:
-        raise RuntimeError(f"gcd{n} = {g2}, not {g}")
-    return (x * u, y * u, v)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "dirichlet_L_value",
     "cohen_H",
     "zeta_negative",
+    "factor",
     "moebius",
     "sigma",
     "divisors",
@@ -37,24 +38,34 @@ def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
+def factor(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of n >= 1 as (p, e) pairs, p increasing,
+    by trial division."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def _squarefree_part(n: int) -> tuple[int, int]:
     """Write |n| = s * f^2 with s squarefree; returns (sign(n)*s, f)."""
     if n == 0:
         raise ValueError("n must be nonzero")
-    m = abs(n)
     s, f = 1, 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            if e % 2:
-                s *= d
-            f *= d ** (e // 2)
-        d += 1 if d == 2 else 2
-    s *= m
+    for p, e in factor(abs(n)):
+        s *= p ** (e % 2)
+        f *= p ** (e // 2)
     return (s if n > 0 else -s), f
 
 
@@ -190,20 +201,10 @@ def gen_bernoulli(r: int, D: int) -> Fraction:
 
 
 def moebius(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1 if d == 2 else 2
-    if n > 1:
-        result = -result
-    return result
+    primes = factor(n)
+    if any(e > 1 for _, e in primes):
+        return 0
+    return (-1) ** len(primes)
 
 
 def divisors(n: int) -> list[int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import check_discriminant, is_square
+from .arith import check_discriminant, factor, is_square
 from .errors import NotDefinite
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "stabilizer_order",
     "hypothesis_check",
     "on_geodesic_forms",
+    "PairingSolver",
     "enumerate_definite",
     "sqrt_mod_roots",
 ]
@@ -206,7 +207,7 @@ def sqrt_mod(n: int, m: int) -> list[int]:
     n %= m
     sols = [0]
     mod = 1
-    for p, e in _factor(m):
+    for p, e in factor(m):
         pe = p**e
         local = _sqrt_mod_prime_power(n % pe, p, e)
         if not local:
@@ -220,22 +221,6 @@ def sqrt_mod(n: int, m: int) -> list[int]:
         sols = new
         mod *= pe
     return sorted(set(sols))
-
-
-def _factor(m: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
 
 
 def _sqrt_mod_prime_power(n: int, p: int, e: int) -> list[int]:
@@ -556,25 +541,87 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _orthogonal_basis(Q0: BQF) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Basis of the rank-2 lattice of integral forms orthogonal to Q0.
+_SQUARES_MOD_64 = frozenset(x * x % 64 for x in range(64))
 
-    Orthogonality under the pairing reads n . (a, b, c) = 0 with
-    n = (2 c0, -b0, 2 a0).
+
+class PairingSolver:
+    """The forms X of discriminant D with pairing(X, Q0) = t/2, exactly.
+
+    With n = (2 c0, -b0, 2 a0) the pairing reads (X, Q0) = n . X / 2, so
+    the forms with doubled pairing t form the coset (t/g) X0 + Z v1 + Z v2,
+    g = gcd(n), n . X0 = g, of the rank-2 lattice orthogonal to Q0.  The
+    pairing is negative definite on that lattice, so disc(X) =
+    -2 pairing(X, X) is a positive definite quadratic in the coordinates
+    (x, y): it takes each value D finitely often, and the solutions are
+    found by solving for y over a bounded x-window.  The basis, the
+    particular solution X0 and the Gram matrix are built once, here.
     """
-    n = (2 * Q0.c, -Q0.b, 2 * Q0.a)
-    g01, x, y = _ext_gcd(n[0], n[1])
-    v1 = (n[1] // g01, -n[0] // g01, 0)
-    g, _, _ = _ext_gcd(g01, n[2])
-    s, t = n[2] // g, -(g01 // g)
-    v2 = (x * s, y * s, t)
-    if any(n[0] * v[0] + n[1] * v[1] + n[2] * v[2] for v in (v1, v2)):
-        raise RuntimeError(f"basis {v1}, {v2} is not orthogonal to {Q0}")
-    return v1, v2
 
+    def __init__(self, Q0: BQF):
+        if not Q0.is_positive_definite:
+            raise NotDefinite(f"{Q0} is not positive definite")
+        n = (2 * Q0.c, -Q0.b, 2 * Q0.a)
+        g01, x, y = _ext_gcd(n[0], n[1])
+        g, u, v = _ext_gcd(g01, n[2])
+        v1 = BQF(n[1] // g01, -n[0] // g01, 0)
+        v2 = BQF(x * (n[2] // g), y * (n[2] // g), -(g01 // g))
+        if v2.disc > v1.disc:
+            # `forms` steps through x, over a window that grows with disc(v2)
+            v1, v2 = v2, v1
+        X0 = BQF(x * u, y * u, v)
+        for w, want in ((v1, 0), (v2, 0), (X0, g)):
+            if n[0] * w.a + n[1] * w.b + n[2] * w.c != want:
+                raise RuntimeError(f"{w} does not pair to {want}/2 with {Q0}")
+        self.g, self.v1, self.v2, self.X0 = g, v1, v2, X0
+        # disc(X) = -2 pairing(X, X): the Gram entries of the coset
+        self.h11, self.h22, self.s00 = v1.disc, v2.disc, X0.disc
+        self.h12, self.s01, self.s02 = (-int(2 * pairing(p, q))
+                                        for p, q in ((v1, v2), (X0, v1), (X0, v2)))
+        self.det = self.h11 * self.h22 - self.h12 * self.h12
+        if not (self.h11 > 0 and self.det > 0):
+            raise RuntimeError(f"the lattice orthogonal to {Q0} is not negative definite")
 
-def _pairing_vec(v: tuple[int, int, int], w: tuple[int, int, int]) -> Fraction:
-    return Fraction(2 * (v[0] * w[2] + w[0] * v[2]) - v[1] * w[1], 2)
+    def forms(self, D: int, t: int) -> list[BQF]:
+        """The forms of disc D > 0 with doubled pairing t."""
+        if t % self.g:
+            return []
+        lam = t // self.g
+        h11, h12, h22, det = self.h11, self.h12, self.h22, self.det
+        X0, v1, v2 = self.X0, self.v1, self.v2
+        c0, c1, c2 = lam * lam * self.s00, lam * self.s01, lam * self.s02
+        # disc(X) = D reads h22 y^2 + 2 (h12 x + c2) y + (h11 x^2 + 2 c1 x + c0 - D) = 0;
+        # its quarter discriminant in y, q(x) = (2 B - det x) x + C, is >= 0
+        # exactly on the x-window between its roots (B ± sqrt(delta))/det
+        B = h12 * c2 - h22 * c1
+        C = c2 * c2 - h22 * (c0 - D)
+        delta = B * B + det * C
+        if delta < 0:
+            return []
+        r = isqrt(delta)
+        x_lo, x_hi = -((r - B) // det), (B + r) // det
+        found = []
+        # q(x) mod 64 depends only on x mod 64: step through the classes
+        # where it is a square mod 64
+        for x_start in range(x_lo, min(x_lo + 64, x_hi + 1)):
+            if ((2 * B - det * x_start) * x_start + C) % 64 not in _SQUARES_MOD_64:
+                continue
+            for xv in range(x_start, x_hi + 1, 64):
+                q = (2 * B - det * xv) * xv + C
+                s = isqrt(q)
+                if s * s != q:
+                    continue
+                bb = h12 * xv + c2
+                for num in (-bb + s, -bb - s) if s else (-bb,):
+                    if num % h22 == 0:
+                        yv = num // h22
+                        X = BQF(lam * X0.a + xv * v1.a + yv * v2.a,
+                                lam * X0.b + xv * v1.b + yv * v2.b,
+                                lam * X0.c + xv * v1.c + yv * v2.c)
+                        if X.disc != D:
+                            raise RuntimeError(f"{X} solved the norm equation but has "
+                                               f"disc {X.disc} != {D}")
+                        found.append(X)
+        return found
 
 
 def on_geodesic_forms(D: int, d: int) -> list[BQF]:
@@ -586,38 +633,7 @@ def on_geodesic_forms(D: int, d: int) -> list[BQF]:
     CM points of every class of discriminant d are considered.
     """
     check_discriminant(D)
-    found = []
-    for Q0 in definite_class_reps(d):
-        v1, v2 = _orthogonal_basis(Q0)
-        # integral Gram of the positive definite form -(X, X) on Z v1 + Z v2,
-        # doubled: h11 x^2 + 2 h12 x y + h22 y^2 = D
-        h11 = -int(2 * _pairing_vec(v1, v1))
-        h12 = -int(2 * _pairing_vec(v1, v2))
-        h22 = -int(2 * _pairing_vec(v2, v2))
-        det = h11 * h22 - h12 * h12
-        if not (h11 > 0 and det > 0):
-            raise RuntimeError(f"the lattice orthogonal to {Q0} is not negative definite")
-        xmax = isqrt(D * h22 // det) + 1
-        for xv in range(-xmax, xmax + 1):
-            delta = h12 * h12 * xv * xv - h22 * (h11 * xv * xv - D)
-            if delta < 0:
-                continue
-            r = isqrt(delta)
-            if r * r != delta:
-                continue
-            for sgn in (1, -1) if r else (1,):
-                num = -h12 * xv + sgn * r
-                if num % h22:
-                    continue
-                yv = num // h22
-                v = tuple(xv * v1[i] + yv * v2[i] for i in range(3))
-                if v == (0, 0, 0):
-                    continue
-                Q = BQF(*v)
-                if Q.disc != D:
-                    raise RuntimeError(f"{Q} solved the norm equation but has disc {Q.disc} != {D}")
-                found.append(Q)
-    return found
+    return [X for Q0 in definite_class_reps(d) for X in PairingSolver(Q0).forms(D, 0)]
 
 
 def hypothesis_check(D: int, d: int = -4) -> bool:
@@ -626,6 +642,4 @@ def hypothesis_check(D: int, d: int = -4) -> bool:
     For d = -4 this is equivalent to D not being representable as
     b^2 + 4a^2 with a != 0.
     """
-    check_discriminant(D)
-    check_discriminant(d, positive=False)
     return not on_geodesic_forms(D, d)

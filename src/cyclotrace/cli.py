@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +44,6 @@ class RunConfig:
     tol: float = 1e-6
     out: str | None = None
     as_json: bool = False
-    threads: int | None = None
 
     def __post_init__(self):
         if self.k < 2:
@@ -55,29 +52,24 @@ class RunConfig:
         if self.D is not None:
             check_discriminant(self.D)
 
-    @property
-    def thread_count(self) -> int:
-        return self.threads or os.cpu_count() or 1
+
+def _exact_applies(k: int, d: int) -> bool:
+    return k in (2, 4) and d == -4
 
 
 def _applicable(methods: tuple[str, ...], k: int, d: int) -> list[str]:
-    out = []
-    for m in methods:
-        if m == "exact" and (k not in (2, 4) or d != -4):
-            continue
-        out.append(m)
-    return out
+    return [m for m in methods if m != "exact" or _exact_applies(k, d)]
 
 
 def compute_trace(method: str, k: int, D: int, d: int, tol: float) -> TraceReport:
     if method == "exact":
-        if k not in (2, 4) or d != -4:
+        if not _exact_applies(k, d):
             raise ValueError("exact method requires k in {2, 4} and d = -4")
-        t0 = time.time()
+        t0 = time.perf_counter()
         value = rhs_trace(k, D)
         return TraceReport(
             k=k, D=D, d=d, method="exact", value=value, error_estimate=0.0,
-            hypothesis_ok=True, seconds=time.time() - t0,
+            hypothesis_ok=True, seconds=time.perf_counter() - t0,
         )
     if method == "geodesic":
         return lhs_geodesic(k, D, d, tol=tol)
@@ -151,39 +143,24 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _admissible_range(dmin: int, dmax: int) -> list[int]:
-    return [
-        D
-        for D in range(dmin, dmax + 1)
-        if D % 4 in (0, 1) and not is_square(D)
-    ]
-
-
 def cmd_table(cfg: RunConfig) -> int:
     if cfg.Dmax is None:
         raise ValueError("table needs --Dmax")
     methods = _applicable(cfg.methods, cfg.k, cfg.d)
     if not methods:
         raise ValueError("no applicable method (exact needs even k and d = -4)")
-    Ds = _admissible_range(5, cfg.Dmax)
-    jobs = [(D, m) for D in Ds for m in methods]
 
-    def run(job):
-        D, m = job
-        t0 = time.time()
+    def run(D, m):
+        t0 = time.perf_counter()
         if not hypothesis_check(D, cfg.d):
             return TraceReport(
                 k=cfg.k, D=D, d=cfg.d, method=m, value=None, error_estimate=0.0,
-                hypothesis_ok=False, seconds=time.time() - t0,
+                hypothesis_ok=False, seconds=time.perf_counter() - t0,
             )
         return compute_trace(m, cfg.k, D, cfg.d, cfg.tol)
 
-    if cfg.thread_count > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.thread_count) as pool:
-            reports = list(pool.map(run, jobs))
-    else:
-        reports = [run(j) for j in jobs]
-
+    Ds = [D for D in range(5, cfg.Dmax + 1) if D % 4 in (0, 1) and not is_square(D)]
+    reports = [run(D, m) for D in Ds for m in methods]
     rows = [_row_fields(r) for r in reports]
     if cfg.as_json:
         payload = json.dumps(rows, indent=2)
@@ -231,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="negative discriminant of the CM class (default -4)")
         sp.add_argument("--tol", type=float, default=1e-6, help="tolerance")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: all cores)")
+                        help="ignored; accepted so that older command lines still run")
 
     sp = sub.add_parser("trace", help="compute one trace by one method")
     common(sp)
@@ -242,11 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("table", help="batch traces over a discriminant range")
-    sp.add_argument("--k", type=int, required=True)
+    common(sp, need_D=False)
     sp.add_argument("--Dmax", type=int, required=True)
-    sp.add_argument("--d", type=int, default=-4)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--method", default="exact",
                     choices=("exact", "geodesic", "latticesum", "all"))
     sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -264,17 +238,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "trace":
             cfg = RunConfig(k=args.k, d=args.d, D=args.D, methods=(args.method,),
-                            tol=args.tol, threads=args.threads)
+                            tol=args.tol)
             return cmd_trace(cfg)
         if args.command == "verify":
-            cfg = RunConfig(k=args.k, d=args.d, D=args.D, tol=args.tol,
-                            threads=args.threads)
+            cfg = RunConfig(k=args.k, d=args.d, D=args.D, tol=args.tol)
             return cmd_verify(cfg)
         if args.command == "table":
             methods = ("exact", "geodesic", "latticesum") if args.method == "all" else (args.method,)
             cfg = RunConfig(k=args.k, d=args.d, Dmax=args.Dmax, methods=methods,
-                            tol=args.tol, out=args.out, as_json=args.json,
-                            threads=args.threads)
+                            tol=args.tol, out=args.out, as_json=args.json)
             return cmd_table(cfg)
         if args.command == "selftest":
             return cmd_selftest(RunConfig(k=args.k, tol=args.tol))

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import check_discriminant, cohen_H, dirichlet_L_value
-from .bqf import hypothesis_check
+from .bqf import definite_class_reps, hypothesis_check
 from .errors import HypothesisViolated, UnsupportedK
 from .fqm import (
     FQModule,
@@ -68,23 +68,13 @@ def hurwitz(n: int) -> Fraction:
     if n % 4 in (1, 2):
         return Fraction(0)
     total = Fraction(0)
-    a = 1
-    while 3 * a * a <= n:
-        for b in range(-a + 1, a + 1):
-            if (b * b + n) % (4 * a):
-                continue
-            c = (b * b + n) // (4 * a)
-            if c < a:
-                continue
-            if (abs(b) == a or a == c) and b < 0:
-                continue
-            if b == 0 and a == c:
-                total += Fraction(1, 2)
-            elif a == b == c:
-                total += Fraction(1, 3)
-            else:
-                total += 1
-        a += 1
+    for Q in definite_class_reps(-n):
+        if Q.b == 0 and Q.a == Q.c:
+            total += Fraction(1, 2)
+        elif Q.a == Q.b == Q.c:
+            total += Fraction(1, 3)
+        else:
+            total += 1
     return total
 
 
@@ -341,17 +331,11 @@ def rhs_trace(k: int, D: int) -> Fraction:
     the bracket's pi-power).  Covers k in {2, 4} with d = -4; see
     build_fD for why even k >= 6 has no two-term input form.
     """
-    if k not in (2, 4):
-        raise UnsupportedK(
-            "the exact side covers k in {2, 4}; for even k >= 6 the principal "
-            "part q^(-D) + O(1) does not define a modular form"
-        )
-    check_discriminant(D)
+    f = build_fD(k, D)
     if not hypothesis_check(D, -4):
         raise HypothesisViolated(
             f"the CM point of disc -4 lies on a geodesic of disc {D}"
         )
-    f = build_fD(k, D)
     prec = Fraction(D + 4, 4)
     bracket = rankin_cohen(hurwitz_gen(prec), theta_N_minus(prec), k // 2 - 1,
                            module=module_K_minus())

@@ -27,11 +27,11 @@ from cyclotrace.analytic import (
     _parity_counts,
     _r2_table,
     _translate_sum,
-    _latticesum_generic,
 )
 from cyclotrace.bqf import (
     BQF,
     SL2Z,
+    PairingSolver,
     definite_class_reps,
     indefinite_class_reps,
     reduce_definite,
@@ -376,18 +376,17 @@ def test_lhs_latticesum():
         lhs_latticesum(2, 8, -4)
 
 
-def test_latticesum_generic_matches_exact():
-    # the generic orthogonal-lattice path at d = -4 must reproduce the
-    # exact trace (the sieve path is a separate specialization)
-    from math import comb, pi, sqrt
-
-    k = 4
-    val, err, _ = _latticesum_generic(k, 12, -4, tol=1e-8)
-    pref = (
-        (-1) ** k * 2**k * sqrt(4) * 12 ** (k - 0.5)
-        / (2 * comb(2 * k - 2, k - 1) * pi * (2 * k - 1))
-    )
-    assert abs(pref * val - 72) < 1e-5
+def test_pairing_solver_counts_match_sieve():
+    # at d = -4 the doubled pairing with [1, 0, 1] is t = 2s, and the
+    # solver's groups t and -t together hold the 2 N(s) forms the sieve
+    # counts; odd t pair to no form
+    solver = PairingSolver(BQF(1, 0, 1))
+    for D, lo, hi in ((12, 0, 40), (21, 0, 40), (24, 0, 40), (21, 17, 60), (60, 100, 130)):
+        N = _parity_counts(D, lo, hi)
+        for s in range(lo + 1, hi + 1):
+            count = len(solver.forms(D, 2 * s)) + len(solver.forms(D, -2 * s))
+            assert count == 2 * N[s - lo - 1], (D, s)
+            assert solver.forms(D, 2 * s + 1) == solver.forms(D, -2 * s - 1) == []
 
 
 def test_imprimitive_classes_in_trace():

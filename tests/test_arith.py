@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -7,6 +8,7 @@ from cyclotrace.arith import (
     bernoulli_numbers,
     cohen_H,
     dirichlet_L_value,
+    factor,
     fundamental_decomposition,
     gen_bernoulli,
     is_fundamental_discriminant,
@@ -108,3 +110,19 @@ def test_cohen_H_cross_module_constant_term():
     for D in range(5, 101):
         if D % 4 in (0, 1) and not is_square(D):
             assert -120 * dirichlet_L_value(D, -1) == fD_const_term(2, D)
+
+
+def test_factor_vs_brute():
+    primes = [p for p in range(2, 2001) if all(p % q for q in range(2, isqrt(p) + 1))]
+    for n in range(1, 2001):
+        brute = []
+        for p in primes:
+            e, m = 0, n
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                brute.append((p, e))
+        assert factor(n) == brute, n
+    with pytest.raises(ValueError):
+        factor(0)
