@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import check_discriminant, is_square
-from .bqf import hypothesis_check
 from .errors import (
     CyclotraceError,
     HypothesisViolated,
@@ -152,12 +151,13 @@ def cmd_table(cfg: RunConfig) -> int:
 
     def run(D, m):
         t0 = time.perf_counter()
-        if not hypothesis_check(D, cfg.d):
+        try:
+            return compute_trace(m, cfg.k, D, cfg.d, cfg.tol)
+        except HypothesisViolated:
             return TraceReport(
                 k=cfg.k, D=D, d=cfg.d, method=m, value=None, error_estimate=0.0,
                 hypothesis_ok=False, seconds=time.perf_counter() - t0,
             )
-        return compute_trace(m, cfg.k, D, cfg.d, cfg.tol)
 
     Ds = [D for D in range(5, cfg.Dmax + 1) if D % 4 in (0, 1) and not is_square(D)]
     reports = [run(D, m) for D in Ds for m in methods]

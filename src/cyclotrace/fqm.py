@@ -339,6 +339,7 @@ class FQModule:
                 sum(Ginv[i][j] * m[j] for j in range(n)) for i in range(n)
             )
             self._rep[t] = x
+        self._q = [_frac_mod1(lattice.q(self._rep[t])) for t in self.elements]
         pos, neg = lattice.signature
         self.signature_mod_8 = (pos - neg) % 8
 
@@ -351,7 +352,7 @@ class FQModule:
         return self._rep[tuple(t)]
 
     def q_value(self, t) -> Fraction:
-        return _frac_mod1(self.lattice.q(self.rep_vector(t)))
+        return self._q[self.index[tuple(t)]]
 
     def bilinear_value(self, t1, t2) -> Fraction:
         return _frac_mod1(self.lattice.bilinear(self.rep_vector(t1), self.rep_vector(t2)))
@@ -391,6 +392,7 @@ class FQModule:
         out._rep = {
             (ta + tb): A._rep[ta] + B._rep[tb] for ta in A.elements for tb in B.elements
         }
+        out._q = [_frac_mod1(qa + qb) for qa in A._q for qb in B._q]
         out._ginv = None
         out._uinv = None
         out._u = None
@@ -398,7 +400,7 @@ class FQModule:
         return out
 
     def q_values(self) -> list[Fraction]:
-        return [self.q_value(t) for t in self.elements]
+        return list(self._q)
 
 
 def disc_group(L: IntLattice) -> FQModule:
@@ -452,54 +454,11 @@ class VVSeries:
         if self.sigma is None:
             return
         for (c, n) in self.terms:
-            mu = self.module.elements[c]
-            want = _frac_mod1(self.sigma * self.module.q_value(mu))
+            want = _frac_mod1(self.sigma * self.module._q[c])
             got = _frac_mod1(Fraction(n, self.den))
             if got != want:
                 raise ValueError(f"exponent {Fraction(n, self.den)} on component {c} is not "
                                  f"congruent to {want} (mod 1)")
-
-    def scale(self, factor: Fraction) -> "VVSeries":
-        f = Fraction(factor)
-        return VVSeries(
-            module=self.module,
-            weight=self.weight,
-            den=self.den,
-            terms={k: f * v for k, v in self.terms.items()},
-            prec=self.prec,
-            pi_power=self.pi_power,
-            sigma=self.sigma,
-        )
-
-    def theta_q(self) -> "VVSeries":
-        """The exponent-multiplication operator q d/dq (keeps rationality)."""
-        return VVSeries(
-            module=self.module,
-            weight=self.weight + 2,
-            den=self.den,
-            terms={k: v * Fraction(k[1], self.den) for k, v in self.terms.items()},
-            prec=self.prec,
-            pi_power=self.pi_power,
-            sigma=self.sigma,
-        )
-
-    def __add__(self, other: "VVSeries") -> "VVSeries":
-        if (self.module.orders != other.module.orders or self.den != other.den
-                or self.pi_power != other.pi_power or self.weight != other.weight):
-            raise ValueError("incompatible series")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        terms = {k: v for k, v in terms.items() if v != 0}
-        return VVSeries(
-            module=self.module,
-            weight=self.weight,
-            den=self.den,
-            terms=terms,
-            prec=min(self.prec, other.prec),
-            pi_power=self.pi_power,
-            sigma=self.sigma if self.sigma == other.sigma else None,
-        )
 
     # -- serialization (line-based text format) --
 
@@ -542,26 +501,37 @@ def theta_series(K: IntLattice, prec, module: FQModule | None = None) -> VVSerie
     """Vector-valued theta series of a positive definite even lattice.
 
     Coefficient at (mu, n) counts vectors of norm q = n in the coset
-    K + mu; weight rank/2, complete for exponents < prec.
+    K + mu; weight rank/2, complete for exponents < prec.  The count is
+    exact integer arithmetic: see _coset_norms.
     """
     if not K.is_positive_definite:
         raise NotPositiveDefinite("theta series needs a positive definite lattice")
     M = module if module is not None else FQModule(K)
     prec = Fraction(prec)
     den = _exponent_denominator(M)
-    terms = {}
+    # G = R^T R with R upper triangular; floats, used for loop bounds only
     n = K.rank
+    R = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = K.gram[i][j] - sum(R[k][i] * R[k][j] for k in range(i))
+            R[i][j] = math.sqrt(v) if i == j else v / R[i][i]
+    counts = {}
     for ci, t in enumerate(M.elements):
         shift = M.rep_vector(t)
-        for v in _enumerate_coset(K, shift, prec):
-            qv = K.q(v)
-            key = (ci, int(qv * den))
-            terms[key] = terms.get(key, Fraction(0)) + 1
+        s = math.lcm(*(x.denominator for x in shift))
+        for norm in _coset_norms(K.gram, R, [int(x * s) for x in shift], s, 2 * s * s * prec):
+            # q(x) = norm / (2 s^2) ≡ q(mu) (mod 1), so q(x) * den is an integer
+            e, rem = divmod(norm * den, 2 * s * s)
+            if rem:
+                raise RuntimeError(f"norm {Fraction(norm, 2 * s * s)} of a vector in coset {t} "
+                                   f"is not a multiple of 1/{den}")
+            counts[(ci, e)] = counts.get((ci, e), 0) + 1
     return VVSeries(
         module=M,
         weight=Fraction(K.rank, 2),
         den=den,
-        terms=terms,
+        terms={key: Fraction(c) for key, c in counts.items()},
         prec=prec,
         pi_power=0,
         sigma=+1,
@@ -569,81 +539,111 @@ def theta_series(K: IntLattice, prec, module: FQModule | None = None) -> VVSerie
 
 
 def _exponent_denominator(M: FQModule) -> int:
-    den = 1
-    for t in M.elements:
-        den = den * M.q_value(t).denominator // math.gcd(den, M.q_value(t).denominator)
-    return den
+    return math.lcm(*(q.denominator for q in M._q))
 
 
-def _enumerate_coset(K: IntLattice, shift, prec: Fraction):
-    """All vectors x = shift + v, v integral, with q(x) < prec."""
-    n = K.rank
-    gram = [[Fraction(x) for x in row] for row in K.gram]
-    # exact Cholesky-style bounds: q(x) = sum_i d_i (x_i + sum_{j>i} r_ij x_j)^2
-    d = [Fraction(0)] * n
-    r = [[Fraction(0)] * n for _ in range(n)]
-    A = [row[:] for row in gram]
-    for i in range(n):
-        d[i] = A[i][i] / 2
-        for j in range(i + 1, n):
-            r[i][j] = A[i][j] / (2 * d[i])
-        for k in range(i + 1, n):
-            for l in range(i + 1, n):
-                A[k][l] -= (A[i][k] * A[i][l]) / A[i][i]
+def _coset_norms(gram, R, a, s: int, bound: Fraction) -> list[int]:
+    """y^T G y for every integer vector y ≡ a (mod s) with y^T G y < bound.
+
+    With y = s x this lists the norms 2 s^2 q(x) of the coset x ∈ a/s + Z^n.
+    The integer comparison alone decides which y are kept.  The float
+    factor R (G = R^T R, upper triangular) only sets the loop bounds
+    (Fincke--Pohst), each widened by one unit of y, which is far more
+    than the rounding error of the floats at these sizes.
+    """
+    n = len(gram)
+    ratio = [[R[i][j] / R[i][i] for j in range(n)] for i in range(n)]
+    y = [0] * n
     out = []
 
-    def rec(idx, partial, budget):
-        # remaining coordinates idx..0; budget = prec - q(contributions above)
-        if idx < 0:
-            out.append(tuple(partial[::-1]))
-            return
-        # x_idx + shift_idx + sum_{j>idx} r[idx][j]*(x_j+shift_j) bounded by sqrt(budget/d_idx)
-        off = Fraction(shift[idx])
-        for j in range(idx + 1, n):
-            off += r[idx][j] * (partial[n - 1 - j] + Fraction(shift[j]))
-        bound = budget / d[idx]
-        lim = math.isqrt(int(bound) + 1) + 2
-        base = -off
-        lo = math.floor(float(base) - float(lim)) - 2
-        hi = math.ceil(float(base) + float(lim)) + 2
-        for x in range(lo, hi + 1):
-            val = d[idx] * (x + off) ** 2
-            if val < budget:
-                rec(idx - 1, partial + [x], budget - val)
+    def walk(i, budget, tail):
+        # y[i+1:] are fixed: tail is their exact share of y^T G y, budget
+        # the float estimate of what is left of the bound
+        c = -sum(ratio[i][j] * y[j] for j in range(i + 1, n))
+        cross = 2 * sum(gram[i][j] * y[j] for j in range(i + 1, n))
+        r = math.sqrt(max(budget, 0.0)) / R[i][i] + 1
+        lo = math.floor(c - r)
+        for yi in range(lo + (a[i] - lo) % s, math.ceil(c + r) + 1, s):
+            norm = (gram[i][i] * yi + cross) * yi + tail
+            if i:
+                y[i] = yi
+                walk(i - 1, budget - (R[i][i] * (yi - c)) ** 2, norm)
+            elif norm * bound.denominator < bound.numerator:
+                out.append(norm)
 
-    rec(n - 1, [], prec)
-    return [tuple(Fraction(shift[i]) + v[i] for i in range(n)) for v in out]
+    walk(n - 1, float(bound), 0)
+    return out
 
 
-def tensor(f: VVSeries, g: VVSeries, module: FQModule | None = None) -> VVSeries:
-    """Componentwise tensor product over the direct-sum module."""
+def _convolve(f: VVSeries, g: VVSeries, coeffs, module: FQModule | None, targets) -> VVSeries:
+    """The product series sum P(e_f, e_g) f(mu, e_f) g(nu, e_g) q^(e_f+e_g) e_(mu,nu).
+
+    The sum runs over pairs of terms, with the pair weight
+    P(e_f, e_g) = sum_r coeffs[r] e_f^r e_g^(n-r), n = len(coeffs) - 1,
+    over the direct-sum module, whose component (mu, nu) has index
+    mu |g| + nu.  Without targets every pair below the product's
+    precision is summed.  With targets, an iterable of (component,
+    exponent) pairs, only those coefficients are computed: for each, the
+    g-terms on its g-component are walked and their f partners looked up.
+    A requested coefficient that is zero is absent, as in the full sum;
+    a target at or beyond the precision raises InsufficientPrecision.
+    """
     M = module if module is not None else FQModule.direct_sum(f.module, g.module)
-    den = _lcm(f.den, g.den)
-    nf, ng = len(f.module.elements), len(g.module.elements)
-    floor_f, floor_g = f.exponent_floor(), g.exponent_floor()
-    prec = min(f.prec + floor_g, g.prec + floor_f)
+    den = math.lcm(f.den, g.den)
+    ng = len(g.module.elements)
+    prec = min(f.prec + g.exponent_floor(), g.prec + f.exponent_floor())
+    deg = len(coeffs) - 1
+
+    def weight(ef, eg):
+        return sum(c * ef**r * eg ** (deg - r) for r, c in enumerate(coeffs) if c)
+
     terms = {}
-    for (cf, nf_), vf in f.terms.items():
-        for (cg, ng_), vg in g.terms.items():
-            e = Fraction(nf_, f.den) + Fraction(ng_, g.den)
+    if targets is None:
+        for (cf, nf), vf in f.terms.items():
+            ef = Fraction(nf, f.den)
+            for (cg, m), vg in g.terms.items():
+                eg = Fraction(m, g.den)
+                if ef + eg < prec:
+                    key = (cf * ng + cg, int((ef + eg) * den))
+                    terms[key] = terms.get(key, 0) + weight(ef, eg) * vf * vg
+    else:
+        # exponents in units of 1/den, as integers
+        fs, gs = den // f.den, den // g.den
+        g_by_comp = {}
+        for (cg, m), vg in g.terms.items():
+            g_by_comp.setdefault(cg, []).append((m * gs, vg))
+        for c, e in targets:
+            e = Fraction(e)
+            if not 0 <= c < len(M.elements):
+                raise ValueError(f"target component {c} is not in the module")
             if e >= prec:
+                raise InsufficientPrecision(
+                    f"product complete only below {prec}, target exponent {e}", required=e)
+            if (e * den).denominator != 1:
                 continue
-            key = (cf * ng + cg, int(e * den))
-            terms[key] = terms.get(key, Fraction(0)) + vf * vg
-    terms = {k: v for k, v in terms.items() if v != 0}
+            N = int(e * den)
+            cf, cg = divmod(c, ng)
+            acc = 0
+            for mg, vg in g_by_comp.get(cg, ()):
+                nf, rem = divmod(N - mg, fs)
+                vf = None if rem else f.terms.get((cf, nf))
+                if vf:
+                    acc += weight(Fraction(N - mg, den), Fraction(mg, den)) * vf * vg
+            terms[(c, N)] = acc
     return VVSeries(
         module=M,
         weight=f.weight + g.weight,
         den=den,
-        terms=terms,
+        terms={k: v for k, v in terms.items() if v != 0},
         prec=prec,
         pi_power=f.pi_power + g.pi_power,
         sigma=f.sigma if f.sigma == g.sigma else None,
     )
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
+def tensor(f: VVSeries, g: VVSeries, module: FQModule | None = None) -> VVSeries:
+    """Componentwise tensor product over the direct-sum module."""
+    return _convolve(f, g, (1,), module, None)
 
 
 @dataclass(frozen=True)
@@ -671,6 +671,17 @@ class LatticeEmbedding:
         idx = self.index
         if idx * idx * self.target.order != self.source.order:
             raise IncompatibleEmbedding("index^2 |L'/L| != |K'/K|")
+        # source index -> index of its image in L'/L, None off L'/K
+        bar_index = tuple(
+            self.target.index[self.bar(t)] if self.in_target_dual(t) else None
+            for t in self.source.elements
+        )
+        fibers = {}
+        for ti, ci in enumerate(bar_index):
+            if ci is not None:
+                fibers.setdefault(ci, []).append(ti)
+        object.__setattr__(self, "_bar_index", bar_index)
+        object.__setattr__(self, "_fibers", fibers)
 
     @property
     def index(self) -> int:
@@ -706,17 +717,13 @@ def restrict(f: VVSeries, E: LatticeEmbedding) -> VVSeries:
     in L'/L when mu is in L'/K, and is zero otherwise."""
     if f.module.orders != E.target.orders:
         raise IncompatibleEmbedding("series does not live on the target module")
-    den = _lcm(f.den, _exponent_denominator(E.source))
-    terms = {}
-    tgt_index = E.target.index
-    for ti, t in enumerate(E.source.elements):
-        if not E.in_target_dual(t):
-            continue
-        bar = E.bar(t)
-        ci = tgt_index[bar]
-        for (c, n), v in f.terms.items():
-            if c == ci:
-                terms[(ti, n * (den // f.den))] = v
+    den = math.lcm(f.den, _exponent_denominator(E.source))
+    step = den // f.den
+    terms = {
+        (ti, n * step): v
+        for (c, n), v in f.terms.items()
+        for ti in E._fibers.get(c, ())
+    }
     return VVSeries(
         module=E.source,
         weight=f.weight,
@@ -733,17 +740,13 @@ def trace_up(g: VVSeries, E: LatticeEmbedding) -> VVSeries:
     of L'/K -> L'/L above it."""
     if g.module.orders != E.source.orders:
         raise IncompatibleEmbedding("series does not live on the source module")
-    den = _lcm(g.den, _exponent_denominator(E.target))
+    den = math.lcm(g.den, _exponent_denominator(E.target))
+    step = den // g.den
     terms = {}
-    tgt_index = E.target.index
-    for ti, t in enumerate(E.source.elements):
-        if not E.in_target_dual(t):
-            continue
-        ci = tgt_index[E.bar(t)]
-        for (c, n), v in g.terms.items():
-            if c == ti:
-                key = (ci, n * (den // g.den))
-                terms[key] = terms.get(key, Fraction(0)) + v
+    for (c, n), v in g.terms.items():
+        ci = E._bar_index[c]
+        if ci is not None:
+            terms[(ci, n * step)] = terms.get((ci, n * step), Fraction(0)) + v
     terms = {k: v for k, v in terms.items() if v != 0}
     return VVSeries(
         module=E.target,
@@ -765,12 +768,19 @@ def _gamma_ratio_product(kappa: Fraction, n: int, s: int) -> Fraction:
     return num / den
 
 
-def rankin_cohen(f: VVSeries, g: VVSeries, n: int, module: FQModule | None = None) -> VVSeries:
+def rankin_cohen(f: VVSeries, g: VVSeries, n: int, module: FQModule | None = None,
+                 targets=None) -> VVSeries:
     """n-th Rankin--Cohen bracket via the exponent operator q d/dq.
 
     [f, g]_n = sum_{r+s=n} (-1)^r C(kappa, s) C(ell, r) theta^r f ⊗ theta^s g
     with C(kappa, s) = Gamma(kappa+n)/(Gamma(s+1) Gamma(kappa+n-s)) evaluated
-    as rational rising-factorial quotients; weight kappa + ell + 2n.
+    as rational rising-factorial quotients; weight kappa + ell + 2n.  A pair
+    of terms at exponents e_f, e_g is weighted by
+    sum_r (-1)^r C(kappa, s) C(ell, r) e_f^r e_g^s.
+
+    targets, an iterable of (component, exponent) pairs, restricts the
+    result to those coefficients (see _convolve); without it the whole
+    bracket below its precision is computed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -778,29 +788,9 @@ def rankin_cohen(f: VVSeries, g: VVSeries, n: int, module: FQModule | None = Non
     for w in (kappa + n, ell + n):
         if w.denominator == 1 and w <= 0:
             raise GammaPole(f"Gamma ratio undefined for weight {w - n} with n={n}")
-    M = module if module is not None else FQModule.direct_sum(f.module, g.module)
-    out = None
-    fr = f
-    theta_fs = []
-    for r in range(n + 1):
-        theta_fs.append(fr)
-        fr = fr.theta_q()
-    gs = g
-    theta_gs = []
-    for s in range(n + 1):
-        theta_gs.append(gs)
-        gs = gs.theta_q()
-    for r in range(n + 1):
-        s = n - r
-        coeff = (-1) ** r * _gamma_ratio_product(kappa, n, s) * _gamma_ratio_product(ell, n, r)
-        if coeff == 0:
-            continue
-        piece = tensor(theta_fs[r], theta_gs[s], module=M).scale(coeff)
-        piece.weight = kappa + ell + 2 * n
-        out = piece if out is None else out + piece
-    if out is None:
-        out = VVSeries(module=M, weight=kappa + ell + 2 * n, den=_lcm(f.den, g.den),
-                       terms={}, prec=min(f.prec, g.prec), pi_power=f.pi_power + g.pi_power)
+    coeffs = [(-1) ** r * _gamma_ratio_product(kappa, n, n - r) * _gamma_ratio_product(ell, n, r)
+              for r in range(n + 1)]
+    out = _convolve(f, g, coeffs, module, targets)
     out.weight = kappa + ell + 2 * n
     return out
 

@@ -272,6 +272,14 @@ class PlusForm:
     series: VVSeries
 
 
+def _check_exact_k(k: int) -> None:
+    if k not in (2, 4):
+        raise UnsupportedK(
+            "the exact side covers k in {2, 4}; for even k >= 6 the principal "
+            "part q^(-D) + O(1) does not define a modular form"
+        )
+
+
 def build_fD(k: int, D: int) -> PlusForm:
     """The unique plus-space form e(-D tau) + O(1) of weight 3/2 - k.
 
@@ -283,11 +291,7 @@ def build_fD(k: int, D: int) -> PlusForm:
     form has this two-term principal part (both numerical methods agree
     on a trace that the naive pairing does not reproduce).
     """
-    if k not in (2, 4):
-        raise UnsupportedK(
-            "the exact side covers k in {2, 4}; for even k >= 6 the principal "
-            "part q^(-D) + O(1) does not define a modular form"
-        )
+    _check_exact_k(k)
     check_discriminant(D)
     M = module_L()
     c0 = fD_const_term(k, D)
@@ -331,15 +335,20 @@ def rhs_trace(k: int, D: int) -> Fraction:
     the bracket's pi-power).  Covers k in {2, 4} with d = -4; see
     build_fD for why even k >= 6 has no two-term input form.
     """
-    f = build_fD(k, D)
+    # invalid k or D raise before the hypothesis is checked (hypothesis_check
+    # validates D), and a violated hypothesis before f_D's constant term is computed
+    _check_exact_k(k)
     if not hypothesis_check(D, -4):
         raise HypothesisViolated(
             f"the CM point of disc -4 lies on a geodesic of disc {D}"
         )
+    f = build_fD(k, D)
+    fK = restrict(f.series, embedding_PN_in_L())
+    # the pairing reads the bracket only opposite fK's terms (exponents D/4 and 0)
+    targets = [(c, -Fraction(n, fK.den)) for (c, n) in fK.terms]
     prec = Fraction(D + 4, 4)
     bracket = rankin_cohen(hurwitz_gen(prec), theta_N_minus(prec), k // 2 - 1,
-                           module=module_K_minus())
-    fK = restrict(f.series, embedding_PN_in_L())
+                           module=module_K_minus(), targets=targets)
     ct, pi_power = ct_pairing(fK, bracket)
     if pi_power != 1:
         raise RuntimeError(f"the pairing carries pi^{pi_power}, not the pi^1 the prefactor cancels")

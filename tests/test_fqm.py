@@ -1,6 +1,8 @@
 import cmath
+import math
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -334,3 +336,101 @@ def test_serialization_roundtrip_and_golden():
     g = hurwitz_gen(2)
     golden_g = (GOLDEN / "hurwitz_gen_prec2.txt").read_text()
     assert g.to_text() == golden_g
+
+
+def _targets_of(series):
+    """Every (component, exponent) key of a series."""
+    return [(c, Fraction(n, series.den)) for (c, n) in series.terms]
+
+
+def test_targeted_bracket_matches_full():
+    from cyclotrace.special_forms import build_fD, hurwitz_gen, module_K_minus
+
+    MK = module_K_minus()
+    E = embedding_PN_in_L()
+    for D in (12, 21, 44, 76, 149):
+        prec = Fraction(D + 4, 4)
+        h, th = hurwitz_gen(prec), theta_N_minus(prec)
+        fK = restrict(build_fD(4, D).series, E)
+        # the keys the pairing reads, plus a spread of others, some with coefficient 0
+        wanted = [(c, -e) for (c, e) in _targets_of(fK)]
+        wanted += [(c, Fraction(m, 4)) for c in range(MK.order) for m in range(0, D + 1, 7)]
+        wanted += [(3, Fraction(1, 3))]  # not an exponent of the bracket
+        for n in (0, 1):
+            full = rankin_cohen(h, th, n, module=MK)
+            part = rankin_cohen(h, th, n, module=MK, targets=wanted)
+            keys = {(c, e * full.den) for (c, e) in wanted}
+            assert set(part.terms) <= keys
+            for c, e in wanted:
+                assert part.coefficient(c, e) == full.coefficient(c, e), (D, n, c, e)
+            assert any(part.coefficient(c, -e) for (c, e) in _targets_of(fK))
+            assert (part.den, part.prec, part.weight, part.pi_power, part.sigma) == (
+                full.den, full.prec, full.weight, full.pi_power, full.sigma)
+    # a hand-built pair with negative exponents
+    MP, MNm = module_P(), module_N_minus()
+    f = VVSeries(module=MP, weight=Fraction(1, 2), den=4,
+                 terms={(0, -8): Fraction(2), (1, -3): Fraction(-1, 3), (0, 4): Fraction(5),
+                        (1, 1): Fraction(7, 2)}, prec=Fraction(3))
+    g = VVSeries(module=MNm, weight=Fraction(1), den=2,
+                 terms={(0, -2): Fraction(1), (3, -1): Fraction(4), (0, 0): Fraction(-2),
+                        (2, 3): Fraction(1, 5), (3, 1): Fraction(3)}, prec=Fraction(2))
+    for n in (0, 1):
+        full = rankin_cohen(f, g, n)
+        wanted = _targets_of(full) + [(0, Fraction(-7, 4)), (5, Fraction(-1, 2)), (7, Fraction(-1, 3))]
+        part = rankin_cohen(f, g, n, targets=wanted)
+        assert part.terms == full.terms
+        few = wanted[::3]
+        part = rankin_cohen(f, g, n, targets=few)
+        assert part.terms == {k: v for k, v in full.terms.items()
+                              if (k[0], Fraction(k[1], full.den)) in few}
+
+
+def test_targeted_bracket_precision():
+    MP, MNm = module_P(), module_N_minus()
+    thP = theta_series(lattice_P(), Fraction(9, 2), module=MP)
+    thN = theta_N_minus(Fraction(7, 2))
+    full = rankin_cohen(thP, thN, 1)
+    assert full.prec == Fraction(7, 2)
+    rankin_cohen(thP, thN, 1, targets=[(0, Fraction(13, 4))])
+    for e in (Fraction(7, 2), Fraction(15, 4), 40):
+        with pytest.raises(InsufficientPrecision) as err:
+            rankin_cohen(thP, thN, 1, targets=[(0, 0), (5, e)])
+        assert err.value.required == e
+
+
+def _brute_theta(K, prec):
+    """Count coset vectors in a box that contains the ellipsoid q(x) < prec."""
+    M = FQModule(K)
+    n = K.rank
+    ginv = np.linalg.inv(np.array(K.gram, dtype=float))
+    half = [int(np.sqrt(2 * float(prec) * ginv[i][i])) + 2 for i in range(n)]
+    den = math.lcm(*(qv.denominator for qv in M.q_values()))
+    counts = {}
+    for ci, t in enumerate(M.elements):
+        shift = M.rep_vector(t)
+        # x = shift + v ranges over the box |x_i| <= half_i + 1 (shifts need not be reduced)
+        lo = [-math.floor(shift[i]) - half[i] - 1 for i in range(n)]
+        s = math.lcm(*(x.denominator for x in shift))
+        for v in product(*(range(lo[i], lo[i] + 2 * half[i] + 3) for i in range(n))):
+            y = [int((shift[i] + v[i]) * s) for i in range(n)]
+            qv = Fraction(sum(y[i] * K.gram[i][j] * y[j] for i in range(n) for j in range(n)), 2 * s * s)
+            if qv < prec:
+                key = (ci, int(qv * den))
+                counts[key] = counts.get(key, 0) + 1
+    return M, counts
+
+
+def test_theta_series_matches_box_count():
+    cases = [
+        (((2, -1), (-1, 2)), Fraction(37, 3)),
+        (((4, 1), (1, 4)), Fraction(21, 2)),
+        (((4, 2, 1), (2, 6, 1), (1, 1, 8)), Fraction(17, 4)),
+        (lattice_P().gram, Fraction(83, 7)),
+    ]
+    for gram, prec in cases:
+        K = IntLattice(gram)
+        M, counts = _brute_theta(K, prec)
+        th = theta_series(K, prec, module=M)
+        assert th.terms == counts, gram
+        assert th.prec == prec and all(Fraction(n, th.den) < prec for (_, n) in th.terms)
+        th.validate_support()

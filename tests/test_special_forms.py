@@ -134,8 +134,8 @@ def test_closed_formula_examples():
         closed_formula(6, 12)
 
 
-def test_rhs_equals_closed_formula_to_100():
-    for D in admissible(100):
+def test_rhs_equals_closed_formula_to_300():
+    for D in admissible(300):
         for k in (2, 4):
             assert rhs_trace(k, D) == closed_formula(k, D), (k, D)
 
