@@ -1,25 +1,26 @@
 """Floating-point engine: 2F1, the meromorphic form, and both numeric traces.
 
 The meromorphic weight 2k form attached to a class of definite forms is
-evaluated by resumming its defining class sum exactly in the middle
-coefficient: each family { [a, b0 + 2at, *] : t in Z } has a closed
-cotangent-polynomial sum, and the families with small CM-point height
-collapse into rapidly convergent Fourier layers.  Cycle integrals use
-Gauss--Legendre nodes along one automorph period of each geodesic; the
-hypergeometric lattice sum counts representations with a factorization
-sieve.  Error estimates are heuristic doubling deltas throughout.
+a modular form with poles on one CM orbit, so it is evaluated from
+E4, E6 and Delta (one vectorized q-series routine): a fit of partial
+fractions E/(j - j_A)^m to its principal part at the CM point, plus the
+cusp forms of weight 2k, pinned by the class sum where there are any
+(`FkAEvaluator`).  Cycle integrals use Gauss--Legendre nodes along one
+automorph period of each geodesic; their error estimate is the last
+panel doubling's change, plus the evaluator's residual over the window,
+plus a rounding floor.  The hypergeometric lattice sum counts
+representations with a factorization sieve, and its estimate is its
+last doubling's change.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt
+from math import comb, isqrt
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .arith import check_discriminant
 from .bqf import (
     BQF,
     PairingSolver,
+    _sqrt_mod_prime,
     equivalent_indefinite,
     indefinite_class_reps,
     on_geodesic_forms,
@@ -44,6 +46,8 @@ from .errors import (
     PoleAtZ,
     PoleOnGeodesic,
 )
+
+EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "TraceReport",
@@ -123,185 +127,118 @@ def hyp2f1(a: float, b: float, c: float, w: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# fundamental domain reduction
+# Eisenstein series and the fundamental domain
+
+
+def _eisenstein(z: np.ndarray, terms: int = 24) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E4, E6 and Delta at the points z, by their q-expansions.
+
+    Delta is the product q prod_n (1 - q^n)^24, never (E4^3 - E6^2)/1728,
+    which cancels to nothing once Im z is above ~4.  At the default
+    terms every tail is below 1e-17 for Im z >= 0.4.  One pass per term
+    keeps the memory to a few arrays of the points' size.
+    """
+    q = np.exp(2j * np.pi * np.asarray(z, dtype=complex))
+    E4, E6, delta, qn = np.ones_like(q), np.ones_like(q), q.copy(), np.ones_like(q)
+    for n in range(1, terms + 1):
+        qn = qn * q
+        divisors = [m for m in range(1, n + 1) if n % m == 0]
+        E4 += 240 * sum(m**3 for m in divisors) * qn
+        E6 -= 504 * sum(m**5 for m in divisors) * qn
+        delta *= (1 - qn) ** 24
+    return E4, E6, delta
+
+
+def eisenstein_oracle(z: complex, terms: int = 40) -> tuple[complex, complex, complex]:
+    """(E4, E6, Delta) at z by q-series; tails < 1e-12 for Im z >= 0.5."""
+    if z.imag < 0.5:
+        raise ValueError("oracle requires Im z >= 0.5")
+    E4, E6, delta = _eisenstein(np.array([z], dtype=complex), terms)
+    return complex(E4[0]), complex(E6[0]), complex(delta[0])
+
+
+def _reduce_points(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise (z', j) of `reduce_to_fundamental_domain` on an array."""
+    w = z.copy()
+    a, b, c, d = (np.full(z.shape, v, dtype=float) for v in (1, 0, 0, 1))
+    for _ in range(200):
+        n = np.round(w.real)
+        w = w - n
+        a, b = a - n * c, b - n * d
+        flip = w.real * w.real + w.imag * w.imag < 1.0 - 1e-15
+        if not flip.any():
+            break
+        w[flip] = -1.0 / w[flip]
+        a[flip], b[flip], c[flip], d[flip] = -c[flip], -d[flip], a[flip], b[flip]
+    return w, c * z + d
 
 
 def reduce_to_fundamental_domain(z: complex) -> tuple[complex, complex]:
     """Return (z', j) with z' = g(z) in the standard fundamental domain
     and j = cz + d the automorphy factor of g at z."""
-    a, b, c, d = 1, 0, 0, 1
-    w = z
-    for _ in range(200):
-        n = round(w.real)
-        if n:
-            w = w - n
-            a, b = a - n * c, b - n * d
-        r2 = w.real * w.real + w.imag * w.imag
-        if r2 < 1.0 - 1e-15:
-            w = -1.0 / w
-            a, b, c, d = -c, -d, a, b
-        else:
-            break
-    return w, c * z + d
-
-
-# ----------------------------------------------------------------------
-# cotangent-polynomial machinery for the exact translate sums
-#
-# For fixed a and a residue b0 mod 2a, the forms [a, b0 + 2at, *] contribute
-#   a^{-k} * sum_{t in Z} ((t + w1)(t + w2))^{-k},
-# with w1 = z + b0/(2a) - i y_a, w2 = z + b0/(2a) + i y_a, y_a = sqrt|d|/(2a).
-# Partial fractions reduce the t-sum to derivatives of pi cot(pi w).
-
-
-def _cot_polys(k: int) -> list[list[float]]:
-    """poly_j with P_j(w) = sum_t (t+w)^{-j} = pi^j poly_j(cot(pi w)), j = 1..k.
-
-    Recurrence poly_{j+1} = (1 + u^2) poly_j'(u) / j, exact in rationals.
-    """
-    polys = [[Fraction(0), Fraction(1)]]  # poly_1(u) = u
-    for j in range(1, k):
-        p = polys[-1]
-        dp = [i * p[i] for i in range(1, len(p))]
-        nxt = [Fraction(0)] * (len(dp) + 2)
-        for i, coeff in enumerate(dp):
-            nxt[i] += coeff
-            nxt[i + 2] += coeff
-        polys.append([x / j for x in nxt])
-    return [[float(x) for x in p] for p in polys]
-
-
-def _partial_fraction_coeffs(k: int, delta: complex) -> tuple[list[complex], list[complex]]:
-    """A_j, B_j with ((X)(X+delta))^{-k} = sum_j A_j X^{-j} + B_j (X+delta)^{-j}."""
-    A = [0j] * (k + 1)
-    B = [0j] * (k + 1)
-    for j in range(1, k + 1):
-        C = comb(2 * k - 1 - j, k - 1)
-        A[j] = (-1) ** (k - j) * C * delta ** (j - 2 * k)
-        B[j] = (-1) ** k * C * delta ** (j - 2 * k)
-    return A, B
-
-
-def _translate_sum(k: int, w1: np.ndarray, w2: np.ndarray, delta: complex,
-                   polys: list[list[float]]) -> np.ndarray:
-    """sum_t ((t+w1)(t+w2))^{-k} with w2 - w1 = delta, vectorized over w."""
-    A, B = _partial_fraction_coeffs(k, delta)
-    out = np.zeros_like(w1, dtype=complex)
-    for w, coeffs in ((w1, A), (w2, B)):
-        s = np.sin(np.pi * w)
-        bad = np.abs(s) < 1e-13
-        if bad.any():
-            raise PoleAtZ("evaluation point lies on a pole of the class sum")
-        u = np.cos(np.pi * w) / s
-        pj = np.pi
-        for j in range(1, k + 1):
-            poly = polys[j - 1]
-            val = np.zeros_like(u)
-            for coeff in reversed(poly):
-                val = val * u + coeff
-            out += coeffs[j] * pj * val
-            pj *= np.pi
-    return out
-
-
-# layer coefficients T_n(c): sum_t ((t+w-ic)(t+w+ic))^{-k} = sum_n T_n(c) e(nw)
-
-
-def _kappa_coeffs(k: int, mmax: int = 18) -> np.ndarray:
-    """Taylor coefficients: T_n(c) = (2 pi)^{2k} n^{2k-1} sum_m kappa_m x^{2m},
-    x = 2 pi n c; exact rationals evaluated to float."""
-    out = []
-    for m in range(mmax):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc += (
-                Fraction(comb(2 * k - 1 - j, k - 1) * (-1) ** j * 2**j)
-                / (factorial(j - 1) * factorial(2 * m + 2 * k - j))
-            )
-        out.append(float(acc * Fraction(2, 2 ** (2 * k))))
-    return np.array(out)
-
-
-def _layer_T(k: int, n: int, c: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """T_n(c), stable for small 2 pi n c via the entire-series expansion."""
-    x = 2 * np.pi * n * c
-    out = np.empty_like(c)
-    small = x < 0.75
-    if small.any():
-        xs = x[small]
-        acc = np.zeros_like(xs)
-        for km in reversed(kappa):
-            acc = acc * (xs * xs) + km
-        out[small] = (2 * np.pi) ** (2 * k) * float(n) ** (2 * k - 1) * acc
-    big = ~small
-    if big.any():
-        xb = x[big]
-        cb = c[big]
-        acc = np.zeros_like(xb)
-        for j in range(1, k + 1):
-            C = comb(2 * k - 1 - j, k - 1)
-            bracket = np.exp(-xb) + (-1) ** j * np.exp(xb)
-            acc += (
-                C
-                * (2 * cb) ** (j - 2 * k)
-                * (2 * np.pi) ** j
-                * float(n) ** (j - 1)
-                / factorial(j - 1)
-                * bracket
-            )
-        out[big] = acc
-    return out
+    w, j = _reduce_points(np.array([z], dtype=complex))
+    return complex(w[0]), complex(j[0])
 
 
 # ----------------------------------------------------------------------
 # the meromorphic form evaluator
 
 
-def _reduce_to_rep(a: np.ndarray, b: np.ndarray, d: int, rep: BQF) -> np.ndarray:
-    """Mask of the definite forms [a, b, (b^2 - d)/4a] whose Gauss
-    reduction is rep: `reduce_definite` run on int64 arrays at once."""
-    a, b = a.copy(), b.copy()
-    c = (b * b - d) // (4 * a)
-    active = np.arange(len(a))
-    while active.size:
-        aa, bb = a[active], b[active]
-        bb = bb + 2 * aa * ((aa - bb) // (2 * aa))
-        cc = (bb * bb - d) // (4 * aa)
-        a[active], b[active], c[active] = aa, bb, cc
-        swap = aa > cc
-        active = active[swap]
-        a[active], b[active], c[active] = cc[swap], -bb[swap], aa[swap]
-    flip = (a == c) & (b < 0)
-    b[flip] = -b[flip]
-    return (a == rep.a) & (b == rep.b) & (c == rep.c)
+def _pole_gap(tau: complex) -> float:
+    """Distance from tau (in the fundamental domain) to the nearest other
+    point of its SL(2,Z)-orbit.  Only the translates and the images
+    a - 1/(tau + d) can come closer than Im(tau)/2."""
+    images = [tau + 1] + [a - 1 / (tau + d) for a in range(-2, 3) for d in range(-2, 3)]
+    return min(abs(w - tau) for w in images if abs(w - tau) > 1e-9)
 
 
 class FkAEvaluator:
-    """Evaluates the weight 2k meromorphic form of a definite class.
+    """Evaluates f_{k,A}, the weight 2k meromorphic form of a definite class A.
 
-    The class sum over [a, b, c] is grouped by (a, b mod 2a).  Families
-    with a <= a_direct are summed exactly in closed cotangent form; the
-    rest are collapsed into Fourier layers g_n, convergent for points in
-    the fundamental domain because their CM heights stay below
-    sqrt(3)/2.  Points are reduced modulo SL(2,Z) with the automorphy
-    factor restored, so any z in the upper half-plane is accepted.
+    f_{k,A}(z) = |d|^((k+1)/2)/pi sum_{Q in A} Q(z,1)^(-k) is a modular
+    form of weight 2k whose poles lie on the SL(2,Z)-orbit of the root
+    tau_A of the class representative Q_A, and it vanishes at the cusp.
+    So, with E = E4^p E6^r of weight 2k and u = s/(j - j_A) for a fixed
+    scale s, it is exactly
 
-    The evaluator owns its table of pairs (a, b0), b0^2 ≡ d (mod 4a)
-    with -a < b0 <= a, as int64 arrays in increasing a.  The table grows
-    one shell lo < a <= hi at a time, built from the table itself (see
-    `_shell_pairs`), and each shell is filtered to the class once, by a
-    vectorized Gauss reduction.  The layers are additive: g_n(A) is
-    g_n(A/2) plus the sum over the shell A/2 < a <= A.  One lock guards
-    the table and the layers: `get_evaluator` shares one evaluator per
-    (k, d, rep) across the process, so callers on several threads may
-    grow it at once.
+        f = E (c_1 u + ... + c_M u^M) + sum_i beta_i h_i,
+
+    where h_i = Delta^i E4^p_i E6^r_i, i = 1..dim S_2k, span the cusp
+    forms of weight 2k, and M = ceil((k + ord E at tau_A)/e), with e = 2
+    at i, 3 at rho and 1 elsewhere.  The evaluator is this expression,
+    built once; it never changes afterwards.
+
+    - Principal part.  Of the forms of the class only Q_A vanishes at
+      tau_A, so f has the principal part of prefactor * Q_A(z,1)^(-k)
+      there.  One FFT of NODES values on a circle around tau_A, of radius
+      half the distance to the nearest other pole, gives the Laurent
+      coefficients of that and of each E u^m.  E u^m has a pole of order
+      e m - ord E, so the rows at those orders are a triangular system
+      for the c_m; the other rows check the fit.
+    - Cusp forms.  When dim S_2k > 0 (k = 6 and k >= 8), the beta_i are
+      pinned by the class sum itself, summed directly in floats over the
+      forms [a, b0 + 2at, *] with a <= PIN_CUTOFF (the pairs (a, b0) from
+      `sqrt_mod_roots`) and |t| <= PIN_TRANSLATES, at dim S_2k points
+      half a period away from tau_A.  Fourier coefficients at the
+      cusp would pin them too, but they grow like exp(pi n sqrt|d|) and
+      cancel against the fit's to that many digits.
+    - Values.  Points are reduced to the fundamental domain, E4, E6 and
+      Delta come from one q-series routine, and the automorphy factor
+      (cz + d)^(-2k) is restored.
+
+    `residual` is the evaluator's absolute error on values away from the
+    pole, the sum of three terms: the part of the fit's principal-part
+    mismatch that rounding cannot explain (0 for a consistent fit); 16 eps
+    times the size of the partial fractions, least over three probe points
+    (far from the pole they cancel, by ~1e9 at k = 7 and d = -163); and
+    `layer_delta(cutoff)` for the pinned coefficients.  The rounding of a
+    value in proportion to its size is left to the caller (`cycle_integral`
+    bounds it with ROUNDING_FLOOR).
     """
 
-    Y_MIN = 0.85
-    N_LAYERS = 14
-    A_START = 1 << 11
-    A_CEILING = 1 << 21
-    A_ROOTS = 32  # pairs with a <= A_ROOTS come from sqrt_mod_roots
+    NODES = 256
+    PIN_CUTOFF = 1 << 10
+    PIN_TRANSLATES = 64
 
     def __init__(self, k: int, d: int, rep: BQF | None = None):
         if k < 2:
@@ -312,167 +249,124 @@ class FkAEvaluator:
         reps = definite_class_reps(d)
         self.rep = reduce_definite(rep)[0] if rep is not None else reps[0]
         self.filter_class = len(reps) > 1
-        self.a_direct = max(1, math.ceil(math.sqrt(-d) / (2 * self.Y_MIN * 0.9)))
         self.prefactor = (-d) ** ((k + 1) / 2) / math.pi
-        self._polys = _cot_polys(k)
-        self._kappa = _kappa_coeffs(k)
-        # the table: a, b0 and the class mask, complete for a <= _a_max
-        self._a = np.zeros(0, dtype=np.int64)
-        self._b = np.zeros(0, dtype=np.int64)
-        self._in_class = np.zeros(0, dtype=bool)
-        self._a_max = 0
-        direct = self._pairs(0, self.a_direct)
-        self._direct_pairs = [(int(a), int(b0)) for a, b0 in zip(*direct)]
-        self._gn: dict[int, np.ndarray] = {}  # A -> layer coefficient vector
-        self._lock = threading.RLock()
+        a, b, c = self.rep.a, self.rep.b, self.rep.c
+        tau = complex(-b, math.sqrt(-d)) / (2 * a)
+        # E = E4^p E6^r; its order at tau and the ramification e of j there
+        self._p, self._r = (k - 3 * (k % 2)) // 2, k % 2
+        if b == 0 and a == c:
+            e, order = 2, self._r
+        elif a == b == c:
+            e, order = 3, self._p
+        else:
+            e, order = 1, 0
+        self._M = -(-(k + order) // e)
+        E4, E6, delta = _eisenstein(np.array([tau]))
+        self._jA = complex(E4[0] ** 3 / delta[0])
+        # h_i = Delta^i E4^p_i E6^r_i, as (i, p_i, r_i)
+        dim = k // 6 - (k % 6 == 1)
+        self._cusp = [(i, (k - 6 * i - 3 * self._r) // 2, self._r) for i in range(1, dim + 1)]
 
-    def _shell_pairs(self, lo: int, hi: int, c_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs with lo < a <= hi, sorted, from the table rows a <= c_max.
+        # Laurent coefficients of orders -1..-eM, each times radius^order,
+        # from one FFT of values on the circle
+        radius = min(_pole_gap(tau), tau.imag) / 2
+        zc = tau + radius * np.exp(2j * np.pi * np.arange(self.NODES) / self.NODES)
+        E4, E6, delta = _eisenstein(zc)
+        # s, the median of |j - j_A| there, keeps u near 1 on the circle
+        self._scale = float(np.sort(np.abs(E4**3 / delta - self._jA))[self.NODES // 2])
+        rows = self.NODES - np.arange(1, e * self._M + 1)
+        G = np.fft.fft(self._terms(E4, E6, delta)[0], axis=0)[rows] / self.NODES
+        target = np.fft.fft(self.prefactor * (a * zc * zc + b * zc + c) ** (-k))[rows] / self.NODES
+        # E u^m has a pole of order e m - order: the rows at those orders
+        # are a triangular system in the c_m
+        self._c = np.zeros(self._M, dtype=complex)
+        for m in reversed(range(self._M)):
+            row = e * (m + 1) - order - 1
+            self._c[m] = (target[row] - G[row, m + 1 :] @ self._c[m + 1 :]) / G[row, m]
+        # the mismatch beyond the rounding of G c - target: zero for a
+        # consistent fit
+        rounding = 16 * EPS * (np.sum(np.abs(G) @ np.abs(self._c)) + np.sum(np.abs(target)))
+        fit = max(0.0, float(np.sum(np.abs(G @ self._c - target)) - rounding))
+        # probes half a period from tau and above the unit circle, far from
+        # every pole; the first dim of them are the pin points
+        x = tau.real + (0.5 if tau.real <= 0 else -0.5)
+        probes = x + 1j * (1.25 + 0.3 * np.arange(max(dim, 3)))
+        self._pin_points = probes[:dim]
+        fractions = self._terms(*_eisenstein(probes))[0]
+        cancellation = 16 * EPS * float(np.min(np.abs(fractions) @ np.abs(self._c)))
 
-        A pair [a, b0, c] has b0^2 - d = 4ac, so b0 mod 2c is a root r of
-        the table row a = c, and c <= c_max = hi/4 + |d|/4(lo + 1) because
-        |b0| <= a.  Each row (c, r) gives b = r + 2ct over the t with
-        4c lo < b^2 - d <= 4c hi, with a margin for the float square roots;
-        the exact conditions on a and b are applied after.
-        """
-        rows = int(np.searchsorted(self._a, c_max, side="right"))
-        c, r = self._a[:rows], self._b[:rows]
-        u = 4 * c * lo + self.d
-        v = np.maximum(4 * c * hi + self.d, 0)
-        top = np.floor(np.sqrt(v)).astype(np.int64) + 1
-        bottom = np.maximum(np.floor(np.sqrt(np.maximum(u, 0))).astype(np.int64) - 1, 0)
-        # b in [bottom, top] and in [-top, -max(bottom, 1)]
-        b1 = np.concatenate([bottom, -top])
-        b2 = np.concatenate([top, -np.maximum(bottom, 1)])
-        c, r = np.concatenate([c, c]), np.concatenate([r, r])
-        t1 = -((r - b1) // (2 * c))
-        count = np.maximum((b2 - r) // (2 * c) - t1 + 1, 0)
-        row = np.repeat(np.arange(len(c)), count)
-        start = np.cumsum(count) - count
-        t = t1[row] + np.arange(len(row)) - start[row]
-        b = r[row] + 2 * c[row] * t
-        a = (b * b - self.d) // (4 * c[row])
-        ok = (a > lo) & (a <= hi) & (-a < b) & (b <= a)
-        a, b = a[ok], b[ok]
-        order = np.lexsort((b, a))
-        return a[order], b[order]
+        self.cutoff = self.PIN_CUTOFF if dim else 0
+        self._beta, pin_change = self._pin(self.cutoff) if dim else (np.zeros(0), 0.0)
+        self.residual = fit + cancellation + pin_change
 
-    def _grow_table(self, A: int) -> None:
-        """Extend the table to a <= A, one shell lo < a <= 2 lo at a time."""
-        while self._a_max < A:
-            lo = self._a_max
-            hi = min(A, max(2 * lo, self.A_ROOTS))
-            c_max = (hi * (lo + 1) - self.d) // (4 * (lo + 1))
-            if lo < self.A_ROOTS or c_max > lo:
-                pairs = [(a, b0) for a in range(lo + 1, hi + 1)
-                         for b0 in sqrt_mod_roots(self.d, a)]
-                a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-            else:
-                a, b = self._shell_pairs(lo, hi, c_max)
-            if self.filter_class:
-                keep = _reduce_to_rep(a, b, self.d, self.rep)
-            else:
-                keep = np.ones(len(a), dtype=bool)
-            self._a = np.concatenate([self._a, a])
-            self._b = np.concatenate([self._b, b])
-            self._in_class = np.concatenate([self._in_class, keep])
-            self._a_max = hi
+    def _terms(self, E4, E6, delta) -> tuple[np.ndarray, np.ndarray]:
+        """The columns E u^m (m = 1..M) and h_i, from E4, E6 and Delta at points."""
+        u = self._scale * delta / (E4**3 - self._jA * delta)
+        fractions = (E4**self._p * E6**self._r)[:, None] * u[:, None] ** np.arange(1, self._M + 1)
+        if not self._cusp:
+            return fractions, np.zeros((len(u), 0))
+        return fractions, np.column_stack([delta**i * E4**p * E6**r for i, p, r in self._cusp])
 
-    def _pairs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The class's pairs with lo < a <= hi."""
-        self._grow_table(hi)
-        i, j = np.searchsorted(self._a, [lo, hi], side="right")
-        keep = self._in_class[i:j]
-        return self._a[i:j][keep], self._b[i:j][keep]
+    def _class_sum(self, zs: np.ndarray, a: np.ndarray, b0: np.ndarray) -> np.ndarray:
+        """prefactor * sum Q(z,1)^(-k) over the forms [a, b0 + 2at, *], |t| <= PIN_TRANSLATES."""
+        t = np.arange(-self.PIN_TRANSLATES, self.PIN_TRANSLATES + 1)
+        a = a[:, None]
+        b = b0[:, None] + 2 * a * t
+        c = (b * b - self.d) / (4 * a)
+        return self.prefactor * np.array([np.sum((a * z * z + b * z + c) ** -self.k) for z in zs])
 
-    def _ensure_layers(self, A: int) -> None:
-        with self._lock:
-            if A in self._gn:
-                return
-            if A > self.A_CEILING:
-                raise NoConvergence(f"layer cutoff {A} above ceiling")
-            gn = np.zeros(self.N_LAYERS + 1)
-            if A > self.a_direct:
-                self._ensure_layers(A // 2)
-                a, b = self._pairs(max(A // 2, self.a_direct), A)
-                aa, bb = a.astype(float), b.astype(float)
-                c = math.sqrt(-self.d) / (2 * aa)
-                weights = aa ** (-self.k)
-                for n in range(1, self.N_LAYERS + 1):
-                    Tn = _layer_T(self.k, n, c, self._kappa)
-                    gn[n] = np.sum(weights * Tn * np.cos(np.pi * n * bb / aa))
-                gn += self._gn[A // 2]
-            self._gn[A] = gn
+    def _pin(self, A: int) -> tuple[np.ndarray, float]:
+        """The beta_i pinned by the class sum over a <= A, and their change
+        from the sum over a <= A/2, weighted by the largest |h_i| at the
+        pin points."""
+        d = self.d
+        pairs = [
+            (a, b0) for a in range(1, A + 1) for b0 in sqrt_mod_roots(d, a)
+            if not self.filter_class or reduce_definite(BQF(a, b0, (b0 * b0 - d) // (4 * a)))[0] == self.rep
+        ]
+        a, b0 = np.array(pairs, dtype=float).T
+        fractions, cusp = self._terms(*_eisenstein(self._pin_points))
+        fitted = fractions @ self._c
+        beta, half = (np.linalg.solve(cusp, self._class_sum(self._pin_points, a[keep], b0[keep]) - fitted)
+                      for keep in (a > 0, a <= A // 2))
+        return beta, float(np.abs(beta - half) @ np.max(np.abs(cusp), axis=0))
 
     def layer_delta(self, A: int) -> float:
-        """Heuristic coefficient-tail proxy: weighted change A/2 -> A."""
-        self._ensure_layers(A)
-        self._ensure_layers(A // 2)
-        diff = self._gn[A] - self._gn[A // 2]
-        n = np.arange(len(diff))
-        return float(self.prefactor * np.sum(np.abs(diff) * np.exp(-2 * np.pi * n * self.Y_MIN)))
+        """The weighted change of the pinned cusp-form coefficients when
+        the class sum's cutoff doubles from A/2 to A (see `_pin`).  It is
+        exactly 0.0 when dim S_2k = 0: then nothing is pinned."""
+        return self._pin(A)[1] if self._cusp else 0.0
 
-    def eval(self, zs, A: int) -> np.ndarray:
-        """Values at the points zs using layer cutoff A."""
-        self._ensure_layers(A)
+    def eval(self, zs, A: int | None = None) -> np.ndarray:
+        """Values at the points zs.  The form has no cutoff to choose: A is
+        accepted for callers written against a truncated class sum, and
+        ignored."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        zr = np.empty_like(zs)
-        jf = np.empty_like(zs)
-        for i, z in enumerate(zs):
-            if z.imag <= 0:
-                raise ValueError("points must lie in the upper half-plane")
-            zr[i], jf[i] = reduce_to_fundamental_domain(complex(z))
-        vals = np.zeros_like(zs)
-        # direct families, exact translate sums
-        for a, b0 in self._direct_pairs:
-            ya = math.sqrt(-self.d) / (2 * a)
-            w = zr + b0 / (2 * a)
-            vals += a ** (-self.k) * _translate_sum(
-                self.k, w - 1j * ya, w + 1j * ya, 2j * ya, self._polys
-            )
-        # Fourier layers
-        q = np.exp(2j * np.pi * zr)
-        gn = self._gn[A]
-        acc = np.zeros_like(zs)
-        for n in range(self.N_LAYERS, 0, -1):
-            acc = (acc + gn[n]) * q
-        vals += acc
-        return self.prefactor * vals * jf ** (-2 * self.k)
+        if np.any(zs.imag <= 0):
+            raise ValueError("points must lie in the upper half-plane")
+        zr, jf = _reduce_points(zs)
+        fractions, cusp = self._terms(*_eisenstein(zr))
+        vals = (fractions @ self._c + cusp @ self._beta) * jf ** (-2 * self.k)
+        if not np.all(np.isfinite(vals)):
+            raise PoleAtZ("evaluation point lies on a pole of the form")
+        return vals
 
     def eval_adaptive(self, zs, tol: float) -> tuple[np.ndarray, float, int]:
-        """Values with the layer cutoff doubled until the change is < tol."""
-        with self._lock:
-            A = max(self._gn, default=self.A_START)
-            warm = A // 2 in self._gn
-        prev = self.eval(zs, A)
-        if warm:
-            older = self.eval(zs, A // 2)
-            delta = float(np.max(np.abs(prev - older)))
-            if delta < tol:
-                return prev, delta, A
-        while True:
-            if A >= self.A_CEILING:
-                raise NoConvergence("class-sum cutoff ceiling reached")
-            A *= 2
-            cur = self.eval(zs, A)
-            delta = float(np.max(np.abs(cur - prev)))
-            if delta < tol:
-                return cur, delta, A
-            prev = cur
+        """(values, error, cutoff): the values, `residual` and the pinning
+        cutoff.  Nothing is truncated at evaluation, so tol cannot change
+        the values; the caller compares error with it."""
+        return self.eval(zs), self.residual, self.cutoff
 
 
 @lru_cache(maxsize=None)
 def get_evaluator(k: int, d: int, rep: BQF | None = None) -> FkAEvaluator:
-    """The process's shared evaluator of (k, d, rep); its tables only grow."""
+    """The process's shared evaluator of (k, d, rep); it never changes once built."""
     return FkAEvaluator(k, d, rep)
 
 
 def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None, tol: float = 1e-9) -> complex:
-    """The meromorphic weight 2k form of the class at a point z.
-
-    Truncated class sum with the family cutoff doubled until the last
-    doubling changes the value by less than tol.
-    """
+    """The meromorphic weight 2k form of the class at a point z; see
+    `FkAEvaluator`, whose error on the value is its `residual`."""
     # the cache keys on the arguments as passed: share the geodesic
     # method's get_evaluator(k, d) for the principal class
     ev = get_evaluator(k, d) if rep is None else get_evaluator(k, d, rep)
@@ -487,6 +381,14 @@ def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None, tol: float = 1e
 # from z0 toward gamma_Q z0 (t, u > 0); the overall sign is calibrated once
 # against the lattice-sum method at (k, D) = (2, 12) and frozen.
 CYCLE_ORIENTATION = 1
+
+# The rounding floor of a cycle integral, in units of eps * sum |term|
+# over its nodes, fixed once for every case.  On 220 traces with a known
+# value (k = 2..5, d in {-3, -4, -7, -20}, D < 110, tol 1e-13 and 1e-8),
+# the largest error left over by the other terms of the estimate needed
+# 17.7 of these units; the one exception, (3, 97, -20), stops on a
+# panel noise floor far above any rounding.
+ROUNDING_FLOOR = 32
 
 
 @lru_cache(maxsize=None)
@@ -507,12 +409,15 @@ def cycle_integral(
 
     Composite Gauss--Legendre quadrature in the hyperbolic arclength
     parameter over one automorph period, panel count doubled until the
-    change falls below tol.  The default starting point centers the
-    period around the arc top: the height along the arc is R/cosh(u), so
-    a centered window keeps both endpoints as high as possible, which
-    bounds the precision lost to the chaotic fundamental-domain
-    reduction at low points.  Returns (value, error_estimate,
-    cutoff_metadata).
+    change fits in tol beside the estimate's other terms.  The default
+    starting point centers the period around the arc top: the height
+    along the arc is R/cosh(u), so a centered window keeps both endpoints
+    as high as possible, which bounds the precision lost to the chaotic
+    fundamental-domain reduction at low points.  Returns (value, error_estimate,
+    cutoff_metadata).  The estimate is the last doubling's change, plus
+    the evaluator's residual times a bound on the integral of
+    |Q(z,1)^(k-1) dz| over the window, plus ROUNDING_FLOOR eps times the
+    sum of the sizes of the rule's terms.
     """
     D = Q.disc
     if check_pole:
@@ -538,19 +443,10 @@ def cycle_integral(
     u1 = u0 + flow * arc.period_length
     theta1 = 2 * math.atan(math.exp(u1))
 
-    # pick the layer cutoff from the coefficient-tail proxy
+    # a bound on the integral of |Q(z,1)^(k-1) dz| over the window
     probe = C + R * np.exp(1j * np.linspace(theta0, theta1, 17))
-    qmax = float(np.max(np.abs([Q.value(z) for z in probe]))) ** (k - 1)
+    qmax = float(np.max(np.abs(Q.a * probe * probe + Q.b * probe + Q.c))) ** (k - 1)
     weight_bound = qmax * R * abs(theta1 - theta0) * 2.0
-    A = ev.A_START
-    while ev.layer_delta(A) * weight_bound > tol / 2:
-        A *= 2
-        if A > ev.A_CEILING:
-            raise NoConvergence("class-sum cutoff ceiling reached inside quadrature")
-        if A >= (1 << 16) and ev.layer_delta(A) * weight_bound < 16 * tol:
-            # coefficient tails hit their arithmetic noise floor near 1e-8;
-            # accept and report the achieved bound in the error estimate
-            break
 
     # composite Gauss--Legendre in the hyperbolic arclength parameter
     # u = log tan(theta/2): the automorph period has u-length 2 log(eps),
@@ -559,7 +455,8 @@ def cycle_integral(
     # for long arcs (a single rule uniform in theta undersamples the ends)
     x0, w0 = _gauss_legendre(48)
 
-    def quad(panels: int) -> complex:
+    def quad(panels: int) -> tuple[complex, float]:
+        """The rule's value and the sum of its terms' sizes."""
         edges = np.linspace(u0, u1, panels + 1)
         mid = (edges[1:] + edges[:-1]) / 2
         half = (edges[1:] - edges[:-1]) / 2
@@ -567,37 +464,36 @@ def cycle_integral(
         wts = (half[:, None] * w0[None, :]).ravel()
         theta = 2 * np.arctan(np.exp(u))
         z = C + R * np.exp(1j * theta)
-        f = ev.eval(z, A)
-        qpow = np.array([Q.value(zz) for zz in z]) ** (k - 1)
         dz = 1j * R * np.exp(1j * theta) * np.sin(theta)
-        return complex(np.sum(wts * f * qpow * dz))
+        terms = wts * ev.eval(z) * (Q.a * z * z + Q.b * z + Q.c) ** (k - 1) * dz
+        return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+    def rest(size: float) -> float:
+        # what more panels cannot lower: the evaluator's residual over the
+        # window, and ROUNDING_FLOOR eps per unit of sum |term|
+        return ev.residual * weight_bound + ROUNDING_FLOOR * EPS * size
 
     panels = max(2, int(abs(u1 - u0)))
-    prev = quad(panels)
+    prev, _ = quad(panels)
     deltas: list[float] = []
     while True:
         panels *= 2
         if panels > 1 << 12:
             raise NoConvergence("quadrature panels above ceiling")
-        cur = quad(panels)
+        cur, size = quad(panels)
         delta = abs(cur - prev)
-        if delta < tol:
-            return (
-                CYCLE_ORIENTATION * cur,
-                delta + ev.layer_delta(A) * weight_bound,
-                {"panels": panels, "layer_cutoff": A},
-            )
+        meta = {"panels": panels, "layer_cutoff": ev.cutoff}
+        # stop once delta fits in what the other terms leave of tol, or in
+        # half of tol when they take more
+        if delta < max(tol - rest(size), tol / 2):
+            return CYCLE_ORIENTATION * cur, delta + rest(size), meta
         # near-pole passages leave a noise floor in the node values; once
         # two successive refinements stop producing real decay (geometric
         # convergence would gain far more than 4x per two doublings) the
         # delta has hit that floor and more panels cannot help.  Accept
         # and report the floor honestly.
         if len(deltas) >= 2 and panels >= 256 and delta > deltas[-2] / 4:
-            return (
-                CYCLE_ORIENTATION * cur,
-                delta + ev.layer_delta(A) * weight_bound,
-                {"panels": panels, "layer_cutoff": A, "noise_floor": True},
-            )
+            return CYCLE_ORIENTATION * cur, delta + rest(size), {**meta, "noise_floor": True}
         deltas.append(delta)
         prev = cur
 
@@ -649,28 +545,48 @@ def _primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]
+    return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).tolist()
 
 
-def _r2_table(D: int, lo: int, hi: int) -> np.ndarray:
+class _PrimeRoots:
+    """The primes p and the residues r mod p with r^2 ≡ -D, for one D.
+
+    `upto(bound)` extends them to every p <= bound; a lattice sum keeps
+    one of these across its doublings, so each prime's roots are found
+    once, not once per window.
+    """
+
+    def __init__(self, D: int):
+        self.D = D
+        self.primes: list[int] = []
+        self.roots: list[tuple[int, ...]] = []
+
+    def upto(self, bound: int):
+        for p in _primes_up_to(bound)[len(self.primes):]:
+            if p == 2:
+                roots = [r for r in range(2) if (r * r + self.D) % 2 == 0]
+            else:
+                roots = _sqrt_mod_prime((-self.D) % p, p)
+            self.primes.append(p)
+            self.roots.append(tuple({x % p for x in roots}))
+        n = bisect_right(self.primes, bound)
+        return zip(self.primes[:n], self.roots[:n])
+
+
+def _r2_table(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
     """r2(D + s^2) for s = lo+1..hi via a quadratic-progression sieve.
 
     r2(n) counts all (b, e) with b^2 + e^2 = n; it vanishes unless every
     prime ≡ 3 (mod 4) divides n to an even power, and otherwise equals
     4 * prod (e_p + 1) over p ≡ 1 (mod 4).  Entry i belongs to s = lo+1+i.
+    The primes and their roots come from `roots` when given.
     """
     vals = [D + s * s for s in range(lo + 1, hi + 1)]
     mult = np.ones(hi - lo, dtype=np.int64)
     bad = np.zeros(hi - lo, dtype=bool)
     bound = isqrt(D + hi * hi) + 1
-    from .bqf import _sqrt_mod_prime
-
-    for p in _primes_up_to(bound):
-        if p == 2:
-            roots = [r for r in range(2) if (r * r + D) % 2 == 0]
-        else:
-            roots = _sqrt_mod_prime((-D) % p, p)
-        for r in set(x % p for x in roots):
+    for p, residues in (roots or _PrimeRoots(D)).upto(bound):
+        for r in residues:
             # the first index whose s = lo+1+i is ≡ r (mod p)
             for i in range((r - lo - 1) % p, hi - lo, p):
                 v = vals[i]
@@ -695,10 +611,10 @@ def _r2_table(D: int, lo: int, hi: int) -> np.ndarray:
     return r2
 
 
-def _parity_counts(D: int, lo: int, hi: int) -> np.ndarray:
+def _parity_counts(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
     """N(s) = #{(b, e): b^2 + e^2 = D + s^2, e ≡ s (mod 2)} for s = lo+1..hi,
     entry i belonging to s = lo+1+i."""
-    r2 = _r2_table(D, lo, hi)
+    r2 = _r2_table(D, lo, hi, roots)
     s = np.arange(lo + 1, hi + 1)
     n = D + s * s
     N = np.zeros(hi - lo, dtype=float)
@@ -745,10 +661,11 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         )
     if d == -4:
         first, ceiling, key = 1 << 12, 1 << 24, "s_cutoff"
+        roots = _PrimeRoots(D)
 
         def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
             s = np.arange(lo + 1, hi + 1, dtype=float)
-            return s * s, 2.0 * _parity_counts(D, lo, hi)
+            return s * s, 2.0 * _parity_counts(D, lo, hi, roots)
     else:
         first, ceiling, key = 64, 1 << 16, "t_cutoff"
         solver = PairingSolver(definite_class_reps(d)[0])
@@ -787,22 +704,3 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         seconds=time.perf_counter() - t0,
         cutoff={key: S},
     )
-
-
-# ----------------------------------------------------------------------
-# Eisenstein / discriminant oracle
-
-
-def eisenstein_oracle(z: complex, terms: int = 40) -> tuple[complex, complex, complex]:
-    """(E4, E6, Delta) at z by q-series; tails < 1e-12 for Im z >= 0.5."""
-    if z.imag < 0.5:
-        raise ValueError("oracle requires Im z >= 0.5")
-    q = cmath.exp(2j * cmath.pi * z)
-    sigma3 = [sum(d**3 for d in range(1, n + 1) if n % d == 0) for n in range(terms + 1)]
-    sigma5 = [sum(d**5 for d in range(1, n + 1) if n % d == 0) for n in range(terms + 1)]
-    E4 = 1 + 240 * sum(sigma3[n] * q**n for n in range(1, terms + 1))
-    E6 = 1 - 504 * sum(sigma5[n] * q**n for n in range(1, terms + 1))
-    eta24 = q
-    for n in range(1, terms + 1):
-        eta24 *= (1 - q**n) ** 24
-    return E4, E6, eta24

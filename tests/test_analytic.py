@@ -1,6 +1,5 @@
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,15 +17,12 @@ from cyclotrace.analytic import (
     reduce_to_fundamental_domain,
 )
 from cyclotrace.analytic import (
-    _cot_polys,
+    _PrimeRoots,
     _hyp_series,
     _hyp2f1_vec,
-    _kappa_coeffs,
-    _reduce_to_rep,
-    _layer_T,
     _parity_counts,
     _r2_table,
-    _translate_sum,
+    _reduce_points,
 )
 from cyclotrace.bqf import (
     BQF,
@@ -93,41 +89,7 @@ def test_hyp2f1_integral_c_minus_a_minus_b():
         hyp2f1(1, 1, 2, 0.7)
 
 
-# -------------------------------------------------- resummation internals
-
-
-def test_translate_sum_vs_brute():
-    rng = np.random.default_rng(0)
-    for k in (2, 3, 4):
-        polys = _cot_polys(k)
-        for _ in range(3):
-            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 1.6))
-            c = rng.uniform(0.4, 1.0)
-            w1 = np.array([z - 1j * c])
-            w2 = np.array([z + 1j * c])
-            closed = _translate_sum(k, w1, w2, 2j * c, polys)[0]
-            brute = sum(
-                ((t + w1[0]) * (t + w2[0])) ** (-k) for t in range(-20000, 20001)
-            )
-            assert abs(closed - brute) < 1e-10 * max(1, abs(brute))
-
-
-def test_layer_coefficients_reproduce_translate_sum():
-    # compared where the direct cotangent branch is itself well-conditioned
-    # (small c is the layers' regime, large c the direct branch's)
-    z = complex(0.13, 1.07)
-    for k in (2, 3, 4):
-        kappa = _kappa_coeffs(k)
-        polys = _cot_polys(k)
-        for c in (0.3, 0.49, 0.9):
-            direct = _translate_sum(
-                k, np.array([z - 1j * c]), np.array([z + 1j * c]), 2j * c, polys
-            )[0]
-            tot = sum(
-                _layer_T(k, n, np.array([c]), kappa)[0] * np.exp(2j * np.pi * n * z)
-                for n in range(1, 40)
-            )
-            assert abs(tot - direct) < 5e-11 * max(1, abs(direct))
+# -------------------------------------------------- the fundamental domain
 
 
 def test_fundamental_domain_reduction():
@@ -140,84 +102,32 @@ def test_fundamental_domain_reduction():
         assert j != 0
 
 
-# ------------------------------------------------------- the root table
+def _reduce_one(z):
+    # the scalar loop the array reduction replaced, as the reference
+    a, b, c, d = 1, 0, 0, 1
+    w = z
+    for _ in range(200):
+        n = round(w.real)
+        if n:
+            w = w - n
+            a, b = a - n * c, b - n * d
+        if w.real * w.real + w.imag * w.imag < 1.0 - 1e-15:
+            w = -1.0 / w
+            a, b, c, d = -c, -d, a, b
+        else:
+            break
+    return w, c * z + d
 
 
-def _brute_pairs(d, a_max):
-    return np.array([(a, b0) for a in range(1, a_max + 1) for b0 in sqrt_mod_roots(d, a)])
-
-
-# d = -260 puts the pair (65, 0) in a shell built from the table
-@pytest.mark.parametrize("d", [-3, -4, -7, -12, -20, -23, -84, -260])
-def test_root_table_matches_sqrt_mod_roots(d):
-    a_max = 1 << 13
-    brute = _brute_pairs(d, a_max)
-    one_step = FkAEvaluator(2, d)
-    one_step._grow_table(a_max)
-    # irregular targets: shells that are not dyadic, one call per target
-    shells = FkAEvaluator(2, d)
-    for A in (45, 100, 257, 1000, 4097, a_max):
-        shells._grow_table(A)
-        assert shells._a[-1] <= A
-    for ev in (one_step, shells):
-        assert np.array_equal(np.column_stack([ev._a, ev._b]), brute)
-
-
-@pytest.mark.parametrize("d", [-12, -20, -23, -56, -84])
-def test_class_filter_matches_reduce_definite(d):
-    pairs = _brute_pairs(d, 1500)
-    reduced = [reduce_definite(BQF(int(a), int(b), int((b * b - d) // (4 * a))))[0] for a, b in pairs]
-    reps = definite_class_reps(d)
-    assert len(reps) > 1
-    for rep in reps:
-        mask = _reduce_to_rep(pairs[:, 0], pairs[:, 1], d, rep)
-        assert mask.tolist() == [Q == rep for Q in reduced]
-    # the evaluator of a non-principal class keeps exactly that class
-    ev = FkAEvaluator(3, d, rep=reps[-1])
-    ev._grow_table(1500)
-    assert ev._in_class.tolist() == [Q == reps[-1] for Q in reduced]
-
-
-def test_additive_layers_match_from_scratch():
-    k, d = 2, -20
-    ev = FkAEvaluator(k, d)
-    top = 1 << 14
-    ev.layer_delta(top)
-    pairs = [
-        (a, b0)
-        for a in range(ev.a_direct + 1, top + 1)
-        for b0 in sqrt_mod_roots(d, a)
-        if reduce_definite(BQF(a, b0, (b0 * b0 - d) // (4 * a)))[0] == ev.rep
-    ]
-    a_all = np.array([p[0] for p in pairs], dtype=float)
-    b_all = np.array([p[1] for p in pairs], dtype=float)
-    prev = None
-    for A in (1 << 11, 1 << 12, 1 << 13, top):
-        aa, bb = a_all[a_all <= A], b_all[a_all <= A]
-        g = np.zeros(ev.N_LAYERS + 1)
-        for n in range(1, ev.N_LAYERS + 1):
-            Tn = _layer_T(k, n, math.sqrt(-d) / (2 * aa), ev._kappa)
-            g[n] = np.sum(aa ** (-k) * Tn * np.cos(np.pi * n * bb / aa))
-        assert np.max(np.abs(ev._gn[A] - g)) <= 1e-12 * np.max(np.abs(g))
-        if prev is not None:
-            # the change A/2 -> A is the change of the from-scratch sums
-            change = ev._gn[A] - ev._gn[A // 2]
-            assert np.max(np.abs(change - (g - prev))) <= 1e-12 * np.max(np.abs(g))
-        prev = g
-
-
-def test_threads_share_an_evaluator():
-    # worker threads that grow one evaluator at once build the same table
-    # and layers as a single thread does
-    k, d, top = 2, -20, 1 << 15
-    alone = FkAEvaluator(k, d)
-    alone.layer_delta(top)
-    shared = FkAEvaluator(k, d)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        list(pool.map(shared.layer_delta, [top >> i for i in range(4)] * 4))
-    assert np.array_equal(shared._a, alone._a) and np.array_equal(shared._b, alone._b)
-    assert np.array_equal(shared._in_class, alone._in_class)
-    assert all(np.array_equal(shared._gn[A], alone._gn[A]) for A in alone._gn)
+def test_reduce_points_matches_scalar_loop():
+    rng = np.random.default_rng(8)
+    z = rng.uniform(-8, 8, 200) + 1j * rng.uniform(0.01, 3.0, 200)
+    w, j = _reduce_points(z)
+    for i, zz in enumerate(z):
+        # the same group element; numpy and Python divide complex numbers
+        # by different rules, so z' may differ in its last bits
+        w_ref, j_ref = _reduce_one(complex(zz))
+        assert j[i] == j_ref and abs(w[i] - w_ref) <= 1e-12
 
 
 # ------------------------------------------------------- the form itself
@@ -237,6 +147,78 @@ def test_eval_fkA_vs_brute_class_sum():
     brute *= (-d) ** ((k + 1) / 2) / math.pi
     # the brute sum itself is only ~1/400 accurate
     assert abs(val - brute) < 5e-3
+
+
+def _direct_class_sum(zs, k, d, rep, a_max=2000, t_max=50):
+    """prefactor * sum Q(z,1)^(-k) over the forms of the class with
+    a <= a_max, summed in floats: b = b0 + 2at, |t| <= t_max."""
+    reps = definite_class_reps(d)
+    pairs = [(a, b0) for a in range(1, a_max + 1) for b0 in sqrt_mod_roots(d, a)
+             if len(reps) == 1 or reduce_definite(BQF(a, b0, (b0 * b0 - d) // (4 * a)))[0] == rep]
+    a, b0 = np.array(pairs, dtype=float).T
+    t = np.arange(-t_max, t_max + 1)
+    b = b0[:, None] + 2 * a[:, None] * t
+    c = (b * b - d) / (4 * a[:, None])
+    a = a[:, None]
+    return (-d) ** ((k + 1) / 2) / math.pi * np.array([np.sum((a * z * z + b * z + c) ** -k) for z in zs])
+
+
+def _points_and_poles(rep, d):
+    # a point of the fundamental domain, one below it, and two within 1e-2
+    # of a pole: the root tau of rep, and its image -1/(tau + 1)
+    tau = complex(-rep.b, math.sqrt(-d)) / (2 * rep.a)
+    return [complex(0.21, 1.13), complex(-0.37, 0.55), tau + 0.007 * (1 + 1j), -1 / (tau + 1) + 0.005j]
+
+
+@pytest.mark.parametrize("d", [-4, -23, -56, -84])
+def test_eval_fkA_matches_direct_class_sum(d):
+    # every class; at a <= 2000 the direct sum's own truncation error is
+    # below 2e-8 relative at k = 4 and 1e-10 at k = 5
+    for rep in definite_class_reps(d):
+        zs = _points_and_poles(rep, d)
+        for k, rel in ((4, 2e-7), (5, 2e-9)):
+            direct = _direct_class_sum(zs, k, d, rep)
+            vals = np.array([eval_fkA(z, k, d, rep) for z in zs])
+            assert np.all(np.abs(vals - direct) <= rel * np.abs(direct)), (rep, k)
+
+
+@pytest.mark.parametrize("k, d, rep", [(5, -23, BQF(2, 1, 3)), (5, -23, BQF(2, -1, 3)),
+                                       (4, -56, BQF(3, 2, 5)), (4, -56, BQF(3, -2, 5))])
+def test_classes_unequal_to_their_inverse(k, d, rep):
+    # these classes do not contain [a, -b, c] along with [a, b, c], so the
+    # sine part of e(n b0 / 2a) in the class sum is not zero; a sum that
+    # kept only the cosine was off by 7.7e-5 (d = -23) and 2.4e-4 to
+    # 1.5e-3 (d = -56) relative
+    zs = [complex(0.13, 1.07), complex(-0.31, 0.93), complex(0.27, 0.71)]
+    direct = _direct_class_sum(zs, k, d, rep)
+    vals = np.array([eval_fkA(z, k, d, rep) for z in zs])
+    assert np.max(np.abs(vals - direct) / np.abs(direct)) < 1e-8
+    inverse = BQF(rep.a, -rep.b, rep.c)
+    other = np.array([eval_fkA(z, k, d, inverse) for z in zs])
+    assert np.min(np.abs(other - vals) / np.abs(vals)) > 1e-3
+
+
+@pytest.mark.parametrize("k, d, rel", [(6, -4, 1e-8), (6, -23, 1e-8), (6, -56, 1e-8),
+                                       (8, -4, 5e-8), (8, -23, 5e-8)])
+def test_cusp_form_pinning_matches_direct_class_sum(k, d, rel):
+    # dim S_12 = dim S_16 = 1: one cusp-form coefficient is pinned
+    for rep in definite_class_reps(d):
+        ev = get_evaluator(k, d, rep)
+        assert ev.cutoff == ev.PIN_CUTOFF
+        zs = _points_and_poles(rep, d)
+        direct = _direct_class_sum(zs, k, d, rep)
+        vals = ev.eval(np.array(zs))
+        assert np.all(np.abs(vals - direct) <= rel * np.abs(direct)), rep
+
+
+def test_layer_delta_only_where_cusp_forms_are_pinned():
+    for k in (2, 3, 4, 5, 7):
+        ev = get_evaluator(k, -23)
+        assert ev.cutoff == 0 and ev.layer_delta(1 << 10) == 0.0
+        vals, error, cutoff = ev.eval_adaptive(np.array([0.2 + 1.1j]), 1e-9)
+        assert error == ev.residual and cutoff == 0
+    ev = get_evaluator(6, -23)
+    assert 0.0 < ev.layer_delta(ev.cutoff) <= ev.residual < 1e-8
 
 
 def test_eval_fkA_examples():
@@ -303,6 +285,13 @@ def test_imaginary_parts_cancel():
     assert abs(total.real - 24) < 1e-6
 
 
+def test_geodesic_tolerances_past_the_old_layer_ceiling():
+    # a truncated class sum raised NoConvergence at its layer ceiling here
+    ex = float(rhs_trace(2, 192))
+    rep = lhs_geodesic(2, 192, -4, tol=1e-6)
+    assert rep.cutoff["met_tol"] and abs(rep.value - ex) <= rep.error_estimate
+
+
 def test_lhs_geodesic():
     rep = lhs_geodesic(2, 12, -4, tol=1e-5)
     assert isinstance(rep, TraceReport)
@@ -348,6 +337,13 @@ def test_r2_table_vs_brute():
                 if b * b + e * e == n
             )
             assert table[s - lo - 1] == brute, (D, s, n)
+
+
+def test_r2_table_with_shared_prime_roots():
+    # one _PrimeRoots across growing windows, as the lattice sum keeps it
+    roots = _PrimeRoots(21)
+    for lo, hi in ((0, 64), (64, 128), (128, 512)):
+        assert np.array_equal(_r2_table(21, lo, hi, roots), _r2_table(21, lo, hi))
 
 
 def test_parity_counts_vs_brute():

@@ -44,6 +44,14 @@ def test_trace_geodesic_same_under_optimize():
     assert seconds.sub("", optimized.stdout) == seconds.sub("", plain.stdout)
 
 
+def test_readme_geodesic_example():
+    proc = run_cli("trace", "--k", "2", "--D", "76", "--method", "geodesic", "--tol", "1e-8")
+    assert proc.returncode == 0, proc.stderr
+    value, line = proc.stdout.splitlines()
+    estimate = float(re.search(r"error_estimate=(\S+)", line).group(1))
+    assert abs(float(value) - 232) <= estimate
+
+
 def test_trace_square_exit_3():
     proc = run_cli("trace", "--k", "2", "--D", "9", "--method", "exact")
     assert proc.returncode == 3
