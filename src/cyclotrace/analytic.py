@@ -192,6 +192,14 @@ def _pole_gap(tau: complex) -> float:
     return min(abs(w - tau) for w in images if abs(w - tau) > 1e-9)
 
 
+def _class_pairs(d: int, A: int, rep: BQF | None = None) -> np.ndarray:
+    """The (a, b0) of the forms [a, b0, (b0^2 - d)/4a] with a <= A and b0 from
+    `sqrt_mod_roots`, as two float rows; only those that reduce to rep if given."""
+    return np.array([(a, b0) for a in range(1, A + 1) for b0 in sqrt_mod_roots(d, a)
+                     if rep is None or reduce_definite(BQF(a, b0, (b0 * b0 - d) // (4 * a)))[0] == rep],
+                    dtype=float).reshape(-1, 2).T
+
+
 class FkAEvaluator:
     """Evaluates f_{k,A}, the weight 2k meromorphic form of a definite class A.
 
@@ -319,15 +327,9 @@ class FkAEvaluator:
         """The beta_i pinned by the class sum over a <= A, and their change
         from the sum over a <= A/2, weighted by the largest |h_i| at the
         pin points."""
-        d = self.d
-        pairs = [
-            (a, b0) for a in range(1, A + 1) for b0 in sqrt_mod_roots(d, a)
-            if not self.filter_class or reduce_definite(BQF(a, b0, (b0 * b0 - d) // (4 * a)))[0] == self.rep
-        ]
-        a, b0 = np.array(pairs, dtype=float).T
+        a, b0 = _class_pairs(self.d, A, self.rep if self.filter_class else None)
         fractions, cusp = self._terms(*_eisenstein(self._pin_points))
-        fitted = fractions @ self._c
-        beta, half = (np.linalg.solve(cusp, self._class_sum(self._pin_points, a[keep], b0[keep]) - fitted)
+        beta, half = (np.linalg.solve(cusp, self._class_sum(self._pin_points, a[keep], b0[keep]) - fractions @ self._c)
                       for keep in (a > 0, a <= A // 2))
         return beta, float(np.abs(beta - half) @ np.max(np.abs(cusp), axis=0))
 

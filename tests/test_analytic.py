@@ -1,5 +1,6 @@
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cyclotrace.analytic import (
 )
 from cyclotrace.analytic import (
     _PrimeRoots,
+    _class_pairs,
     _hyp_series,
     _hyp2f1_vec,
     _parity_counts,
@@ -128,6 +130,70 @@ def test_reduce_points_matches_scalar_loop():
         # by different rules, so z' may differ in its last bits
         w_ref, j_ref = _reduce_one(complex(zz))
         assert j[i] == j_ref and abs(w[i] - w_ref) <= 1e-12
+
+
+# --------------------------------------------- the pinning's class sum
+
+
+def _brute_pairs(d, a_max):
+    return np.array([(a, b0) for a in range(1, a_max + 1) for b0 in sqrt_mod_roots(d, a)])
+
+
+# d = -260 has the form [65, 0, 1], whose b0 = 0 is a root of an odd a
+@pytest.mark.parametrize("d", [-3, -4, -7, -12, -20, -23, -84, -260])
+def test_root_table_matches_sqrt_mod_roots(d):
+    a_max = FkAEvaluator.PIN_CUTOFF
+    a, b0 = _class_pairs(d, a_max)
+    assert np.array_equal(np.column_stack([a, b0]), _brute_pairs(d, a_max))
+    # every form of discriminant d with a <= a_max, once per translate
+    # class: b in (-a, a] with b^2 = d mod 4a, found by a direct search
+    direct = [(aa, b) for aa in range(1, a_max + 1) for b in range(-aa + 1, aa + 1)
+              if (b * b - d) % (4 * aa) == 0]
+    assert np.array_equal(np.column_stack([a, b0]), np.array(direct))
+    # the pinning's cutoffs A/2 and A are prefixes of the one table
+    half = _class_pairs(d, a_max // 2)
+    assert np.array_equal(half[0], a[a <= a_max // 2]) and np.array_equal(half[1], b0[a <= a_max // 2])
+
+
+@pytest.mark.parametrize("d", [-12, -20, -23, -56, -84])
+def test_class_filter_matches_reduce_definite(d):
+    pairs = _brute_pairs(d, 1500)
+    reduced = [reduce_definite(BQF(int(a), int(b), int((b * b - d) // (4 * a))))[0] for a, b in pairs]
+    reps = definite_class_reps(d)
+    assert len(reps) > 1
+    kept = 0
+    for rep in reps:
+        a, b0 = _class_pairs(d, 1500, rep)
+        assert np.array_equal(np.column_stack([a, b0]), pairs[[Q == rep for Q in reduced]].reshape(-1, 2))
+        kept += len(a)
+    # the classes partition the table
+    assert kept == len(pairs)
+    # the evaluator of a non-principal class pins with exactly that class
+    ev = FkAEvaluator(6, d, rep=reps[-1])
+    assert ev.rep == reps[-1] and ev.filter_class
+    zs = _points_and_poles(reps[-1], d)
+    direct = _direct_class_sum(zs, 6, d, reps[-1])
+    assert np.all(np.abs(ev.eval(np.array(zs)) - direct) <= 1e-8 * np.abs(direct))
+
+
+def test_threads_share_an_evaluator():
+    # worker threads that use one evaluator at once see the same values,
+    # pinning changes and coefficients as a single thread does
+    k, d, top = 6, -20, 1 << 10
+    zs = np.array([complex(0.21, 1.13), complex(-0.37, 0.55)])
+    alone = FkAEvaluator(k, d)
+    expect = {A: alone.layer_delta(A) for A in (top >> i for i in range(4))}
+    shared = FkAEvaluator(k, d)
+
+    def work(A):
+        return A, shared.layer_delta(A), shared.eval(zs)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(work, [top >> i for i in range(4)] * 4))
+    for A, delta, vals in results:
+        assert delta == expect[A] and np.array_equal(vals, alone.eval(zs))
+    assert np.array_equal(shared._c, alone._c) and np.array_equal(shared._beta, alone._beta)
+    assert shared.residual == alone.residual
 
 
 # ------------------------------------------------------- the form itself
