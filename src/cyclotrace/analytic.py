@@ -24,7 +24,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .arith import check_discriminant
+from .arith import check_discriminant, sigma
 from .bqf import (
     BQF,
     PairingSolver,
@@ -142,9 +142,8 @@ def _eisenstein(z: np.ndarray, terms: int = 24) -> tuple[np.ndarray, np.ndarray,
     E4, E6, delta, qn = np.ones_like(q), np.ones_like(q), q.copy(), np.ones_like(q)
     for n in range(1, terms + 1):
         qn = qn * q
-        divisors = [m for m in range(1, n + 1) if n % m == 0]
-        E4 += 240 * sum(m**3 for m in divisors) * qn
-        E6 -= 504 * sum(m**5 for m in divisors) * qn
+        E4 += 240 * sigma(3, n) * qn
+        E6 -= 504 * sigma(5, n) * qn
         delta *= (1 - qn) ** 24
     return E4, E6, delta
 
@@ -270,7 +269,10 @@ class FkAEvaluator:
             e, order = 1, 0
         self._M = -(-(k + order) // e)
         E4, E6, delta = _eisenstein(np.array([tau]))
-        self._jA = complex(E4[0] ** 3 / delta[0])
+        with np.errstate(all="ignore"):
+            self._jA = complex(E4[0] ** 3 / delta[0])
+        if not np.isfinite(self._jA):
+            raise ValueError(f"j at the root of the class of d = {d} overflows a float")
         # h_i = Delta^i E4^p_i E6^r_i, as (i, p_i, r_i)
         dim = k // 6 - (k % 6 == 1)
         self._cusp = [(i, (k - 6 * i - 3 * self._r) // 2, self._r) for i in range(1, dim + 1)]
@@ -305,6 +307,8 @@ class FkAEvaluator:
 
         self.cutoff = self.PIN_CUTOFF if dim else 0
         self._beta, pin_change = self._pin(self.cutoff) if dim else (np.zeros(0), 0.0)
+        if not (np.all(np.isfinite(self._c)) and np.all(np.isfinite(self._beta))):
+            raise ValueError(f"the coefficients of f_(k,A) at d = {d} are not finite")
         self.residual = fit + cancellation + pin_change
 
     def _terms(self, E4, E6, delta) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,6 @@ __all__ = [
     "is_fundamental_discriminant",
     "fundamental_decomposition",
     "bernoulli_numbers",
-    "bernoulli_polynomial",
     "gen_bernoulli",
     "dirichlet_L_value",
     "cohen_H",
@@ -161,16 +160,6 @@ def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def bernoulli_polynomial(r: int, x: Fraction) -> Fraction:
-    """B_r(x) = sum_j C(r, j) B_j x^(r-j), exact."""
-    B = bernoulli_numbers(r)
-    x = Fraction(x)
-    acc = Fraction(0)
-    for j in range(r + 1):
-        acc += comb(r, j) * B[j] * x ** (r - j)
-    return acc
-
-
 def zeta_negative(m: int) -> Fraction:
     """zeta(-m) = -B_{m+1}/(m+1) for m >= 0, exact."""
     if m < 0:
@@ -182,7 +171,12 @@ def zeta_negative(m: int) -> Fraction:
 def gen_bernoulli(r: int, D: int) -> Fraction:
     """Generalized Bernoulli number B_{r,chi_D} for fundamental D.
 
-    Computed as f^(r-1) * sum_{a=1..f} chi_D(a) B_r(a/f) with f = |D|.
+    By definition f^(r-1) * sum_{a=1..f} chi_D(a) B_r(a/f) with f = |D|;
+    expanding B_r(x) = sum_j C(r, j) B_j x^(r-j) gives
+
+        B_{r,chi_D} = sum_j C(r, j) B_j f^(j-1) P_(r-j),
+
+    with the integer power sums P_m = sum_{a=1..f} chi_D(a) a^m.
     D = 1 reduces to the ordinary Bernoulli number B_r.
     """
     if r < 1:
@@ -192,12 +186,16 @@ def gen_bernoulli(r: int, D: int) -> Fraction:
     if not is_fundamental_discriminant(D):
         raise NonFundamental(f"{D} is not a fundamental discriminant")
     f = abs(D)
-    acc = Fraction(0)
+    P = [0] * (r + 1)
     for a in range(1, f + 1):
         chi = kronecker(D, a)
         if chi:
-            acc += chi * bernoulli_polynomial(r, Fraction(a, f))
-    return Fraction(f) ** (r - 1) * acc
+            power = chi
+            for m in range(r + 1):
+                P[m] += power
+                power *= a
+    B = bernoulli_numbers(r)
+    return sum(comb(r, j) * B[j] * Fraction(f) ** (j - 1) * P[r - j] for j in range(r + 1))
 
 
 def moebius(n: int) -> int:

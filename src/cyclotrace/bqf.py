@@ -58,10 +58,6 @@ class BQF:
     def content(self) -> int:
         return gcd(gcd(abs(self.a), abs(self.b)), abs(self.c))
 
-    def value(self, z: complex) -> complex:
-        """Q(z, 1) = a z^2 + b z + c."""
-        return self.a * z * z + self.b * z + self.c
-
     def apply(self, g: "SL2Z") -> "BQF":
         """The form g.Q with (g.Q)(v) = Q(g^{-1} v), so z_{g.Q} = g(z_Q)."""
         a, b, c = self.a, self.b, self.c
@@ -70,9 +66,6 @@ class BQF:
         bb = -2 * a * q * s + b * (p * s + q * r) - 2 * c * p * r
         cc = a * q * q - b * q * p + c * p * p
         return BQF(aa, bb, cc)
-
-    def __neg__(self) -> "BQF":
-        return BQF(-self.a, -self.b, -self.c)
 
     def __repr__(self) -> str:
         return f"[{self.a},{self.b},{self.c}]"
@@ -108,9 +101,6 @@ class SL2Z:
 
     def neg(self) -> "SL2Z":
         return SL2Z(-self.a, -self.b, -self.c, -self.d)
-
-    def moebius(self, z: complex) -> complex:
-        return (self.a * z + self.b) / (self.c * z + self.d)
 
     def __repr__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"

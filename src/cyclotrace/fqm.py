@@ -78,23 +78,6 @@ def _det(M) -> Fraction:
     return det
 
 
-def _inverse(M) -> list[list[Fraction]]:
-    n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise SingularGram("matrix is singular")
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
-
-
 def _signature(gram) -> tuple[int, int]:
     """(number of positive, number of negative) eigenvalue signs, exact."""
     n = len(gram)
@@ -137,106 +120,49 @@ def _signature(gram) -> tuple[int, int]:
 
 
 def smith_normal_form(M):
-    """U, D, V with U M V = D diagonal, d1 | d2 | ..., U, V unimodular."""
+    """U, D, V with U M V = D diagonal, d1 | d2 | ..., U, V unimodular.
+
+    One loop per pivot (Cohen, GTM 138, 2.4.4): the smallest nonzero
+    entry of the remaining block becomes the pivot, and its row and
+    column are cleared by division with remainder.  A nonzero remainder
+    is the next, smaller pivot.  Once the row and column are clear, a
+    remaining entry that the pivot does not divide has its row added to
+    the pivot row, and the pivot is chosen again.
+    """
     A = [row[:] for row in M]
     n, m = len(A), len(A[0])
     U, V = _identity(n), _identity(m)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, f):
         A[dst] = [x + f * y for x, y in zip(A[dst], A[src])]
         U[dst] = [x + f * y for x, y in zip(U[dst], U[src])]
 
     def add_col(src, dst, f):
-        for row in A:
-            row[dst] += f * row[src]
-        for row in V:
+        for row in A + V:
             row[dst] += f * row[src]
 
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(n, m):
-        # find a nonzero pivot
-        piv = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if A[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+    for t in range(min(n, m)):
         while True:
-            # clear column t
-            changed = False
+            block = [(abs(A[i][j]), i, j) for i in range(t, n) for j in range(t, m) if A[i][j]]
+            if not block:
+                return U, A, V
+            _, i, j = min(block)
+            A[t], A[i], U[t], U[i] = A[i], A[t], U[i], U[t]
+            for row in A + V:
+                row[t], row[j] = row[j], row[t]
+            p = A[t][t]
             for i in range(t + 1, n):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    add_row(t, i, -q)
-                    if A[i][t]:
-                        swap_rows(t, i)
-                    changed = True
+                add_row(t, i, -(A[i][t] // p))
             for j in range(t + 1, m):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    add_col(t, j, -q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                    changed = True
-            if not changed:
+                add_col(t, j, -(A[t][j] // p))
+            if any(A[i][t] for i in range(t + 1, n)) or any(A[t][j] for j in range(t + 1, m)):
+                continue
+            i = next((i for i in range(t + 1, n) for j in range(t + 1, m) if A[i][j] % p), None)
+            if i is None:
                 break
+            add_row(i, t, 1)
         if A[t][t] < 0:
-            negate_row(t)
-        t += 1
-    # enforce divisibility d1 | d2 | ... (fixpoint; folds can disturb later slots)
-    k = min(n, m)
-    while True:
-        dirty = False
-        for i in range(k):
-            if A[i][i] < 0:
-                negate_row(i)
-            for j in range(i + 1, k):
-                if A[i][i] and A[j][j] % A[i][i]:
-                    dirty = True
-                    add_col(j, i, 1)
-                    while True:
-                        changed = False
-                        for r in range(i + 1, n):
-                            if A[r][i]:
-                                q = A[r][i] // A[i][i]
-                                add_row(i, r, -q)
-                                if A[r][i]:
-                                    swap_rows(i, r)
-                                changed = True
-                        for c in range(i + 1, m):
-                            if A[i][c]:
-                                q = A[i][c] // A[i][i]
-                                add_col(i, c, -q)
-                                if A[i][c]:
-                                    swap_cols(i, c)
-                                changed = True
-                        if not changed:
-                            break
-        if not dirty:
-            break
-    for i in range(k):
-        if A[i][i] < 0:
-            negate_row(i)
+            A[t], U[t] = [-x for x in A[t]], [-x for x in U[t]]
     return U, A, V
 
 
@@ -310,11 +236,14 @@ def _frac_mod1(x: Fraction) -> Fraction:
 class FQModule:
     """Finite quadratic module L'/L of an even lattice.
 
-    Elements are tuples over Z/d_i (the elementary divisors of the Gram
-    matrix); each element knows a representative vector in the dual
-    lattice, its Q/Z-valued quadratic form value, and the bilinear form
-    mod 1.  Direct sums keep the factor structure so that component
-    tuples of a tensor product are concatenations.
+    Elements are tuples t over Z/d_i, the elementary divisors of the Gram
+    matrix G.  With U G V = diag(d) its Smith form, the coset t has the
+    representative x = V (t_i / d_i) in the dual lattice, since then
+    U G x = t; a dual vector x lies in the coset U G x mod d.  Each
+    element knows its representative, its Q/Z-valued quadratic form
+    value, and the bilinear form mod 1.  Direct sums keep the factor
+    structure so that component tuples of a tensor product are
+    concatenations.
     """
 
     def __init__(self, lattice: IntLattice):
@@ -324,21 +253,13 @@ class FQModule:
         n = lattice.rank
         U, Dm, V = smith_normal_form([list(r) for r in lattice.gram])
         self.orders = tuple(Dm[i][i] for i in range(n))
-        Uinv = _inverse(U)
-        Ginv = _inverse(lattice.gram)
-        self._ginv = Ginv
-        # element tuple t -> integer vector m = U^{-1} t; dual vector x = G^{-1} m
-        self._uinv = Uinv
-        self._u = [[Fraction(x) for x in row] for row in U]
+        self._u = U
         self.elements = [tuple(t) for t in product(*(range(d) for d in self.orders))]
         self.index = {t: i for i, t in enumerate(self.elements)}
-        self._rep = {}
-        for t in self.elements:
-            m = [sum(Uinv[i][j] * t[j] for j in range(n)) for i in range(n)]
-            x = tuple(
-                sum(Ginv[i][j] * m[j] for j in range(n)) for i in range(n)
-            )
-            self._rep[t] = x
+        self._rep = {
+            t: tuple(sum(V[i][j] * Fraction(t[j], self.orders[j]) for j in range(n)) for i in range(n))
+            for t in self.elements
+        }
         self._q = [_frac_mod1(lattice.q(self._rep[t])) for t in self.elements]
         pos, neg = lattice.signature
         self.signature_mod_8 = (pos - neg) % 8
@@ -367,13 +288,7 @@ class FQModule:
         m = [sum(Fraction(g[i][j]) * x[j] for j in range(n)) for i in range(n)]
         if any(mi.denominator != 1 for mi in m):
             raise ValueError(f"{x} is not in the dual lattice")
-        t = []
-        for i in range(n):
-            val = sum(self._u[i][j] * int(m[j]) for j in range(n))
-            if val.denominator != 1:
-                raise RuntimeError(f"coset coordinate {val} of {x} is not an integer")
-            t.append(int(val) % self.orders[i])
-        return tuple(t)
+        return tuple(sum(u * int(mj) for u, mj in zip(row, m)) % d for row, d in zip(self._u, self.orders))
 
     @staticmethod
     def direct_sum(A: "FQModule", B: "FQModule") -> "FQModule":
@@ -393,8 +308,6 @@ class FQModule:
             (ta + tb): A._rep[ta] + B._rep[tb] for ta in A.elements for tb in B.elements
         }
         out._q = [_frac_mod1(qa + qb) for qa in A._q for qb in B._q]
-        out._ginv = None
-        out._uinv = None
         out._u = None
         out.signature_mod_8 = (A.signature_mod_8 + B.signature_mod_8) % 8
         return out

@@ -287,6 +287,14 @@ def test_layer_delta_only_where_cusp_forms_are_pinned():
     assert 0.0 < ev.layer_delta(ev.cutoff) <= ev.residual < 1e-8
 
 
+def test_evaluator_rejects_overflowing_j():
+    # j at tau_A = (-b + i sqrt|d|)/2a overflows a float once Im tau_A > ~113
+    with pytest.raises(ValueError, match="-60003"):
+        FkAEvaluator(3, -60003)
+    ev = FkAEvaluator(3, -50003)
+    assert np.isfinite(ev._jA) and np.all(np.isfinite(ev._c))
+
+
 def test_eval_fkA_examples():
     z = complex(0.3, 1.1)
     f1 = eval_fkA(z, 2, -4, tol=1e-8)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt, lcm
 
 import pytest
 
@@ -76,6 +76,24 @@ def test_gen_bernoulli_vanishes_for_even_character():
     # B_{1, chi} = 0 for the even characters of positive discriminants
     for D in (5, 8, 12, 13, 17, 21, 24):
         assert gen_bernoulli(1, D) == 0
+
+
+def test_gen_bernoulli_against_definition():
+    # B_{r,chi} = f^(r-1) sum_{a=1..f} chi_D(a) B_r(a/f), where B_r(x) =
+    # sum_j c_j x^(r-j) with c_j = C(r, j) B_j; with L the common
+    # denominator of the c_j, L f^r B_r(a/f) = sum_j L c_j a^(r-j) f^j
+    B = bernoulli_numbers(6)
+    c = {r: [comb(r, j) * B[j] for j in range(r + 1)] for r in range(1, 7)}
+    L = {r: lcm(*(x.denominator for x in c[r])) for r in c}
+    for D in range(-400, 401):
+        if D in (0, 1) or not is_fundamental_discriminant(D):
+            continue
+        f = abs(D)
+        chi = [(kronecker(D, a), a) for a in range(1, f + 1)]
+        for r in range(1, 7):
+            N = [int(x * L[r]) for x in c[r]]
+            total = sum(s * sum(N[j] * a ** (r - j) * f**j for j in range(r + 1)) for s, a in chi if s)
+            assert gen_bernoulli(r, D) == Fraction(total, L[r] * f), (r, D)
 
 
 def test_L_value_examples():

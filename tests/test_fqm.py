@@ -66,6 +66,32 @@ def test_smith_normal_form_random():
         assert all(diag[i + 1] % diag[i] == 0 for i in range(n - 1))
 
 
+def test_fqmodule_round_trips_random():
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        while True:
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                g[i][i] = 2 * rng.randint(-3, 3)
+                for j in range(i):
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+            L = IntLattice(tuple(map(tuple, g)))
+            if 0 < abs(L.det) <= 100:
+                break
+        M = FQModule(L)
+        assert M.order == abs(L.det)
+        for t in M.elements:
+            rep = M.rep_vector(t)
+            assert M.element_of_vector(rep) == t
+            assert all(sum(g[i][j] * rep[j] for j in range(n)).denominator == 1 for i in range(n))
+            assert M.q_value(t) == L.q(rep) - math.floor(L.q(rep))
+            # the coset ignores lattice vectors, and so does q mod 1
+            shifted = [x + rng.randint(-3, 3) for x in rep]
+            assert M.element_of_vector(shifted) == t
+            assert (L.q(shifted) - M.q_value(t)).denominator == 1
+
+
 def test_disc_group_examples():
     MP = module_P()
     assert MP.orders == (2,)
