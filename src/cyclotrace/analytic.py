@@ -10,14 +10,17 @@ automorph period of each geodesic; their error estimate is the last
 panel doubling's change, plus the evaluator's residual over the window,
 plus a rounding floor.  The hypergeometric lattice sum counts
 representations with a factorization sieve, and its estimate is its
-last doubling's change.
+last doubling's change.  At d = -4 the sieve is numpy array work: the
+square roots of -D modulo every new prime come from one batched
+Tonelli--Shanks as the cutoff grows, and the int64 values D + s^2 are
+divided by their prime powers in chunks of a bounded number of hits.
+The 2F1 series stops once no term left can change its sum.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, isqrt
@@ -28,7 +31,6 @@ from .arith import check_discriminant, sigma
 from .bqf import (
     BQF,
     PairingSolver,
-    _sqrt_mod_prime,
     equivalent_indefinite,
     indefinite_class_reps,
     on_geodesic_forms,
@@ -82,12 +84,30 @@ class TraceReport:
 
 
 def _hyp_series(a: float, b: float, c: float, w, terms: int = 90):
-    """Direct series, scalar or numpy array w with |w| <= 0.55."""
-    t = np.ones_like(np.asarray(w, dtype=float))
+    """Direct series, scalar or numpy array w with |w| <= 0.55.
+
+    It stops early once no term left can change any entry of the sum, so
+    it returns the `terms`-term sum bit for bit: the last term is below
+    half the float gap under its sum (a quarter of `np.spacing`, as the gap
+    halves below a power of two), and no later term is larger.  Term m is
+    term m-1 times w rho_m, rho_m = (a + m)(b + m)/((c + m)(1 + m)), and
+    rho_m - 1 = ((a + b - c - 1) m + ab - c)/((c + m)(1 + m)) bounds every
+    |rho_m|, m >= n > -c, by 1 + |a + b - c - 1|/(c + n) + |ab - c|/((c + n)(1 + n)).
+    The next ratio alone bounds none of them: at a = b = k/2 it rises
+    toward 1 for small k, and exceeds 1 at small m for k >= 5.
+    """
+    w = np.asarray(w, dtype=float)
+    t = np.ones_like(w)
     acc = t.copy()
+    wmax = float(np.max(np.abs(w), initial=0.0))
+    slope, offset = abs(a + b - c - 1), abs(a * b - c)
     for j in range(terms):
         t = t * ((a + j) * (b + j)) / ((c + j) * (1.0 + j)) * w
         acc = acc + t
+        n = j + 1  # the next ratio is rho_n
+        if c + n > 0 and (1 + slope / (c + n) + offset / ((c + n) * (1 + n))) * wmax <= 1:
+            if np.max(np.abs(t), initial=0.0) < np.spacing(np.min(np.abs(acc), initial=np.inf)) / 4:
+                break
     return acc
 
 
@@ -542,41 +562,119 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
 # hypergeometric lattice sum (method 2)
 
 
-def _primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).tolist()
+# The most (index, prime) hits one pass of the d = -4 sieve holds in its
+# arrays; it bounds the sieve's memory and does not change its counts.
+SIEVE_CHUNK = 1 << 16
+
+
+def _primes_between(lo: int, hi: int) -> np.ndarray:
+    """The primes p with lo < p <= hi as int64, by sieving that segment alone
+    with the primes up to sqrt(hi)."""
+    seg = np.ones(max(hi - lo, 0), dtype=bool)  # entry i is lo + 1 + i
+    seg[: max(1 - lo, 0)] = False
+    base = _primes_between(1, isqrt(hi)).tolist() if hi >= 4 else []
+    for q in base:
+        start = max(q * q, (lo // q + 1) * q)
+        seg[start - lo - 1 :: q] = False
+    return np.flatnonzero(seg).astype(np.int64) + (lo + 1)
+
+
+def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod mod elementwise, on int64 arrays whose squared moduli fit in int64."""
+    out = np.ones_like(mod)
+    base = base % mod
+    exp = exp.copy()
+    while exp.any():
+        # times base where the bit is set, times 1 elsewhere
+        out = out * ((exp & 1) * (base - 1) + 1) % mod
+        base = base * base % mod
+        exp >>= 1
+    return out
+
+
+def _order_log2(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The least i with t^(2^i) ≡ 1 (mod p), elementwise, for t whose order
+    mod p is a power of 2."""
+    i, t = np.zeros_like(p), t.copy()
+    more = np.flatnonzero(t != 1)
+    while more.size:
+        t[more] = t[more] * t[more] % p[more]
+        i[more] += 1
+        more = more[t[more] != 1]
+    return i
+
+
+def _sqrt_mod_primes(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euler's criterion and Tonelli--Shanks, batched over odd primes p that
+    do not divide n: (square, r), where square marks the p mod which n is a
+    square, and r holds a square root of n mod each of those p."""
+    # p - 1 = q 2^m with q odd.  From y = n^((q-1)/2) come r = n^((q+1)/2)
+    # and t = n^q, of order 2^i; Euler's criterion t^(2^(m-1)) = 1 is i < m
+    low = (p - 1) & (1 - p)
+    q, m = (p - 1) // low, np.log2(low).astype(np.int64)
+    y = _powmod(n, (q - 1) // 2, p)
+    r, t = y * n % p, y * y % p * n % p
+    i = _order_log2(t, p)
+    square = i < m
+    p, q, m, t, r, i = (x[square] for x in (p, q, m, t, r, i))
+    # c = z^q for the least non-residue z of p among 2, 3, 4, ...; only
+    # p ≡ 1 (mod 4) needs one, since t = 1 already when m = 1
+    z = np.full_like(p, 2)
+    todo = np.flatnonzero(m > 1)
+    while todo.size:
+        pt = p[todo]
+        todo = todo[_powmod(z[todo], (pt - 1) // 2, pt) != pt - 1]
+        z[todo] += 1
+    c = _powmod(z, q, p)
+    # each step keeps r^2 ≡ n t and lowers the order of t, until t = 1
+    live = np.flatnonzero(i > 0)
+    while live.size:
+        pl = p[live]
+        b = _powmod(c[live], 1 << (m[live] - i[live] - 1), pl)
+        m[live], c[live] = i[live], b * b % pl
+        t[live], r[live] = t[live] * c[live] % pl, r[live] * b % pl
+        i[live] = _order_log2(t[live], pl)
+        live = live[i[live] > 0]
+    return square, r
 
 
 class _PrimeRoots:
-    """The primes p and the residues r mod p with r^2 ≡ -D, for one D.
+    """The pairs (p, r) of a prime p and a residue 0 <= r < p with
+    r^2 ≡ -D (mod p), for one D, as int64 arrays sorted by p, then r.
 
-    `upto(bound)` extends them to every p <= bound; a lattice sum keeps
-    one of these across its doublings, so each prime's roots are found
-    once, not once per window.
+    `upto(bound)` extends them to every p <= bound.  It sieves only the
+    primes above the bound it reached before, keeps those with a root by
+    Euler's criterion, and finds the roots of all of them in one batched
+    Tonelli--Shanks.  A prime dividing D has the single root 0, and 2 has
+    the single root D mod 2.  A lattice sum keeps one of these across its
+    doublings, so each prime's roots are found once, not once per window.
     """
 
     def __init__(self, D: int):
         self.D = D
-        self.primes: list[int] = []
-        self.roots: list[tuple[int, ...]] = []
+        self.bound = 1
+        self.p = self.r = np.zeros(0, dtype=np.int64)
 
-    def upto(self, bound: int):
-        for p in _primes_up_to(bound)[len(self.primes):]:
-            if p == 2:
-                roots = [r for r in range(2) if (r * r + self.D) % 2 == 0]
-            else:
-                roots = _sqrt_mod_prime((-self.D) % p, p)
-            self.primes.append(p)
-            self.roots.append(tuple({x % p for x in roots}))
-        n = bisect_right(self.primes, bound)
-        return zip(self.primes[:n], self.roots[:n])
+    def upto(self, bound: int) -> tuple[np.ndarray, np.ndarray]:
+        if bound > self.bound:
+            p = _primes_between(self.bound, bound)
+            self.bound = bound
+            n = (-self.D) % p
+            # each prime's roots as a row (low, high), with a mask of those
+            # that exist: one root for 2 and for p | D, else none or two
+            one = (p == 2) | (n == 0)
+            pairs = np.zeros((p.size, 2), dtype=np.int64)
+            exists = np.zeros((p.size, 2), dtype=bool)
+            pairs[one, 0], exists[one, 0] = np.where(p[one] == 2, self.D % 2, 0), True
+            odd = np.flatnonzero(~one)
+            square, x = _sqrt_mod_primes(n[odd], p[odd])
+            odd = odd[square]
+            pairs[odd, 0], pairs[odd, 1] = np.minimum(x, p[odd] - x), np.maximum(x, p[odd] - x)
+            exists[odd] = True
+            self.p = np.concatenate([self.p, np.repeat(p, 2).reshape(-1, 2)[exists]])
+            self.r = np.concatenate([self.r, pairs[exists]])
+        n = np.searchsorted(self.p, bound, side="right")
+        return self.p[:n], self.r[:n]
 
 
 def _r2_table(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
@@ -586,32 +684,50 @@ def _r2_table(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.
     prime ≡ 3 (mod 4) divides n to an even power, and otherwise equals
     4 * prod (e_p + 1) over p ≡ 1 (mod 4).  Entry i belongs to s = lo+1+i.
     The primes and their roots come from `roots` when given.
+
+    The values D + s^2 are int64.  A pair (p, r) hits the entries with
+    s ≡ r (mod p), all of which p divides.  The hits are taken in chunks
+    of at most SIEVE_CHUNK; each chunk finds the p-adic valuations of its
+    hits as arrays, and folds them into the exponent product, the bad
+    flags and the product of the prime powers found with np.multiply.at:
+    an entry repeats across the primes of a chunk, and a fancy-index
+    write-back would keep only one of its updates.  What the prime powers
+    leave of D + s^2 is 1 or one prime above the sieve's bound.
     """
-    vals = [D + s * s for s in range(lo + 1, hi + 1)]
-    mult = np.ones(hi - lo, dtype=np.int64)
-    bad = np.zeros(hi - lo, dtype=bool)
-    bound = isqrt(D + hi * hi) + 1
-    for p, residues in (roots or _PrimeRoots(D)).upto(bound):
-        for r in residues:
-            # the first index whose s = lo+1+i is ≡ r (mod p)
-            for i in range((r - lo - 1) % p, hi - lo, p):
-                v = vals[i]
-                e = 0
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                vals[i] = v
-                if p % 4 == 1:
-                    mult[i] *= e + 1
-                elif p % 4 == 3 and e % 2:
-                    bad[i] = True
-    for i, v in enumerate(vals):
-        if v > 1:
-            # leftover prime (exponent 1)
-            if v % 4 == 1:
-                mult[i] *= 2
-            elif v % 4 == 3:
-                bad[i] = True
+    size = hi - lo
+    vals = D + np.arange(lo + 1, hi + 1, dtype=np.int64) ** 2
+    mult = np.ones(size, dtype=np.int64)
+    found = np.ones(size, dtype=np.int64)
+    bad = np.zeros(size, dtype=bool)
+    p, r = (roots or _PrimeRoots(D)).upto(isqrt(D + hi * hi) + 1)
+    # the first index whose s = lo+1+i is ≡ r (mod p), and the hits per pair
+    first = (r - (lo + 1)) % p
+    ends = np.cumsum((size - first + p - 1) // p)
+    starts = np.concatenate([[0], ends[:-1]])
+    total = int(ends[-1]) if ends.size else 0
+    for h0 in range(0, total, SIEVE_CHUNK):
+        h1 = min(h0 + SIEVE_CHUNK, total)
+        # the pairs a..b hold hits h0..h1-1
+        a, b = np.searchsorted(ends, [h0, h1 - 1], side="right")
+        taken = np.minimum(ends[a : b + 1], h1) - np.maximum(starts[a : b + 1], h0)
+        pair = np.repeat(np.arange(a, b + 1), taken)
+        pp = p[pair]
+        idx = first[pair] + (np.arange(h0, h1) - starts[pair]) * pp
+        v, power, e = vals[idx] // pp, pp.copy(), np.ones_like(pp)
+        more = np.flatnonzero(v % pp == 0)
+        while more.size:
+            v[more] //= pp[more]
+            power[more] *= pp[more]
+            e[more] += 1
+            more = more[v[more] % pp[more] == 0]
+        np.multiply.at(found, idx, power)
+        one = pp & 3 == 1
+        np.multiply.at(mult, idx[one], e[one] + 1)
+        bad[idx[(pp & 3 == 3) & (e & 1 == 1)]] = True
+    # the leftover prime (exponent 1)
+    left = vals // found
+    mult[(left > 1) & (left % 4 == 1)] *= 2
+    bad |= left % 4 == 3
     r2 = 4 * mult
     r2[bad] = 0
     return r2
@@ -619,17 +735,18 @@ def _r2_table(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.
 
 def _parity_counts(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
     """N(s) = #{(b, e): b^2 + e^2 = D + s^2, e ≡ s (mod 2)} for s = lo+1..hi,
-    entry i belonging to s = lo+1+i."""
-    r2 = _r2_table(D, lo, hi, roots)
-    s = np.arange(lo + 1, hi + 1)
-    n = D + s * s
-    N = np.zeros(hi - lo, dtype=float)
-    odd = n % 2 == 1
-    N[odd] = r2[odd] / 2.0
-    zero4 = n % 4 == 0
-    N[zero4 & (s % 2 == 0)] = r2[zero4 & (s % 2 == 0)]
-    two4 = n % 4 == 2
-    N[two4 & (s % 2 == 1)] = r2[two4 & (s % 2 == 1)]
+    entry i belonging to s = lo+1+i.
+
+    D + s^2 ≡ D + (s mod 2) (mod 4), so N(s) is r2(D + s^2) times a weight
+    fixed by the parity of s: 1/2 where D + s^2 is odd (b and e differ in
+    parity), else 1 or 0 as the common parity of b and e, odd exactly when
+    D + s^2 ≡ 2 (mod 4), is or is not that of s.
+    """
+    N = _r2_table(D, lo, hi, roots).astype(float)
+    for start in (0, 1):
+        parity = (lo + 1 + start) % 2
+        n = (D + parity) % 4
+        N[start::2] *= 0.5 if n % 2 else float(n // 2 == parity)
     return N
 
 
@@ -646,9 +763,13 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     terms are indexed by s = t/2 = a + c, and N(t) = N(-t) counts
     b^2 + e^2 = D + s^2, e ≡ s (2), by a factorization sieve; for other d
     `PairingSolver` counts each group exactly.  The cutoff is doubled
-    until the change is below tol.
+    until the change is below tol.  The d = -4 sieve works in int64, so a D
+    with D + s^2 beyond int64 below the s ceiling raises ValueError.
     """
     t0 = time.perf_counter()
+    first, ceiling, key = (1 << 12, 1 << 24, "s_cutoff") if d == -4 else (64, 1 << 16, "t_cutoff")
+    if d == -4 and D + ceiling * ceiling > np.iinfo(np.int64).max:
+        raise ValueError(f"D = {D}: D + s^2 overflows int64 below the s ceiling {ceiling}")
     if not hypothesis_check(D, d):
         raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
     w_stab = stabilizer_order(d)
@@ -663,17 +784,15 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         # sgn(t)^k is odd while N(t) is even in t: exact cancellation
         return TraceReport(
             k=k, D=D, d=d, method="latticesum", value=0.0, error_estimate=0.0,
-            hypothesis_ok=True, seconds=time.perf_counter() - t0, cutoff={"s_cutoff": 0},
+            hypothesis_ok=True, seconds=time.perf_counter() - t0, cutoff={key: 0},
         )
     if d == -4:
-        first, ceiling, key = 1 << 12, 1 << 24, "s_cutoff"
         roots = _PrimeRoots(D)
 
         def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
             s = np.arange(lo + 1, hi + 1, dtype=float)
             return s * s, 2.0 * _parity_counts(D, lo, hi, roots)
     else:
-        first, ceiling, key = 64, 1 << 16, "t_cutoff"
         solver = PairingSolver(definite_class_reps(d)[0])
 
         def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

@@ -308,7 +308,8 @@ class FQModule:
             (ta + tb): A._rep[ta] + B._rep[tb] for ta in A.elements for tb in B.elements
         }
         out._q = [_frac_mod1(qa + qb) for qa in A._q for qb in B._q]
-        out._u = None
+        # block-diagonal U: each block finds its own components of the coset
+        out._u = [list(r) + [0] * nb for r in A._u] + [[0] * na + list(r) for r in B._u]
         out.signature_mod_8 = (A.signature_mod_8 + B.signature_mod_8) % 8
         return out
 

@@ -17,6 +17,7 @@ from cyclotrace.analytic import (
     lhs_latticesum,
     reduce_to_fundamental_domain,
 )
+from cyclotrace import analytic
 from cyclotrace.analytic import (
     _PrimeRoots,
     _class_pairs,
@@ -26,10 +27,12 @@ from cyclotrace.analytic import (
     _r2_table,
     _reduce_points,
 )
+from cyclotrace.arith import factor
 from cyclotrace.bqf import (
     BQF,
     SL2Z,
     PairingSolver,
+    _sqrt_mod_prime,
     definite_class_reps,
     indefinite_class_reps,
     reduce_definite,
@@ -72,6 +75,42 @@ def test_hyp2f1_vectorized():
     v = _hyp2f1_vec(1, 1, 2.5, w)
     for i in (0, 50, 100, 150, 199):
         assert abs(v[i] - hyp2f1(1, 1, 2.5, float(w[i]))) < 1e-12 * max(1, v[i])
+
+
+def _full_series(a, b, c, w, terms=90):
+    """The direct series summed to all of its terms, as it was before it
+    learned to stop early: the oracle of the early stop."""
+    t = np.ones_like(np.asarray(w, dtype=float))
+    acc = t.copy()
+    for j in range(terms):
+        t = t * ((a + j) * (b + j)) / ((c + j) * (1.0 + j)) * w
+        acc = acc + t
+    return acc
+
+
+@pytest.mark.parametrize("D", [5, 12, 44, 97, 805])
+def test_hyp2f1_early_stop_is_bit_identical(D, monkeypatch):
+    # the lattice sum's first four d = -4 windows, s <= 2^15, where both
+    # branches of _hyp2f1_vec run
+    windows = [(0, 1 << 12)] + [(1 << j, 1 << (j + 1)) for j in range(12, 15)]
+    for k in range(1, 13):
+        a, c = k / 2, k + 0.5
+        for lo, hi in windows:
+            s = np.arange(lo + 1, hi + 1, dtype=float)
+            w = D / (D + s * s)
+            fast = _hyp2f1_vec(a, a, c, w)
+            with monkeypatch.context() as m:
+                m.setattr(analytic, "_hyp_series", _full_series)
+                full = _hyp2f1_vec(a, a, c, w)
+            assert np.array_equal(fast, full), (k, lo, hi)
+
+
+def test_hyp_series_early_stop_waits_for_growing_terms():
+    # the first term after 1 is ~3e-19, far below the float gap at 1, but
+    # the next term ratio is ~10 and the terms then grow to ~1e6, so the
+    # series may not stop there
+    w = np.array([0.5])
+    assert np.array_equal(_hyp_series(1e-20, 100.0, 1.5, w), _full_series(1e-20, 100.0, 1.5, w))
 
 
 def test_hyp2f1_errors():
@@ -398,19 +437,33 @@ def test_lhs_geodesic_keeps_every_class(k, D, d, tol):
 # ------------------------------------------------------- lattice sum
 
 
+def _r2_brute(n):
+    # r2(n) = #{(b, e): b^2 + e^2 = n}
+    count = 0
+    for b in range(-math.isqrt(n), math.isqrt(n) + 1):
+        e = math.isqrt(n - b * b)
+        if e * e == n - b * b:
+            count += 1 if e == 0 else 2
+    return count
+
+
+def _r2_of_factors(n):
+    # r2(n) = 4 prod (e + 1) over p ≡ 1 (4), or 0 if a p ≡ 3 (4) has odd e
+    out = 4
+    for p, e in factor(n):
+        if p % 4 == 3 and e % 2:
+            return 0
+        if p % 4 == 1:
+            out *= e + 1
+    return out
+
+
 def test_r2_table_vs_brute():
-    for D, lo in ((12, 0), (21, 0), (5, 0), (12, 23)):
-        S = 60
-        table = _r2_table(D, lo, S)
-        for s in range(lo + 1, S + 1):
-            n = D + s * s
-            brute = sum(
-                1
-                for b in range(-int(math.isqrt(n)), int(math.isqrt(n)) + 1)
-                for e in range(-int(math.isqrt(n)), int(math.isqrt(n)) + 1)
-                if b * b + e * e == n
-            )
-            assert table[s - lo - 1] == brute, (D, s, n)
+    # windows with lo > 0 and D with square factors (45, 588)
+    for D, lo, hi in ((12, 0, 60), (21, 0, 60), (5, 0, 60), (12, 23, 60), (5, 37, 160),
+                      (21, 37, 160), (45, 37, 160), (76, 500, 560), (588, 37, 160), (588, 500, 560)):
+        table = _r2_table(D, lo, hi)
+        assert table.tolist() == [_r2_brute(D + s * s) for s in range(lo + 1, hi + 1)], (D, lo)
 
 
 def test_r2_table_with_shared_prime_roots():
@@ -418,6 +471,43 @@ def test_r2_table_with_shared_prime_roots():
     roots = _PrimeRoots(21)
     for lo, hi in ((0, 64), (64, 128), (128, 512)):
         assert np.array_equal(_r2_table(21, lo, hi, roots), _r2_table(21, lo, hi))
+
+
+PRIMES_BELOW_20000 = [p for p in range(2, 20000) if factor(p) == [(p, 1)]]
+
+
+@pytest.mark.parametrize("D", [3, 4, 12, 21, 75, 588, 805, 9997])
+def test_prime_roots_match_sqrt_mod_prime(D):
+    # grown in three steps, as the doublings of a lattice sum grow it; the
+    # D include primes dividing D, where 0 is the one root
+    roots = _PrimeRoots(D)
+    roots.upto(100)
+    roots.upto(5000)
+    p, r = roots.upto(19999)
+    assert np.all(np.diff(p) >= 0)
+    got = {}
+    for q, x in zip(p.tolist(), r.tolist()):
+        got.setdefault(q, []).append(x)
+    want = {q: sorted({x % q for x in _sqrt_mod_prime((-D) % q, q)}) for q in PRIMES_BELOW_20000}
+    assert got == {q: xs for q, xs in want.items() if xs}
+
+
+def test_r2_table_near_the_s_ceiling():
+    # D + s^2 near 2^48, where an int64 product in the sieve could overflow;
+    # arith.factor works in Python ints
+    D, hi = 45, 1 << 24
+    table = _r2_table(D, hi - 16, hi)
+    assert table.tolist() == [_r2_of_factors(D + s * s) for s in range(hi - 15, hi + 1)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_r2_table_chunks_do_not_change_counts(chunk, monkeypatch):
+    # chunks of 1 and 7 hits split every prime's hits across chunks, and 7
+    # repeats indices within a chunk
+    want = [_r2_table(D, lo, hi) for D, lo, hi in ((12, 0, 300), (588, 200, 500))]
+    monkeypatch.setattr(analytic, "SIEVE_CHUNK", chunk)
+    got = [_r2_table(D, lo, hi) for D, lo, hi in ((12, 0, 300), (588, 200, 500))]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_parity_counts_vs_brute():
@@ -442,8 +532,18 @@ def test_lhs_latticesum():
     assert abs(rep4.value - 72) < 1e-4 * 73
     rep3 = lhs_latticesum(3, 12, -4)
     assert rep3.value == 0.0
+    # the exact zero of odd k names the cutoff of its path
+    assert rep3.cutoff == {"s_cutoff": 0}
+    assert lhs_latticesum(3, 21, -3).cutoff == {"t_cutoff": 0}
     with pytest.raises(HypothesisViolated):
         lhs_latticesum(2, 8, -4)
+
+
+def test_latticesum_rejects_int64_overflow():
+    # D + s^2 must fit in int64 up to the s ceiling 2^24 of the sieve
+    D = (1 << 63) - 3
+    with pytest.raises(ValueError, match=f"D = {D}"):
+        lhs_latticesum(2, D, -4)
 
 
 def test_pairing_solver_counts_match_sieve():

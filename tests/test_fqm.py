@@ -39,6 +39,7 @@ from cyclotrace.special_forms import (
     lattice_N_minus,
     lattice_P,
     module_K,
+    module_K_minus,
     module_L,
     module_N_minus,
     module_P,
@@ -90,6 +91,14 @@ def test_fqmodule_round_trips_random():
             shifted = [x + rng.randint(-3, 3) for x in rep]
             assert M.element_of_vector(shifted) == t
             assert (L.q(shifted) - M.q_value(t)).denominator == 1
+
+
+def test_direct_sum_coset_round_trip():
+    # a direct sum finds the coset of a dual vector blockwise, as its
+    # summands do
+    for M in (module_K(), module_K_minus()):
+        for t in M.elements:
+            assert M.element_of_vector(M.rep_vector(t)) == t
 
 
 def test_disc_group_examples():
