@@ -271,6 +271,8 @@ class FkAEvaluator:
         if k < 2:
             raise ValueError("k must be >= 2")
         check_discriminant(d, positive=False)
+        if rep is not None and rep.disc != d:
+            raise ValueError(f"rep {rep} has discriminant {rep.disc}, not d = {d}")
         self.k = k
         self.d = d
         reps = definite_class_reps(d)
@@ -363,10 +365,8 @@ class FkAEvaluator:
         exactly 0.0 when dim S_2k = 0: then nothing is pinned."""
         return self._pin(A)[1] if self._cusp else 0.0
 
-    def eval(self, zs, A: int | None = None) -> np.ndarray:
-        """Values at the points zs.  The form has no cutoff to choose: A is
-        accepted for callers written against a truncated class sum, and
-        ignored."""
+    def eval(self, zs) -> np.ndarray:
+        """Values at the points zs."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
         if np.any(zs.imag <= 0):
             raise ValueError("points must lie in the upper half-plane")
@@ -390,14 +390,13 @@ def get_evaluator(k: int, d: int, rep: BQF | None = None) -> FkAEvaluator:
     return FkAEvaluator(k, d, rep)
 
 
-def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None, tol: float = 1e-9) -> complex:
+def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None) -> complex:
     """The meromorphic weight 2k form of the class at a point z; see
     `FkAEvaluator`, whose error on the value is its `residual`."""
     # the cache keys on the arguments as passed: share the geodesic
     # method's get_evaluator(k, d) for the principal class
     ev = get_evaluator(k, d) if rep is None else get_evaluator(k, d, rep)
-    vals, _, _ = ev.eval_adaptive(np.array([z], dtype=complex), tol)
-    return complex(vals[0])
+    return complex(ev.eval(np.array([z], dtype=complex))[0])
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +426,6 @@ def cycle_integral(
     k: int,
     d: int = -4,
     tol: float = 1e-9,
-    evaluator: FkAEvaluator | None = None,
     check_pole: bool = True,
     theta_start: float | None = None,
 ) -> tuple[complex, float, dict]:
@@ -450,7 +448,7 @@ def cycle_integral(
         for X in on_geodesic_forms(D, d):
             if equivalent_indefinite(X, Q):
                 raise PoleOnGeodesic(f"a pole lies on the geodesic of {Q}")
-    ev = evaluator if evaluator is not None else get_evaluator(k, d)
+    ev = get_evaluator(k, d)
     arc = pell_automorph(Q)
     C = float(arc.center)
     R = math.sqrt(float(arc.radius_squared))
@@ -527,16 +525,16 @@ def cycle_integral(
 def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
     """Trace by numerical quadrature: sum of cycle integrals over classes."""
     t0 = time.perf_counter()
+    if k < 2:
+        raise ValueError("k must be >= 2")
     if not hypothesis_check(D, d):
         raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
-    ev = get_evaluator(k, d)
     total = 0j
     err = 0.0
     metas = []
     reps = indefinite_class_reps(D)
     for Q in reps:
-        val, e, meta = cycle_integral(Q, k, d, tol=tol / max(1, len(reps)), evaluator=ev,
-                                      check_pole=False)
+        val, e, meta = cycle_integral(Q, k, d, tol=tol / max(1, len(reps)), check_pole=False)
         total += val
         err += e
         metas.append(meta)
@@ -767,6 +765,8 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     with D + s^2 beyond int64 below the s ceiling raises ValueError.
     """
     t0 = time.perf_counter()
+    if k < 2:
+        raise ValueError("k must be >= 2")
     first, ceiling, key = (1 << 12, 1 << 24, "s_cutoff") if d == -4 else (64, 1 << 16, "t_cutoff")
     if d == -4 and D + ceiling * ceiling > np.iinfo(np.int64).max:
         raise ValueError(f"D = {D}: D + s^2 overflows int64 below the s ceiling {ceiling}")

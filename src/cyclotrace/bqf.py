@@ -1,9 +1,11 @@
 """Integral binary quadratic forms and their geometry.
 
-Gauss reduction and class enumeration for definite forms, reduced-cycle
-("river") enumeration for indefinite forms, automorphs from the Pell
-equation, CM points, the signature (1,2) pairing, and the exact check
-that no CM point of discriminant d lies on a geodesic of discriminant D.
+Gauss reduction and class enumeration for definite forms, the middle
+coefficients b of the forms [a, b, *] of discriminant d (by direct search
+of b^2 ≡ d mod 4a), reduced-cycle ("river") enumeration for indefinite
+forms, automorphs from the Pell equation, CM points, the signature (1,2)
+pairing, and the exact check that no CM point of discriminant d lies on
+a geodesic of discriminant D.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import check_discriminant, factor, is_square
+import numpy as np
+
+from .arith import check_discriminant, is_square
 from .errors import NotDefinite
 
 __all__ = [
@@ -34,7 +38,6 @@ __all__ = [
     "hypothesis_check",
     "on_geodesic_forms",
     "PairingSolver",
-    "enumerate_definite",
     "sqrt_mod_roots",
 ]
 
@@ -160,137 +163,18 @@ def definite_class_reps(d: int) -> list[BQF]:
     return sorted(reps, key=lambda Q: (Q.a, Q.b, Q.c))
 
 
-def enumerate_definite(d: int, a_max: int, translates: int = 0) -> list[BQF]:
-    """Positive definite forms of discriminant d with 1 <= a <= a_max.
-
-    For each a, b runs over the residues mod 2a with b^2 ≡ d (mod 4a),
-    taken in (-a, a]; `translates` widens each residue to b + 2a*t with
-    |t| <= translates (the T-orbit neighbours, used by brute-force sums).
-    """
-    if a_max < 1:
-        raise ValueError("a_max must be >= 1")
-    check_discriminant(d, positive=False)
-    forms = []
-    for a in range(1, a_max + 1):
-        for b0 in sqrt_mod_roots(d, a):
-            for t in range(-translates, translates + 1):
-                b = b0 + 2 * a * t
-                forms.append(BQF(a, b, (b * b - d) // (4 * a)))
-    return forms
-
-
 # ----------------------------------------------------------------------
-# square roots modulo 4a
+# the forms [a, b, *] of discriminant d: b^2 ≡ d (mod 4a)
 
 
 def sqrt_mod_roots(d: int, a: int) -> list[int]:
-    """Residues b mod 2a, taken in (-a, a], with b^2 ≡ d (mod 4a)."""
+    """Residues b mod 2a, taken in (-a, a], with b^2 ≡ d (mod 4a), by
+    testing all 2a of them."""
+    if a < 1:
+        raise ValueError(f"a = {a} must be >= 1")
     m = 4 * a
-    roots = {x % (2 * a) for x in sqrt_mod(d % m, m)}
-    return sorted(x - 2 * a if x > a else x for x in roots)
-
-
-def sqrt_mod(n: int, m: int) -> list[int]:
-    """All solutions of x^2 ≡ n (mod m)."""
-    if m == 1:
-        return [0]
-    n %= m
-    sols = [0]
-    mod = 1
-    for p, e in factor(m):
-        pe = p**e
-        local = _sqrt_mod_prime_power(n % pe, p, e)
-        if not local:
-            return []
-        new = []
-        for x in sols:
-            for y in local:
-                # z ≡ x (mod mod), z ≡ y (mod pe); mod and pe are coprime
-                z = x + mod * ((y - x) * pow(mod, -1, pe) % pe)
-                new.append(z % (mod * pe))
-        sols = new
-        mod *= pe
-    return sorted(set(sols))
-
-
-def _sqrt_mod_prime_power(n: int, p: int, e: int) -> list[int]:
-    pe = p**e
-    n %= pe
-    if p == 2:
-        base_mod = min(8, pe)
-        sols = [x for x in range(base_mod) if (x * x - n) % base_mod == 0]
-        mod = base_mod
-        while mod < pe:
-            mod *= 2
-            sols = sorted(
-                {y % mod for x in sols for y in (x, x + mod // 2) if (y * y - n) % mod == 0}
-            )
-        return sols
-    if n == 0:
-        half = (e + 1) // 2
-        return list(range(0, pe, p**half))
-    if n % p == 0:
-        k = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            k += 1
-        if k % 2:
-            return []
-        base = _sqrt_mod_prime_power(m, p, e - k)
-        if not base:
-            return []
-        shift = p ** (k // 2)
-        step = p ** (e - k // 2)
-        out = set()
-        for y in base:
-            root = y * shift % pe
-            for t in range(0, pe, step):
-                out.add((root + t) % pe)
-        return sorted(out)
-    roots = _sqrt_mod_prime(n, p)
-    if not roots:
-        return []
-    if e == 1:
-        return roots
-    x = roots[0]
-    mod = p
-    while mod < pe:
-        mod *= p
-        inv = pow(2 * x % mod, -1, mod)
-        x = (x - (x * x - n) * inv) % mod
-    return sorted({x % pe, (-x) % pe})
-
-
-def _sqrt_mod_prime(n: int, p: int) -> list[int]:
-    n %= p
-    if p == 2:
-        return [n]
-    if n == 0:
-        return [0]
-    if pow(n, (p - 1) // 2, p) != 1:
-        return []
-    if p % 4 == 3:
-        x = pow(n, (p + 1) // 4, p)
-        return sorted({x, p - x})
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return sorted({r, p - r})
+    b = np.arange(1 - a, a + 1, dtype=np.int64)
+    return b[(b * b - d % m) % m == 0].tolist()
 
 
 # ----------------------------------------------------------------------

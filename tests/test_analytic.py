@@ -32,7 +32,6 @@ from cyclotrace.bqf import (
     BQF,
     SL2Z,
     PairingSolver,
-    _sqrt_mod_prime,
     definite_class_reps,
     indefinite_class_reps,
     reduce_definite,
@@ -241,7 +240,7 @@ def test_threads_share_an_evaluator():
 def test_eval_fkA_vs_brute_class_sum():
     k, d = 2, -4
     z = complex(0.23, 1.31)
-    val = eval_fkA(z, k, d, tol=1e-7)
+    val = eval_fkA(z, k, d)
     brute = 0j
     for a in range(1, 401):
         for b0 in sqrt_mod_roots(d, a):
@@ -334,14 +333,24 @@ def test_evaluator_rejects_overflowing_j():
     assert np.isfinite(ev._jA) and np.all(np.isfinite(ev._c))
 
 
+def test_evaluator_rejects_rep_of_another_discriminant():
+    # [1, 0, 1] has discriminant -4: its root is no pole of a d = -23 form
+    for build in (lambda: FkAEvaluator(4, -23, BQF(1, 0, 1)),
+                  lambda: eval_fkA(0.1 + 1.2j, 4, -23, BQF(1, 0, 1))):
+        with pytest.raises(ValueError, match=r"\[1,0,1\].*-23"):
+            build()
+    # a rep of the right discriminant, reduced or not, is accepted
+    assert FkAEvaluator(4, -23, BQF(2, 5, 6)).rep == BQF(2, 1, 3)
+
+
 def test_eval_fkA_examples():
     z = complex(0.3, 1.1)
-    f1 = eval_fkA(z, 2, -4, tol=1e-8)
-    f2 = eval_fkA(z + 1, 2, -4, tol=1e-8)
+    f1 = eval_fkA(z, 2, -4)
+    f2 = eval_fkA(z + 1, 2, -4)
     assert abs(f1 - f2) < 1e-7
-    f2i = eval_fkA(2j, 2, -4, tol=1e-10)
+    f2i = eval_fkA(2j, 2, -4)
     assert abs(f2i.imag) < 1e-12 * max(1, abs(f2i))
-    fnear = eval_fkA(1j + 0.01, 2, -4, tol=1e-5)
+    fnear = eval_fkA(1j + 0.01, 2, -4)
     assert abs(fnear) > 1e3 * abs(f2i)
 
 
@@ -389,10 +398,9 @@ def test_cycle_integral_pole_detection():
 
 
 def test_imaginary_parts_cancel():
-    ev = get_evaluator(2, -4)
     total = 0j
     for Q in indefinite_class_reps(12):
-        v, _, _ = cycle_integral(Q, 2, -4, tol=1e-8, evaluator=ev, check_pole=False)
+        v, _, _ = cycle_integral(Q, 2, -4, tol=1e-8, check_pole=False)
         total += v
     assert abs(total.imag) < 1e-8
     assert abs(total.real - 24) < 1e-6
@@ -423,8 +431,7 @@ def test_lhs_geodesic_keeps_every_class(k, D, d, tol):
     rep = lhs_geodesic(k, D, d, tol=tol)
     reps = indefinite_class_reps(D)
     metas = [
-        cycle_integral(Q, k, d, tol=tol / len(reps), evaluator=get_evaluator(k, d),
-                       check_pole=False)[2]
+        cycle_integral(Q, k, d, tol=tol / len(reps), check_pole=False)[2]
         for Q in reps
     ]
     assert rep.cutoff["classes"] == len(reps)
@@ -477,7 +484,7 @@ PRIMES_BELOW_20000 = [p for p in range(2, 20000) if factor(p) == [(p, 1)]]
 
 
 @pytest.mark.parametrize("D", [3, 4, 12, 21, 75, 588, 805, 9997])
-def test_prime_roots_match_sqrt_mod_prime(D):
+def test_prime_roots_match_direct_search(D):
     # grown in three steps, as the doublings of a lattice sum grow it; the
     # D include primes dividing D, where 0 is the one root
     roots = _PrimeRoots(D)
@@ -488,7 +495,7 @@ def test_prime_roots_match_sqrt_mod_prime(D):
     got = {}
     for q, x in zip(p.tolist(), r.tolist()):
         got.setdefault(q, []).append(x)
-    want = {q: sorted({x % q for x in _sqrt_mod_prime((-D) % q, q)}) for q in PRIMES_BELOW_20000}
+    want = {q: np.flatnonzero((np.arange(q) ** 2 + D) % q == 0).tolist() for q in PRIMES_BELOW_20000}
     assert got == {q: xs for q, xs in want.items() if xs}
 
 

@@ -10,7 +10,6 @@ from cyclotrace.bqf import (
     SL2Z,
     cm_point,
     definite_class_reps,
-    enumerate_definite,
     equivalent_indefinite,
     hypothesis_check,
     indefinite_class_reps,
@@ -21,7 +20,6 @@ from cyclotrace.bqf import (
     pell_fundamental,
     reduce_definite,
     reduced_cycle,
-    sqrt_mod,
     sqrt_mod_roots,
     stabilizer_order,
 )
@@ -273,27 +271,20 @@ def test_on_geodesic_forms_float_oracle():
         assert bool(exact) == bool(brute), D
 
 
-def test_enumerate_definite():
-    forms = enumerate_definite(-4, 1)
-    assert forms == [BQF(1, 0, 1)]
-    forms = enumerate_definite(-4, 2)
-    assert BQF(1, 0, 1) in forms and BQF(2, 2, 1) in forms
+def test_sqrt_mod_roots():
     # residues b mod 4 with b^2 ≡ -4 (mod 8): b ≡ 2 (mod 4), one family
     assert sqrt_mod_roots(-4, 2) == [2]
-    forms = enumerate_definite(-3, 1)
-    assert BQF(1, 1, 1) in forms
-    # translate widening produces the T-orbit neighbours
-    wide = enumerate_definite(-4, 1, translates=2)
-    assert BQF(1, 2, 2) in wide and BQF(1, -4, 5) in wide
-    for Q in wide:
-        assert Q.disc == -4 and Q.is_positive_definite
-
-
-def test_sqrt_mod_brute():
+    # a = 1: b in {0, 1} with b^2 ≡ d (mod 4), so [1, 0, 1] and [1, 1, 1]
+    assert sqrt_mod_roots(-4, 1) == [0] and sqrt_mod_roots(-3, 1) == [1]
+    assert sqrt_mod_roots(-7, 1) == [1] and sqrt_mod_roots(-1, 1) == sqrt_mod_roots(6, 1) == []
+    with pytest.raises(ValueError):
+        sqrt_mod_roots(-4, 0)
+    # every root x of x^2 ≡ d (mod 4a), folded into (-a, a] mod 2a; the d
+    # include ints far beyond int64
     rng = random.Random(23)
-    for m in list(range(1, 130)) + [128, 243, 200, 360]:
-        for _ in range(8):
-            n = rng.randrange(m)
-            got = sqrt_mod(n, m)
-            want = sorted(x for x in range(m) if (x * x - n) % m == 0)
-            assert got == want, (n, m)
+    for a in list(range(1, 70)) + [128, 243, 200, 360]:
+        for bound in (1000, 10**30):
+            d = rng.randrange(-bound, bound)
+            want = sorted({(x + a - 1) % (2 * a) - a + 1 for x in range(4 * a)
+                           if (x * x - d) % (4 * a) == 0})
+            assert sqrt_mod_roots(d, a) == want, (d, a)

@@ -6,10 +6,9 @@ from pathlib import Path
 import pytest
 
 import cyclotrace
-from cyclotrace.analytic import FkAEvaluator
+from cyclotrace.analytic import FkAEvaluator, lhs_geodesic, lhs_latticesum
 from cyclotrace.bqf import (
     definite_class_reps,
-    enumerate_definite,
     hypothesis_check,
     indefinite_class_reps,
     on_geodesic_forms,
@@ -40,10 +39,17 @@ TAKES_d = {
     "on_geodesic_forms": lambda d: on_geodesic_forms(12, d),
     "hypothesis_check": lambda d: hypothesis_check(12, d),
     "definite_class_reps": definite_class_reps,
-    "enumerate_definite": lambda d: enumerate_definite(d, 5),
     "stabilizer_order": stabilizer_order,
     "FkAEvaluator": lambda d: FkAEvaluator(2, d),
     "RunConfig": lambda d: RunConfig(k=2, d=d),
+}
+
+# ... or a weight parameter k >= 2
+TAKES_k = {
+    "lhs_geodesic": lambda k: lhs_geodesic(k, 12),
+    "lhs_latticesum": lambda k: lhs_latticesum(k, 12),
+    "FkAEvaluator": lambda k: FkAEvaluator(k, -4),
+    "RunConfig": lambda k: RunConfig(k=k),
 }
 
 
@@ -61,6 +67,13 @@ def test_invalid_D_raises_documented_error(name, D, error):
 def test_invalid_d_raises_value_error(name, d):
     with pytest.raises(ValueError):
         TAKES_d[name](d)
+
+
+@pytest.mark.parametrize("k", [1, 0])
+@pytest.mark.parametrize("name", sorted(TAKES_k))
+def test_invalid_k_raises_value_error(name, k):
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        TAKES_k[name](k)
 
 
 def test_no_assert_statements_in_source():
