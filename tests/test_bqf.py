@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from cyclotrace.analytic import _class_pairs
 from cyclotrace.arith import is_square
 from cyclotrace.bqf import (
     BQF,
@@ -271,14 +272,33 @@ def test_on_geodesic_forms_float_oracle():
         assert bool(exact) == bool(brute), D
 
 
-def test_sqrt_mod_roots():
+def test_enumerate_definite():
+    # the forms [a, b0, (b0^2 - d)/4a] with a <= A, as the class sum enumerates them
+    def forms(d, A):
+        return [BQF(int(a), int(b0), (int(b0) ** 2 - d) // (4 * int(a)))
+                for a, b0 in zip(*_class_pairs(d, A))]
+
+    assert forms(-4, 1) == [BQF(1, 0, 1)]
     # residues b mod 4 with b^2 ≡ -4 (mod 8): b ≡ 2 (mod 4), one family
     assert sqrt_mod_roots(-4, 2) == [2]
+    assert forms(-4, 2) == [BQF(1, 0, 1), BQF(2, 2, 1)]
+    assert BQF(1, 1, 1) in forms(-3, 1)
+    for Q in forms(-23, 40):
+        assert Q.disc == -23 and Q.is_positive_definite
+    # the class filter splits the enumeration into the h(-23) = 3 classes
+    reps = definite_class_reps(-23)
+    assert sum(_class_pairs(-23, 40, rep).shape[1] for rep in reps) == len(forms(-23, 40))
+
+
+def test_sqrt_mod_roots():
     # a = 1: b in {0, 1} with b^2 ≡ d (mod 4), so [1, 0, 1] and [1, 1, 1]
     assert sqrt_mod_roots(-4, 1) == [0] and sqrt_mod_roots(-3, 1) == [1]
     assert sqrt_mod_roots(-7, 1) == [1] and sqrt_mod_roots(-1, 1) == sqrt_mod_roots(6, 1) == []
     with pytest.raises(ValueError):
         sqrt_mod_roots(-4, 0)
+
+
+def test_sqrt_mod_brute():
     # every root x of x^2 ≡ d (mod 4a), folded into (-a, a] mod 2a; the d
     # include ints far beyond int64
     rng = random.Random(23)
