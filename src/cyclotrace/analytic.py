@@ -53,6 +53,7 @@ EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "TraceReport",
+    "check_tol",
     "hyp2f1",
     "eval_fkA",
     "FkAEvaluator",
@@ -60,7 +61,6 @@ __all__ = [
     "lhs_geodesic",
     "lhs_latticesum",
     "eisenstein_oracle",
-    "reduce_to_fundamental_domain",
 ]
 
 
@@ -168,6 +168,13 @@ def _eisenstein(z: np.ndarray, terms: int = 24) -> tuple[np.ndarray, np.ndarray,
     return E4, E6, delta
 
 
+def check_tol(tol: float) -> None:
+    """Reject tol unless it is finite and positive: no change falls below
+    any other tol, so a cutoff doubled until one does runs to its ceiling."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, not {tol}")
+
+
 def eisenstein_oracle(z: complex, terms: int = 40) -> tuple[complex, complex, complex]:
     """(E4, E6, Delta) at z by q-series; tails < 1e-12 for Im z >= 0.5."""
     if z.imag < 0.5:
@@ -177,7 +184,8 @@ def eisenstein_oracle(z: complex, terms: int = 40) -> tuple[complex, complex, co
 
 
 def _reduce_points(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise (z', j) of `reduce_to_fundamental_domain` on an array."""
+    """Pointwise (z', j) with z' = g(z) in the standard fundamental domain
+    and j = cz + d the automorphy factor of g at z."""
     w = z.copy()
     a, b, c, d = (np.full(z.shape, v, dtype=float) for v in (1, 0, 0, 1))
     for _ in range(200):
@@ -190,13 +198,6 @@ def _reduce_points(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w[flip] = -1.0 / w[flip]
         a[flip], b[flip], c[flip], d[flip] = -c[flip], -d[flip], a[flip], b[flip]
     return w, c * z + d
-
-
-def reduce_to_fundamental_domain(z: complex) -> tuple[complex, complex]:
-    """Return (z', j) with z' = g(z) in the standard fundamental domain
-    and j = cz + d the automorphy factor of g at z."""
-    w, j = _reduce_points(np.array([z], dtype=complex))
-    return complex(w[0]), complex(j[0])
 
 
 # ----------------------------------------------------------------------
@@ -385,17 +386,24 @@ class FkAEvaluator:
 
 
 @lru_cache(maxsize=None)
-def get_evaluator(k: int, d: int, rep: BQF | None = None) -> FkAEvaluator:
-    """The process's shared evaluator of (k, d, rep); it never changes once built."""
+def _shared_evaluator(k: int, d: int, rep: BQF | None) -> FkAEvaluator:
     return FkAEvaluator(k, d, rep)
+
+
+def get_evaluator(k: int, d: int, rep: BQF | None = None) -> FkAEvaluator:
+    """The process's shared evaluator of k, d and the class of rep (None:
+    the principal class), keyed on the reduced rep; it never changes once built."""
+    if rep is not None and rep.disc == d and rep.is_positive_definite:
+        rep = reduce_definite(rep)[0]
+        if rep == definite_class_reps(d)[0]:
+            rep = None
+    return _shared_evaluator(k, d, rep)
 
 
 def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None) -> complex:
     """The meromorphic weight 2k form of the class at a point z; see
     `FkAEvaluator`, whose error on the value is its `residual`."""
-    # the cache keys on the arguments as passed: share the geodesic
-    # method's get_evaluator(k, d) for the principal class
-    ev = get_evaluator(k, d) if rep is None else get_evaluator(k, d, rep)
+    ev = get_evaluator(k, d, rep)
     return complex(ev.eval(np.array([z], dtype=complex))[0])
 
 
@@ -443,6 +451,7 @@ def cycle_integral(
     |Q(z,1)^(k-1) dz| over the window, plus ROUNDING_FLOOR eps times the
     sum of the sizes of the rule's terms.
     """
+    check_tol(tol)
     D = Q.disc
     if check_pole:
         for X in on_geodesic_forms(D, d):
@@ -527,6 +536,7 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
     t0 = time.perf_counter()
     if k < 2:
         raise ValueError("k must be >= 2")
+    check_tol(tol)
     if not hypothesis_check(D, d):
         raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
     total = 0j
@@ -767,6 +777,7 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     t0 = time.perf_counter()
     if k < 2:
         raise ValueError("k must be >= 2")
+    check_tol(tol)
     first, ceiling, key = (1 << 12, 1 << 24, "s_cutoff") if d == -4 else (64, 1 << 16, "t_cutoff")
     if d == -4 and D + ceiling * ceiling > np.iinfo(np.int64).max:
         raise ValueError(f"D = {D}: D + s^2 overflows int64 below the s ceiling {ceiling}")

@@ -3,9 +3,9 @@
 Gauss reduction and class enumeration for definite forms, the middle
 coefficients b of the forms [a, b, *] of discriminant d (by direct search
 of b^2 ≡ d mod 4a), reduced-cycle ("river") enumeration for indefinite
-forms, automorphs from the Pell equation, CM points, the signature (1,2)
-pairing, and the exact check that no CM point of discriminant d lies on
-a geodesic of discriminant D.
+forms, automorphs from the Pell equation, the signature (1,2) pairing,
+and the exact check that no CM point of discriminant d lies on a
+geodesic of discriminant D.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import NotDefinite
 __all__ = [
     "BQF",
     "SL2Z",
-    "CMPoint",
     "GeodesicArc",
     "reduce_definite",
     "definite_class_reps",
@@ -32,7 +31,6 @@ __all__ = [
     "equivalent_indefinite",
     "pell_automorph",
     "pell_fundamental",
-    "cm_point",
     "pairing",
     "stabilizer_order",
     "hypothesis_check",
@@ -359,30 +357,7 @@ def pell_fundamental(D: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# CM points, pairing, hypothesis check
-
-
-@dataclass(frozen=True)
-class CMPoint:
-    """Exact CM point (-b + i sqrt(|d|)) / (2a) stored as (-b, |d|, 2a)."""
-
-    minus_b: int
-    abs_d: int
-    two_a: int
-
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self.minus_b, self.two_a)
-
-    def as_complex(self) -> complex:
-        return complex(self.x) + 1j * math.sqrt(self.abs_d) / self.two_a
-
-
-def cm_point(Q: BQF) -> CMPoint:
-    """The root of Q(z, 1) = 0 in the upper half-plane, exactly."""
-    if not Q.is_positive_definite:
-        raise NotDefinite(f"{Q} is not positive definite")
-    return CMPoint(minus_b=-Q.b, abs_d=-Q.disc, two_a=2 * Q.a)
+# pairing, hypothesis check
 
 
 def pairing(Q1: BQF, Q2: BQF) -> Fraction:

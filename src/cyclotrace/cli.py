@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedK,
 )
 from .special_forms import rhs_trace
-from .analytic import TraceReport, lhs_geodesic, lhs_latticesum
+from .analytic import TraceReport, check_tol, lhs_geodesic, lhs_latticesum
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -50,6 +50,7 @@ class RunConfig:
         check_discriminant(self.d, positive=False)
         if self.D is not None:
             check_discriminant(self.D)
+        check_tol(self.tol)
 
 
 def _exact_applies(k: int, d: int) -> bool:

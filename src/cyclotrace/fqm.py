@@ -31,7 +31,6 @@ __all__ = [
     "FQModule",
     "LatticeEmbedding",
     "VVSeries",
-    "disc_group",
     "theta_series",
     "tensor",
     "restrict",
@@ -58,65 +57,46 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _det(M) -> Fraction:
+def _charpoly(M) -> list[int]:
+    """The coefficients c_0..c_n of det(xI - M) for an integer matrix M.
+
+    Faddeev--LeVerrier: with N_1 = I, c_(n-j) = -tr(M N_j)/j and
+    N_(j+1) = M N_j + c_(n-j) I.  Each trace is divisible by its j, so
+    the arithmetic stays in integers.
+    """
     n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            f = A[r][col] * inv
-            if f:
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return det
+    c = [0] * n + [1]
+    N = _identity(n)
+    for j in range(1, n + 1):
+        N = _mat_mul(M, N)
+        trace = sum(N[i][i] for i in range(n))
+        if trace % j:
+            raise RuntimeError(f"tr(M N_{j}) = {trace} is not divisible by {j}")
+        c[n - j] = -trace // j
+        for i in range(n):
+            N[i][i] += c[n - j]
+    return c
+
+
+def _det(M) -> int:
+    return (-1) ** len(M) * _charpoly(M)[0]
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [x > 0 for x in coeffs if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _signature(gram) -> tuple[int, int]:
-    """(number of positive, number of negative) eigenvalue signs, exact."""
-    n = len(gram)
-    A = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = 0
-    idx = 0
-    while idx < n:
-        if A[idx][idx] == 0:
-            j = next((j for j in range(idx + 1, n) if A[idx][j] != 0 or A[j][j] != 0), None)
-            if j is None:
-                idx += 1
-                continue
-            if A[j][j] != 0:
-                A[idx], A[j] = A[j], A[idx]
-                for row in A:
-                    row[idx], row[j] = row[j], row[idx]
-            else:
-                # A[idx][j] != 0: add row/col j to idx to create a pivot
-                for t in range(n):
-                    A[idx][t] += A[j][t]
-                for t in range(n):
-                    A[t][idx] += A[t][j]
-        d = A[idx][idx]
-        if d == 0:
-            idx += 1
-            continue
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(idx + 1, n):
-            f = A[r][idx] / d
-            if f:
-                for t in range(idx, n):
-                    A[r][t] -= f * A[idx][t]
-                for t in range(idx, n):
-                    A[t][r] = A[r][t]
-        idx += 1
-    return pos, neg
+    """(number of positive, number of negative) eigenvalues, exact.
+
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs counts them exactly: the sign changes of p(x) give the positive
+    roots, those of p(-x) the negative ones, and zero eigenvalues are the
+    vanishing low coefficients.
+    """
+    c = _charpoly(gram)
+    return _sign_changes(c), _sign_changes([x if i % 2 == 0 else -x for i, x in enumerate(c)])
 
 
 def smith_normal_form(M):
@@ -196,10 +176,7 @@ class IntLattice:
 
     @property
     def det(self) -> int:
-        d = _det(self.gram)
-        if d.denominator != 1:
-            raise RuntimeError(f"the determinant {d} of an integral Gram matrix is not an integer")
-        return int(d)
+        return _det(self.gram)
 
     @property
     def signature(self) -> tuple[int, int]:
@@ -207,17 +184,10 @@ class IntLattice:
 
     @property
     def is_positive_definite(self) -> bool:
-        pos, neg = self.signature
-        return neg == 0 and pos == self.rank
+        return self.signature == (self.rank, 0)
 
     def q(self, v) -> Fraction:
-        acc = Fraction(0)
-        g = self.gram
-        n = self.rank
-        for i in range(n):
-            for j in range(n):
-                acc += Fraction(v[i]) * g[i][j] * Fraction(v[j])
-        return acc / 2
+        return self.bilinear(v, v) / 2
 
     def bilinear(self, v, w) -> Fraction:
         acc = Fraction(0)
@@ -227,10 +197,6 @@ class IntLattice:
             for j in range(n):
                 acc += Fraction(v[i]) * g[i][j] * Fraction(w[j])
         return acc
-
-
-def _frac_mod1(x: Fraction) -> Fraction:
-    return x - Fraction(math.floor(x))
 
 
 class FQModule:
@@ -260,7 +226,7 @@ class FQModule:
             t: tuple(sum(V[i][j] * Fraction(t[j], self.orders[j]) for j in range(n)) for i in range(n))
             for t in self.elements
         }
-        self._q = [_frac_mod1(lattice.q(self._rep[t])) for t in self.elements]
+        self._q = [lattice.q(self._rep[t]) % 1 for t in self.elements]
         pos, neg = lattice.signature
         self.signature_mod_8 = (pos - neg) % 8
 
@@ -276,10 +242,7 @@ class FQModule:
         return self._q[self.index[tuple(t)]]
 
     def bilinear_value(self, t1, t2) -> Fraction:
-        return _frac_mod1(self.lattice.bilinear(self.rep_vector(t1), self.rep_vector(t2)))
-
-    def neg(self, t) -> tuple:
-        return tuple((-a) % d for a, d in zip(t, self.orders))
+        return self.lattice.bilinear(self.rep_vector(t1), self.rep_vector(t2)) % 1
 
     def element_of_vector(self, x) -> tuple:
         """The coset of a dual vector x (lattice basis coords, Fractions)."""
@@ -294,11 +257,7 @@ class FQModule:
     def direct_sum(A: "FQModule", B: "FQModule") -> "FQModule":
         ga, gb = A.lattice.gram, B.lattice.gram
         na, nb = len(ga), len(gb)
-        rows = []
-        for i in range(na):
-            rows.append(tuple(ga[i]) + (0,) * nb)
-        for i in range(nb):
-            rows.append((0,) * na + tuple(gb[i]))
+        rows = [tuple(r) + (0,) * nb for r in ga] + [(0,) * na + tuple(r) for r in gb]
         out = FQModule.__new__(FQModule)
         out.lattice = IntLattice(tuple(rows))
         out.orders = A.orders + B.orders
@@ -307,19 +266,11 @@ class FQModule:
         out._rep = {
             (ta + tb): A._rep[ta] + B._rep[tb] for ta in A.elements for tb in B.elements
         }
-        out._q = [_frac_mod1(qa + qb) for qa in A._q for qb in B._q]
+        out._q = [(qa + qb) % 1 for qa in A._q for qb in B._q]
         # block-diagonal U: each block finds its own components of the coset
         out._u = [list(r) + [0] * nb for r in A._u] + [[0] * na + list(r) for r in B._u]
         out.signature_mod_8 = (A.signature_mod_8 + B.signature_mod_8) % 8
         return out
-
-    def q_values(self) -> list[Fraction]:
-        return list(self._q)
-
-
-def disc_group(L: IntLattice) -> FQModule:
-    """The discriminant form L'/L with exact q-values mod 1."""
-    return FQModule(L)
 
 
 def milgram_defect(M: FQModule) -> float:
@@ -368,47 +319,11 @@ class VVSeries:
         if self.sigma is None:
             return
         for (c, n) in self.terms:
-            want = _frac_mod1(self.sigma * self.module._q[c])
-            got = _frac_mod1(Fraction(n, self.den))
+            want = self.sigma * self.module._q[c] % 1
+            got = Fraction(n, self.den) % 1
             if got != want:
                 raise ValueError(f"exponent {Fraction(n, self.den)} on component {c} is not "
                                  f"congruent to {want} (mod 1)")
-
-    # -- serialization (line-based text format) --
-
-    def to_text(self) -> str:
-        prec_scaled = Fraction(self.prec) * self.den
-        head = (
-            f"weight={self.weight} pi_power={self.pi_power} "
-            f"sigma={self.sigma if self.sigma is not None else 0} "
-            f"den={self.den} prec={prec_scaled}"
-        )
-        lines = [head]
-        for (c, n) in sorted(self.terms):
-            v = self.terms[(c, n)]
-            lines.append(f"{c}\t{n}\t{v.numerator}/{v.denominator}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str, module: FQModule) -> "VVSeries":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = dict(item.split("=") for item in lines[0].split())
-        den = int(head["den"])
-        sigma = int(head["sigma"]) or None
-        terms = {}
-        for ln in lines[1:]:
-            c, n, v = ln.split("\t")
-            num, denom = v.split("/")
-            terms[(int(c), int(n))] = Fraction(int(num), int(denom))
-        return VVSeries(
-            module=module,
-            weight=Fraction(head["weight"]),
-            den=den,
-            terms=terms,
-            prec=Fraction(head["prec"]) / den,
-            pi_power=int(head["pi_power"]),
-            sigma=sigma,
-        )
 
 
 def theta_series(K: IntLattice, prec, module: FQModule | None = None) -> VVSeries:
@@ -600,9 +515,9 @@ class LatticeEmbedding:
     @property
     def index(self) -> int:
         d = _det(self.matrix)
-        if d.denominator != 1 or d == 0:
-            raise RuntimeError(f"the embedding matrix has determinant {d}, not a nonzero integer")
-        return abs(int(d))
+        if d == 0:
+            raise RuntimeError("the embedding matrix is singular")
+        return abs(d)
 
     def source_vector_in_target(self, x) -> tuple[Fraction, ...]:
         n = self.source.lattice.rank
@@ -675,11 +590,7 @@ def trace_up(g: VVSeries, E: LatticeEmbedding) -> VVSeries:
 
 def _gamma_ratio_product(kappa: Fraction, n: int, s: int) -> Fraction:
     """Gamma(kappa+n) / (Gamma(s+1) Gamma(kappa+n-s)) as an exact rational."""
-    num = Fraction(1)
-    for i in range(1, s + 1):
-        num *= kappa + n - i
-    den = math.factorial(s)
-    return num / den
+    return math.prod((kappa + n - i for i in range(1, s + 1)), start=Fraction(1)) / math.factorial(s)
 
 
 def rankin_cohen(f: VVSeries, g: VVSeries, n: int, module: FQModule | None = None,
@@ -763,12 +674,12 @@ def weil_matrices(M: FQModule) -> tuple[np.ndarray, np.ndarray]:
     return T, S
 
 
-def eval_series(f: VVSeries, tau: complex, include_pi: bool = True) -> np.ndarray:
+def eval_series(f: VVSeries, tau: complex) -> np.ndarray:
     """Numeric component vector of the truncated series at tau."""
     out = np.zeros(len(f.module.elements), dtype=complex)
     for (c, n), v in f.terms.items():
         out[c] += float(v) * cmath.exp(2j * cmath.pi * Fraction(n, f.den) * tau)
-    if include_pi and f.pi_power:
+    if f.pi_power:
         out *= math.pi**f.pi_power
     return out
 

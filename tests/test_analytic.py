@@ -15,7 +15,6 @@ from cyclotrace.analytic import (
     hyp2f1,
     lhs_geodesic,
     lhs_latticesum,
-    reduce_to_fundamental_domain,
 )
 from cyclotrace import analytic
 from cyclotrace.analytic import (
@@ -134,12 +133,11 @@ def test_hyp2f1_integral_c_minus_a_minus_b():
 
 def test_fundamental_domain_reduction():
     rng = random.Random(8)
-    for _ in range(100):
-        z = complex(rng.uniform(-8, 8), rng.uniform(0.05, 3.0))
-        w, j = reduce_to_fundamental_domain(z)
-        assert abs(w.real) <= 0.5 + 1e-12
-        assert abs(w) >= 1 - 1e-12
-        assert j != 0
+    z = np.array([complex(rng.uniform(-8, 8), rng.uniform(0.05, 3.0)) for _ in range(100)])
+    w, j = _reduce_points(z)
+    assert np.all(np.abs(w.real) <= 0.5 + 1e-12)
+    assert np.all(np.abs(w) >= 1 - 1e-12)
+    assert np.all(j != 0)
 
 
 def _reduce_one(z):
@@ -341,6 +339,18 @@ def test_evaluator_rejects_rep_of_another_discriminant():
             build()
     # a rep of the right discriminant, reduced or not, is accepted
     assert FkAEvaluator(4, -23, BQF(2, 5, 6)).rep == BQF(2, 1, 3)
+
+
+def test_equivalent_reps_share_an_evaluator():
+    # None and [1, 1, 6] are the principal class of d = -23, and [2, 5, 6]
+    # reduces to [2, 1, 3]: two classes, two evaluators
+    reps = [None, BQF(1, 1, 6), BQF(2, 1, 3), BQF(2, 5, 6)]
+    evs = [get_evaluator(6, -23, rep) for rep in reps]
+    assert evs[0] is evs[1] and evs[2] is evs[3] and evs[0] is not evs[2]
+    for rep in reps:
+        fresh = FkAEvaluator(6, -23, rep)
+        for z in (complex(0.13, 1.07), complex(-0.31, 0.93)):
+            assert eval_fkA(z, 6, -23, rep) == complex(fresh.eval(np.array([z]))[0])
 
 
 def test_eval_fkA_examples():

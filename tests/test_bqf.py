@@ -9,7 +9,6 @@ from cyclotrace.arith import is_square
 from cyclotrace.bqf import (
     BQF,
     SL2Z,
-    cm_point,
     definite_class_reps,
     equivalent_indefinite,
     hypothesis_check,
@@ -191,16 +190,6 @@ def test_pell_validity_to_1000():
     for D in rng.sample(Ds, 60):
         t, u = pell_fundamental(D)
         assert t * t - D * u * u == 4 and t > 0 and u > 0
-
-
-def test_cm_point_examples():
-    assert cm_point(BQF(1, 0, 1)).as_complex() == 1j
-    z = cm_point(BQF(1, 1, 1)).as_complex()
-    assert abs(z - complex(-0.5, 3**0.5 / 2)) < 1e-15
-    z = cm_point(BQF(2, 2, 1)).as_complex()
-    assert abs(z - complex(-0.5, 0.5)) < 1e-15
-    with pytest.raises(NotDefinite):
-        cm_point(BQF(1, 1, -1))
 
 
 def test_pairing():

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,14 @@ def test_trace_square_exit_3():
     assert proc.returncode == 3
     proc = run_cli("trace", "--k", "2", "--D", "14", "--method", "exact")
     assert proc.returncode == 3  # 14 ≡ 2 (mod 4)
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_invalid_tol_exit_3(tol):
+    # the lattice sum would double its cutoff to the ceiling (exit 4)
+    t0 = time.perf_counter()
+    assert main(["trace", "--k", "2", "--D", "12", "--method", "latticesum", "--tol", tol]) == 3
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_trace_numeric(capsys):

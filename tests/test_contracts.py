@@ -1,13 +1,15 @@
 """Cross-module contracts: discriminant validation and real invariant checks."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import cyclotrace
-from cyclotrace.analytic import FkAEvaluator, lhs_geodesic, lhs_latticesum
+from cyclotrace.analytic import FkAEvaluator, cycle_integral, lhs_geodesic, lhs_latticesum
 from cyclotrace.bqf import (
+    BQF,
     definite_class_reps,
     hypothesis_check,
     indefinite_class_reps,
@@ -52,6 +54,14 @@ TAKES_k = {
     "RunConfig": lambda k: RunConfig(k=k),
 }
 
+# ... or a tolerance, which must be finite and positive
+TAKES_tol = {
+    "lhs_geodesic": lambda tol: lhs_geodesic(2, 12, tol=tol),
+    "lhs_latticesum": lambda tol: lhs_latticesum(2, 12, tol=tol),
+    "cycle_integral": lambda tol: cycle_integral(BQF(1, 2, -2), 2, tol=tol),
+    "RunConfig": lambda tol: RunConfig(k=2, tol=tol),
+}
+
 
 @pytest.mark.parametrize("D, error", [(7, ValueError), (0, ValueError), (-8, ValueError),
                                       (9, SquareDiscriminant)])
@@ -74,6 +84,20 @@ def test_invalid_d_raises_value_error(name, d):
 def test_invalid_k_raises_value_error(name, k):
     with pytest.raises(ValueError, match="k must be >= 2"):
         TAKES_k[name](k)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", sorted(TAKES_tol))
+def test_invalid_tol_raises_value_error(name, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        TAKES_tol[name](tol)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_every_exported_name_exists(path):
+    module = importlib.import_module("cyclotrace" if path.stem == "__init__" else f"cyclotrace.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, missing
 
 
 def test_no_assert_statements_in_source():

@@ -21,7 +21,6 @@ from cyclotrace.fqm import (
     LatticeEmbedding,
     VVSeries,
     ct_pairing,
-    disc_group,
     eval_series,
     milgram_defect,
     rankin_cohen,
@@ -67,6 +66,36 @@ def test_smith_normal_form_random():
         assert all(diag[i + 1] % diag[i] == 0 for i in range(n - 1))
 
 
+def test_det_and_signature_against_numpy():
+    # numpy as the independent oracle: a nonzero eigenvalue of an integer
+    # matrix this small is above 1e-5, so the 1e-9 threshold is safe
+    from cyclotrace.fqm import _det
+
+    rng = random.Random(23)
+    singular = 0
+    for trial in range(1000):
+        n = rng.randint(1, 5)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randint(-1, 1)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        if trial % 4 == 0 and n > 1:
+            # a repeated row and column make it singular
+            g[-1] = g[0][:-1] + [g[0][0]]
+            for i in range(n - 1):
+                g[i][-1] = g[-1][i]
+        A = np.array(g, dtype=float)
+        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert _det(M) == round(np.linalg.det(np.array(M, dtype=float)))
+        L = IntLattice(tuple(map(tuple, g)))
+        assert _det(g) == L.det == round(np.linalg.det(A))
+        eig = np.linalg.eigvalsh(A)
+        assert L.signature == (int(np.sum(eig > 1e-9)), int(np.sum(eig < -1e-9)))
+        singular += L.det == 0
+    assert singular > 250
+
+
 def test_fqmodule_round_trips_random():
     rng = random.Random(11)
     for _ in range(100):
@@ -104,7 +133,7 @@ def test_direct_sum_coset_round_trip():
 def test_disc_group_examples():
     MP = module_P()
     assert MP.orders == (2,)
-    assert sorted(MP.q_values()) == [Fraction(0), Fraction(1, 4)]
+    assert sorted(MP.q_value(t) for t in MP.elements) == [Fraction(0), Fraction(1, 4)]
     MNm = module_N_minus()
     assert MNm.orders == (2, 2)
     reps = {t: MNm.rep_vector(t) for t in MNm.elements}
@@ -113,17 +142,17 @@ def test_disc_group_examples():
     # unimodular gram: trivial group
     assert FQModule(IntLattice(((0, 1), (1, 0)))).order == 1
     with pytest.raises(SingularGram):
-        disc_group(IntLattice(((2, 2), (2, 2))))
+        FQModule(IntLattice(((2, 2), (2, 2))))
     ML = module_L()
     assert ML.order == 2
-    assert sorted(ML.q_values()) == [Fraction(0), Fraction(3, 4)]
+    assert sorted(ML.q_value(t) for t in ML.elements) == [Fraction(0), Fraction(3, 4)]
     assert ML.lattice.signature == (1, 2)
 
 
 def test_milgram():
     for M in (module_P(), module_N_minus(), module_L(), module_K()):
         assert milgram_defect(M) < 1e-10
-    fancy = disc_group(IntLattice(((4, 1), (1, 4))))
+    fancy = FQModule(IntLattice(((4, 1), (1, 4))))
     assert milgram_defect(fancy) < 1e-10
 
 
@@ -313,7 +342,7 @@ def test_weil_matrices():
         # S^2 is a global phase times the negation permutation
         P = np.zeros_like(S)
         for i, t in enumerate(M.elements):
-            P[M.index[M.neg(t)], i] = 1
+            P[M.index[tuple((-a) % d for a, d in zip(t, M.orders))], i] = 1
         R = (S @ S) @ np.linalg.inv(P)
         assert np.max(np.abs(R - R[0, 0] * np.eye(M.order))) < 1e-12
 
@@ -357,10 +386,45 @@ def test_siegel_theta_splitting():
     assert np.max(np.abs(thL_T - T @ thL)) < 1e-8
 
 
+def _to_text(f):
+    """The golden files' line format: a header, then one tab-separated
+    line (component, scaled exponent, coefficient) per term."""
+    head = (
+        f"weight={f.weight} pi_power={f.pi_power} "
+        f"sigma={f.sigma if f.sigma is not None else 0} "
+        f"den={f.den} prec={Fraction(f.prec) * f.den}"
+    )
+    lines = [head]
+    for (c, n) in sorted(f.terms):
+        v = f.terms[(c, n)]
+        lines.append(f"{c}\t{n}\t{v.numerator}/{v.denominator}")
+    return "\n".join(lines) + "\n"
+
+
+def _from_text(text, module):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    head = dict(item.split("=") for item in lines[0].split())
+    den = int(head["den"])
+    terms = {}
+    for ln in lines[1:]:
+        c, n, v = ln.split("\t")
+        num, denom = v.split("/")
+        terms[(int(c), int(n))] = Fraction(int(num), int(denom))
+    return VVSeries(
+        module=module,
+        weight=Fraction(head["weight"]),
+        den=den,
+        terms=terms,
+        prec=Fraction(head["prec"]) / den,
+        pi_power=int(head["pi_power"]),
+        sigma=int(head["sigma"]) or None,
+    )
+
+
 def test_serialization_roundtrip_and_golden():
     th = theta_N_minus(3)
-    text = th.to_text()
-    back = VVSeries.from_text(text, module_N_minus())
+    text = _to_text(th)
+    back = _from_text(text, module_N_minus())
     assert back.terms == th.terms
     assert back.weight == th.weight and back.prec == th.prec
     assert back.pi_power == th.pi_power and back.sigma == th.sigma
@@ -370,7 +434,7 @@ def test_serialization_roundtrip_and_golden():
 
     g = hurwitz_gen(2)
     golden_g = (GOLDEN / "hurwitz_gen_prec2.txt").read_text()
-    assert g.to_text() == golden_g
+    assert _to_text(g) == golden_g
 
 
 def _targets_of(series):
@@ -439,7 +503,7 @@ def _brute_theta(K, prec):
     n = K.rank
     ginv = np.linalg.inv(np.array(K.gram, dtype=float))
     half = [int(np.sqrt(2 * float(prec) * ginv[i][i])) + 2 for i in range(n)]
-    den = math.lcm(*(qv.denominator for qv in M.q_values()))
+    den = math.lcm(*(M.q_value(t).denominator for t in M.elements))
     counts = {}
     for ci, t in enumerate(M.elements):
         shift = M.rep_vector(t)
