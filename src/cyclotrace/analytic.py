@@ -573,6 +573,9 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
 # The most (index, prime) hits one pass of the d = -4 sieve holds in its
 # arrays; it bounds the sieve's memory and does not change its counts.
 SIEVE_CHUNK = 1 << 16
+# The most terms of a doubling's window that the lattice sum evaluates at
+# once; it bounds the sum's memory and does not change its terms.
+TAIL_SLICE = 1 << 19
 
 
 def _primes_between(lo: int, hi: int) -> np.ndarray:
@@ -770,8 +773,11 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     trace scaling with the raised-form series constants.  For d = -4 the
     terms are indexed by s = t/2 = a + c, and N(t) = N(-t) counts
     b^2 + e^2 = D + s^2, e ≡ s (2), by a factorization sieve; for other d
-    `PairingSolver` counts each group exactly.  The cutoff is doubled
-    until the change is below tol.  The d = -4 sieve works in int64, so a D
+    `PairingSolver` counts each group exactly, stepping the leading
+    coefficient a of the forms through the integer window where
+    q(a) = a0^2 D + 2 a0 t a + disc(Q0) a^2 >= 0.  The cutoff is doubled
+    until the change is below tol, and each doubling's window is summed in
+    slices of at most TAIL_SLICE terms.  The d = -4 sieve works in int64, so a D
     with D + s^2 beyond int64 below the s ceiling raises ValueError.
     """
     t0 = time.perf_counter()
@@ -813,10 +819,14 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
             return t * t / (-d), np.array(counts, dtype=float)
 
     def tail_sum(lo: int, hi: int) -> float:
-        """The terms lo < s <= hi (or t); each doubling counts only its new half."""
-        p2, counts = window(lo, hi)
-        F = _hyp2f1_vec(k / 2, k / 2, k + 0.5, D / (D + p2))
-        return float(np.sum(counts * (D + p2) ** (-k / 2.0) * F))
+        """The terms lo < s <= hi (or t), in slices of at most TAIL_SLICE;
+        each doubling counts only its new half."""
+        acc = 0.0
+        for start in range(lo, hi, TAIL_SLICE):
+            p2, counts = window(start, min(start + TAIL_SLICE, hi))
+            F = _hyp2f1_vec(k / 2, k / 2, k + 0.5, D / (D + p2))
+            acc += float(np.sum(counts * (D + p2) ** (-k / 2.0) * F))
+        return acc
 
     S = first
     total = tail_sum(0, S)

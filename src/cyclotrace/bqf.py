@@ -97,12 +97,6 @@ class SL2Z:
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "SL2Z":
-        return SL2Z(self.d, -self.b, -self.c, self.a)
-
-    def neg(self) -> "SL2Z":
-        return SL2Z(-self.a, -self.b, -self.c, -self.d)
-
     def __repr__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
@@ -316,31 +310,22 @@ def pell_automorph(Q: BQF) -> GeodesicArc:
     """The generator of the stabiliser of Q in SL(2,Z) modulo ±1.
 
     For primitive Q this is gamma_Q = [[(t+bu)/2, cu], [-au, (t-bu)/2]]
-    with (t, u) minimal positive solving t^2 - D u^2 = 4; computed
-    exactly by composing the reduction cycle once around and normalising
-    signs.  An imprimitive form m*Q' has the same stabiliser as Q', with
-    (t, u) taken at disc(Q').
+    with (t, u) minimal positive solving t^2 - D u^2 = 4.  The cycle
+    automorph of the reduced cycle, once around, is ±gamma_R^(±1) for the
+    cycle's first form R, so it gives t = |trace| and u = |lower left|/|a_R|.
+    An imprimitive form m*Q' has the same stabiliser as Q', with (t, u)
+    taken at disc(Q').
     """
     check_discriminant(Q.disc)
     m = Q.content()
-    Qp = BQF(Q.a // m, Q.b // m, Q.c // m)
-    Dp = Qp.disc
-    _, h = _reduce_indefinite_with_matrix(Qp)
-    _, g0 = reduced_cycle(Qp)
-    g = h.inverse() * g0 * h
-    if Qp.apply(g) != Qp:
-        raise RuntimeError(f"conjugated cycle automorph {g} does not fix {Qp}")
-    t = g.a + g.d
-    if t < 0:
-        g = g.neg()
-        t = -t
-    u = -g.c // Qp.a
-    if u < 0:
-        g = g.inverse()
-        u = -u
-    if not (t > 0 and u > 0 and t * t - Dp * u * u == 4):
+    a, b, c = Q.a // m, Q.b // m, Q.c // m
+    Dp = b * b - 4 * a * c
+    cycle, g0 = reduced_cycle(BQF(a, b, c))
+    t, u = abs(g0.a + g0.d), abs(g0.c) // abs(cycle[0].a)
+    if not (u > 0 and t * t - Dp * u * u == 4):
         raise RuntimeError(f"({t}, {u}) does not solve the Pell equation for {Dp}")
-    if not (2 * g.a == t + Qp.b * u and g.b == Qp.c * u and -g.c == Qp.a * u and Q.apply(g) == Q):
+    g = SL2Z((t + b * u) // 2, c * u, -a * u, (t - b * u) // 2)
+    if Q.apply(g) != Q:
         raise RuntimeError(f"{g} is not the Pell automorph of {Q}")
     return GeodesicArc(form=Q, automorph=g, t=t, u=u, primitive_disc=Dp)
 
@@ -378,98 +363,60 @@ def stabilizer_order(d: int) -> int:
     return 1
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 _SQUARES_MOD_64 = frozenset(x * x % 64 for x in range(64))
 
 
 class PairingSolver:
     """The forms X of discriminant D with pairing(X, Q0) = t/2, exactly.
 
-    With n = (2 c0, -b0, 2 a0) the pairing reads (X, Q0) = n . X / 2, so
-    the forms with doubled pairing t form the coset (t/g) X0 + Z v1 + Z v2,
-    g = gcd(n), n . X0 = g, of the rank-2 lattice orthogonal to Q0.  The
-    pairing is negative definite on that lattice, so disc(X) =
-    -2 pairing(X, X) is a positive definite quadratic in the coordinates
-    (x, y): it takes each value D finitely often, and the solutions are
-    found by solving for y over a bounded x-window.  The basis, the
-    particular solution X0 and the Gram matrix are built once, here.
+    For X = [a, b, c] and Q0 = [a0, b0, c0] the doubled pairing is
+    t = 2 a c0 - b b0 + 2 a0 c, which fixes c = (t + b b0 - 2 a c0)/(2 a0).
+    Then disc(X) = D reads a0 b^2 - 2 a b0 b + (4 c0 a^2 - 2 t a - a0 D) = 0,
+    so b = (a b0 ± sqrt(q(a)))/a0 with q(a) = a0^2 D + 2 a0 t a - m a^2 and
+    m = -disc(Q0) > 0.  q(a) >= 0 exactly on the integer window
+    |m a - a0 t| <= isqrt(a0^2 (t^2 + m D)), and the solutions are found by
+    stepping a through it.
     """
 
     def __init__(self, Q0: BQF):
         if not Q0.is_positive_definite:
             raise NotDefinite(f"{Q0} is not positive definite")
-        n = (2 * Q0.c, -Q0.b, 2 * Q0.a)
-        g01, x, y = _ext_gcd(n[0], n[1])
-        g, u, v = _ext_gcd(g01, n[2])
-        v1 = BQF(n[1] // g01, -n[0] // g01, 0)
-        v2 = BQF(x * (n[2] // g), y * (n[2] // g), -(g01 // g))
-        if v2.disc > v1.disc:
-            # `forms` steps through x, over a window that grows with disc(v2)
-            v1, v2 = v2, v1
-        X0 = BQF(x * u, y * u, v)
-        for w, want in ((v1, 0), (v2, 0), (X0, g)):
-            if n[0] * w.a + n[1] * w.b + n[2] * w.c != want:
-                raise RuntimeError(f"{w} does not pair to {want}/2 with {Q0}")
-        self.g, self.v1, self.v2, self.X0 = g, v1, v2, X0
-        # disc(X) = -2 pairing(X, X): the Gram entries of the coset
-        self.h11, self.h22, self.s00 = v1.disc, v2.disc, X0.disc
-        self.h12, self.s01, self.s02 = (-int(2 * pairing(p, q))
-                                        for p, q in ((v1, v2), (X0, v1), (X0, v2)))
-        self.det = self.h11 * self.h22 - self.h12 * self.h12
-        if not (self.h11 > 0 and self.det > 0):
-            raise RuntimeError(f"the lattice orthogonal to {Q0} is not negative definite")
+        self.Q0 = Q0
+        self.m = -Q0.disc
+        self.g = gcd(gcd(2 * Q0.c, Q0.b), 2 * Q0.a)
 
     def forms(self, D: int, t: int) -> list[BQF]:
         """The forms of disc D > 0 with doubled pairing t."""
         if t % self.g:
             return []
-        lam = t // self.g
-        h11, h12, h22, det = self.h11, self.h12, self.h22, self.det
-        X0, v1, v2 = self.X0, self.v1, self.v2
-        c0, c1, c2 = lam * lam * self.s00, lam * self.s01, lam * self.s02
-        # disc(X) = D reads h22 y^2 + 2 (h12 x + c2) y + (h11 x^2 + 2 c1 x + c0 - D) = 0;
-        # its quarter discriminant in y, q(x) = (2 B - det x) x + C, is >= 0
-        # exactly on the x-window between its roots (B ± sqrt(delta))/det
-        B = h12 * c2 - h22 * c1
-        C = c2 * c2 - h22 * (c0 - D)
-        delta = B * B + det * C
-        if delta < 0:
-            return []
-        r = isqrt(delta)
-        x_lo, x_hi = -((r - B) // det), (B + r) // det
+        a0, b0, c0 = self.Q0.a, self.Q0.b, self.Q0.c
+        # q(a) = qD + (qt - m a) a
+        m, qD, qt = self.m, a0 * a0 * D, 2 * a0 * t
+        r = isqrt(a0 * a0 * (t * t + m * D))
+        a_lo, a_hi = -((r - a0 * t) // m), (a0 * t + r) // m
         found = []
-        # q(x) mod 64 depends only on x mod 64: step through the classes
+        # q(a) mod 64 depends only on a mod 64: step through the classes
         # where it is a square mod 64
-        for x_start in range(x_lo, min(x_lo + 64, x_hi + 1)):
-            if ((2 * B - det * x_start) * x_start + C) % 64 not in _SQUARES_MOD_64:
+        for a_start in range(a_lo, min(a_lo + 64, a_hi + 1)):
+            if (qD + (qt - m * a_start) * a_start) % 64 not in _SQUARES_MOD_64:
                 continue
-            for xv in range(x_start, x_hi + 1, 64):
-                q = (2 * B - det * xv) * xv + C
+            for a in range(a_start, a_hi + 1, 64):
+                q = qD + (qt - m * a) * a
                 s = isqrt(q)
                 if s * s != q:
                     continue
-                bb = h12 * xv + c2
-                for num in (-bb + s, -bb - s) if s else (-bb,):
-                    if num % h22 == 0:
-                        yv = num // h22
-                        X = BQF(lam * X0.a + xv * v1.a + yv * v2.a,
-                                lam * X0.b + xv * v1.b + yv * v2.b,
-                                lam * X0.c + xv * v1.c + yv * v2.c)
-                        if X.disc != D:
-                            raise RuntimeError(f"{X} solved the norm equation but has "
-                                               f"disc {X.disc} != {D}")
-                        found.append(X)
+                for num in (a * b0 + s, a * b0 - s) if s else (a * b0,):
+                    if num % a0:
+                        continue
+                    b = num // a0
+                    c, rem = divmod(t + b * b0 - 2 * a * c0, 2 * a0)
+                    if rem:
+                        continue
+                    X = BQF(a, b, c)
+                    if X.disc != D:
+                        raise RuntimeError(f"{X} solved the pairing equation but has "
+                                           f"disc {X.disc} != {D}")
+                    found.append(X)
         return found
 
 

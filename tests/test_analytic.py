@@ -563,6 +563,16 @@ def test_latticesum_rejects_int64_overflow():
         lhs_latticesum(2, D, -4)
 
 
+@pytest.mark.parametrize("d, tol", [(-4, 1e-6), (-7, 1e-3)])
+def test_latticesum_slices_keep_the_sum(monkeypatch, d, tol):
+    # slices of 48 cut every window, the first ones (64 and 4096 terms) too
+    whole = lhs_latticesum(4, 21, d, tol=tol)
+    monkeypatch.setattr(analytic, "TAIL_SLICE", 48)
+    sliced = lhs_latticesum(4, 21, d, tol=tol)
+    assert sliced.cutoff == whole.cutoff
+    assert abs(sliced.value - whole.value) <= 1e-13 * abs(whole.value)
+
+
 def test_pairing_solver_counts_match_sieve():
     # at d = -4 the doubled pairing with [1, 0, 1] is t = 2s, and the
     # solver's groups t and -t together hold the 2 N(s) forms the sieve

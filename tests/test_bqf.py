@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from cyclotrace.analytic import _class_pairs
@@ -9,6 +10,7 @@ from cyclotrace.arith import is_square
 from cyclotrace.bqf import (
     BQF,
     SL2Z,
+    PairingSolver,
     definite_class_reps,
     equivalent_indefinite,
     hypothesis_check,
@@ -184,6 +186,27 @@ def test_pell_automorph_imprimitive():
     assert naive == cube
 
 
+def test_pell_automorph_of_unreduced_forms():
+    # SL(2,Z) images of the class reps are not reduced; each keeps its own
+    # stabiliser, the closed form in its primitive coefficients
+    rng = random.Random(41)
+    for D in range(5, 201):
+        if D % 4 not in (0, 1) or is_square(D):
+            continue
+        for R in indefinite_class_reps(D):
+            for Qp in [R] + [R.apply(random_sl2(rng)) for _ in range(3)]:
+                for m in (1, 2):
+                    Q = BQF(m * Qp.a, m * Qp.b, m * Qp.c)
+                    arc = pell_automorph(Q)
+                    g, t, u = arc.automorph, arc.t, arc.u
+                    a, b, c = (x // Q.content() for x in (Q.a, Q.b, Q.c))
+                    assert Q.apply(g) == Q, (Q, g)
+                    assert (g.a, g.b, g.c, g.d) not in ((1, 0, 0, 1), (-1, 0, 0, -1))
+                    assert arc.primitive_disc == b * b - 4 * a * c
+                    assert (t, u) == pell_fundamental(arc.primitive_disc), Q
+                    assert g == SL2Z((t + b * u) // 2, c * u, -a * u, (t - b * u) // 2), Q
+
+
 def test_pell_validity_to_1000():
     rng = random.Random(1)
     Ds = [D for D in range(5, 1001) if D % 4 in (0, 1) and not is_square(D)]
@@ -226,6 +249,10 @@ def test_hypothesis_examples():
     assert hypothesis_check(12, -4) is True
     assert hypothesis_check(5, -4) is False
     assert hypothesis_check(8, -4) is False
+    # at d = -20 only the non-principal class has a CM point on a geodesic
+    assert hypothesis_check(41, -20) is False
+    assert PairingSolver(BQF(1, 0, 5)).forms(41, 0) == []
+    assert PairingSolver(BQF(2, 2, 3)).forms(41, 0)
     with pytest.raises(SquareDiscriminant):
         hypothesis_check(9, -4)
 
@@ -259,6 +286,39 @@ def test_on_geodesic_forms_float_oracle():
                     if abs(a * abs(z) ** 2 + b * z.real + c) < 1e-9:
                         brute.append((a, b, c))
         assert bool(exact) == bool(brute), D
+
+
+def test_pairing_solver_box_oracle():
+    # Every class of four d, including a0 > 1 and t != 0, against a scan of
+    # the box |a| <= A, |b| <= B.  The box holds every solution: with
+    # m = -disc(Q0), eliminating c from t = 2 pairing(X, Q0) =
+    # 2 a c0 - b b0 + 2 a0 c and b^2 - 4 a c = D gives
+    #   (a0 b - a b0)^2 + m a^2 - 2 a0 t a - a0^2 D = 0.
+    # Dropping the first square, (m a - a0 t)^2 <= a0^2 (t^2 + m D), so
+    # |a| <= a0 (|t| + sqrt(t^2 + m D))/m = A.  The rest of the equation is
+    # at most its maximum over real a, a0^2 (D + t^2/m), so
+    # |b| <= A |b0|/a0 + sqrt(D + t^2/m) = B.  a = 0 would need b^2 = D.
+    # The scan takes |t| <= T in A and B, and rounds each term down, plus 1.
+    T = 12
+    for d in (-3, -7, -20, -23):
+        for Q0 in definite_class_reps(d):
+            a0, b0, m = Q0.a, Q0.b, -Q0.disc
+            solver = PairingSolver(Q0)
+            for D in range(5, 41):
+                if D % 4 not in (0, 1) or is_square(D):
+                    continue
+                A = isqrt(a0 * a0 * (T * T + m * D)) // m + a0 * T // m + 1
+                B = A * abs(b0) // a0 + isqrt(D + T * T // m) + 1
+                a, b = np.meshgrid(np.arange(-A, A + 1), np.arange(-B, B + 1))
+                nonzero = a != 0
+                a, b = a[nonzero], b[nonzero]
+                keep = (b * b - D) % (4 * a) == 0
+                box = [BQF(int(x), int(y), (int(y) ** 2 - D) // (4 * int(x)))
+                       for x, y in zip(a[keep], b[keep])]
+                for t in range(-T, T + 1):
+                    want = {X for X in box if 2 * pairing(X, Q0) == t}
+                    got = solver.forms(D, t)
+                    assert len(got) == len(set(got)) and set(got) == want, (Q0, D, t)
 
 
 def test_enumerate_definite():
