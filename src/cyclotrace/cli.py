@@ -21,7 +21,7 @@ from .errors import (
     SquareDiscriminant,
     UnsupportedK,
 )
-from .special_forms import rhs_trace
+from .special_forms import ExactSeries, rhs_trace
 from .analytic import TraceReport, check_tol, lhs_geodesic, lhs_latticesum
 
 EXIT_OK = 0
@@ -61,12 +61,14 @@ def _applicable(methods: tuple[str, ...], k: int, d: int) -> list[str]:
     return [m for m in methods if m != "exact" or _exact_applies(k, d)]
 
 
-def compute_trace(method: str, k: int, D: int, d: int, tol: float) -> TraceReport:
+def compute_trace(method: str, k: int, D: int, d: int, tol: float,
+                  series: ExactSeries | None = None) -> TraceReport:
+    """One trace by one method; series, if given, is shared by exact traces."""
     if method == "exact":
         if not _exact_applies(k, d):
             raise ValueError("exact method requires k in {2, 4} and d = -4")
         t0 = time.perf_counter()
-        value = rhs_trace(k, D)
+        value = rhs_trace(k, D, series)
         return TraceReport(
             k=k, D=D, d=d, method="exact", value=value, error_estimate=0.0,
             hypothesis_ok=True, seconds=time.perf_counter() - t0,
@@ -150,17 +152,27 @@ def cmd_table(cfg: RunConfig) -> int:
     if not methods:
         raise ValueError("no applicable method (exact needs even k and d = -4)")
 
+    Ds = [D for D in range(5, cfg.Dmax + 1) if D % 4 in (0, 1) and not is_square(D)]
+    # every exact row reads one prefix of the series for the largest D
+    series = ExactSeries(Ds[-1]) if Ds and "exact" in methods else None
+    stalled = []
+
     def run(D, m):
         t0 = time.perf_counter()
+        hypothesis_ok = True
         try:
-            return compute_trace(m, cfg.k, D, cfg.d, cfg.tol)
+            return compute_trace(m, cfg.k, D, cfg.d, cfg.tol, series)
         except HypothesisViolated:
-            return TraceReport(
-                k=cfg.k, D=D, d=cfg.d, method=m, value=None, error_estimate=0.0,
-                hypothesis_ok=False, seconds=time.perf_counter() - t0,
-            )
+            hypothesis_ok = False
+        except NoConvergence as e:
+            # the row stays in the table with no value; the others are kept
+            print(f"no convergence at D={D} ({m}): {e}", file=sys.stderr)
+            stalled.append(D)
+        return TraceReport(
+            k=cfg.k, D=D, d=cfg.d, method=m, value=None, error_estimate=0.0,
+            hypothesis_ok=hypothesis_ok, seconds=time.perf_counter() - t0,
+        )
 
-    Ds = [D for D in range(5, cfg.Dmax + 1) if D % 4 in (0, 1) and not is_square(D)]
     reports = [run(D, m) for D in Ds for m in methods]
     rows = [_row_fields(r) for r in reports]
     if cfg.as_json:
@@ -179,7 +191,7 @@ def cmd_table(cfg: RunConfig) -> int:
             return EXIT_INPUT
     else:
         sys.stdout.write(payload)
-    return EXIT_OK
+    return EXIT_NO_CONVERGENCE if stalled else EXIT_OK
 
 
 def cmd_selftest(cfg: RunConfig) -> int:

@@ -436,8 +436,13 @@ def _convolve(f: VVSeries, g: VVSeries, coeffs, module: FQModule | None, targets
                     key = (cf * ng + cg, int((ef + eg) * den))
                     terms[key] = terms.get(key, 0) + weight(ef, eg) * vf * vg
     else:
-        # exponents in units of 1/den, as integers
+        # exponents in units of 1/den, as integers; scaled by L, the lcm of
+        # the coefficients' denominators, L den^deg P(e_f, e_g) is the integer
+        # sum_r C_r N_f^r N_g^(deg-r), divided out once per target
         fs, gs = den // f.den, den // g.den
+        L = math.lcm(*(Fraction(c).denominator for c in coeffs))
+        C = [int(c * L) for c in coeffs]
+        scale = L * den**deg
         g_by_comp = {}
         for (cg, m), vg in g.terms.items():
             g_by_comp.setdefault(cg, []).append((m * gs, vg))
@@ -454,11 +459,13 @@ def _convolve(f: VVSeries, g: VVSeries, coeffs, module: FQModule | None, targets
             cf, cg = divmod(c, ng)
             acc = 0
             for mg, vg in g_by_comp.get(cg, ()):
-                nf, rem = divmod(N - mg, fs)
+                mf = N - mg
+                nf, rem = divmod(mf, fs)
                 vf = None if rem else f.terms.get((cf, nf))
                 if vf:
-                    acc += weight(Fraction(N - mg, den), Fraction(mg, den)) * vf * vg
-            terms[(c, N)] = acc
+                    w = sum(Cr * mf**r * mg ** (deg - r) for r, Cr in enumerate(C) if Cr)
+                    acc += w * vg * vf
+            terms[(c, N)] = Fraction(acc, scale)
     return VVSeries(
         module=M,
         weight=f.weight + g.weight,

@@ -33,6 +33,7 @@ __all__ = [
     "hurwitz_table_recursive",
     "hurwitz_gen",
     "theta_N_minus",
+    "ExactSeries",
     "fD_const_term",
     "PlusForm",
     "build_fD",
@@ -241,6 +242,19 @@ def theta_N_minus(prec) -> VVSeries:
     return theta_series(lattice_N_minus(), prec, module=module_N_minus())
 
 
+class ExactSeries:
+    """Both inputs of the bracket, complete for every trace with D <= Dmax.
+
+    The series for a smaller D is a prefix of these, so a table builds one
+    object at its largest D and passes it to each exact trace.
+    """
+
+    def __init__(self, Dmax: int):
+        prec = Fraction(Dmax + 4, 4)
+        self.hurwitz = hurwitz_gen(prec)
+        self.theta = theta_N_minus(prec)
+
+
 # ----------------------------------------------------------------------
 # input forms f_D
 
@@ -326,7 +340,7 @@ def build_fD(k: int, D: int) -> PlusForm:
 _SHADOW_SCALE = Fraction(1, 2)
 
 
-def rhs_trace(k: int, D: int) -> Fraction:
+def rhs_trace(k: int, D: int, series: ExactSeries | None = None) -> Fraction:
     """Exact trace of cycle integrals via the constant-term formula.
 
     Restricts the input form to P ⊕ N, pairs it against the Rankin--Cohen
@@ -334,6 +348,10 @@ def rhs_trace(k: int, D: int) -> Fraction:
     of N^-, and scales by 2^(k-3) |d|^(1/2) / (pi |stab|) (the pi cancels
     the bracket's pi-power).  Covers k in {2, 4} with d = -4; see
     build_fD for why even k >= 6 has no two-term input form.
+
+    series, shared by the traces of a table, holds the bracket's inputs;
+    without it they are built for this D.  A series too short for D
+    raises InsufficientPrecision from the bracket.
     """
     # invalid k or D raise before the hypothesis is checked (hypothesis_check
     # validates D), and a violated hypothesis before f_D's constant term is computed
@@ -346,8 +364,9 @@ def rhs_trace(k: int, D: int) -> Fraction:
     fK = restrict(f.series, embedding_PN_in_L())
     # the pairing reads the bracket only opposite fK's terms (exponents D/4 and 0)
     targets = [(c, -Fraction(n, fK.den)) for (c, n) in fK.terms]
-    prec = Fraction(D + 4, 4)
-    bracket = rankin_cohen(hurwitz_gen(prec), theta_N_minus(prec), k // 2 - 1,
+    if series is None:
+        series = ExactSeries(D)
+    bracket = rankin_cohen(series.hurwitz, series.theta, k // 2 - 1,
                            module=module_K_minus(), targets=targets)
     ct, pi_power = ct_pairing(fK, bracket)
     if pi_power != 1:

@@ -152,6 +152,66 @@ def test_table_geodesic_threads_agree():
     assert values("4") == values("1")
 
 
+def test_table_builds_each_series_once(tmp_path, monkeypatch):
+    from cyclotrace import special_forms
+
+    calls = {"hurwitz_gen": 0, "theta_N_minus": 0}
+    for name in calls:
+        def counted(prec, _name=name, _fn=getattr(special_forms, name)):
+            calls[_name] += 1
+            return _fn(prec)
+
+        monkeypatch.setattr(special_forms, name, counted)
+    out = tmp_path / "t.csv"
+    assert main(["table", "--k", "4", "--Dmax", "150", "--method", "exact",
+                 "--out", str(out)]) == 0
+    assert calls == {"hurwitz_gen": 1, "theta_N_minus": 1}
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert sum(row[6] == "true" for row in rows) > 20
+
+
+def test_table_keeps_rows_past_no_convergence(tmp_path, monkeypatch, capsys):
+    import cyclotrace.cli as cli
+    from cyclotrace.errors import NoConvergence
+
+    args = ["table", "--k", "4", "--Dmax", "33", "--method", "all"]
+
+    def read(path, as_json):
+        if as_json:
+            return json.loads(path.read_text())
+        header, *lines = path.read_text().splitlines()
+        return [dict(zip(header.split(","), ln.split(","))) for ln in lines]
+
+    def key(row):
+        return (row["D"], row["method"])
+
+    def strip(rows):
+        return {key(row): {k: v for k, v in row.items() if k != "seconds"} for row in rows}
+
+    for as_json in (False, True):
+        flags = ["--json"] if as_json else []
+        good = tmp_path / f"good{as_json}"
+        assert main([*args, *flags, "--out", str(good)]) == 0
+        lattice_sum = cli.lhs_latticesum
+
+        def stalls_at_21(k, D, d, tol):
+            if D == 21:
+                raise NoConvergence("lattice-sum cutoff above ceiling")
+            return lattice_sum(k, D, d, tol=tol)
+
+        monkeypatch.setattr(cli, "lhs_latticesum", stalls_at_21)
+        bad = tmp_path / f"bad{as_json}"
+        assert main([*args, *flags, "--out", str(bad)]) == 4
+        monkeypatch.setattr(cli, "lhs_latticesum", lattice_sum)
+        assert "no convergence at D=21" in capsys.readouterr().err
+        expected, got = strip(read(good, as_json)), strip(read(bad, as_json))
+        assert expected.keys() == got.keys() and len(got) == 3 * 12
+        stalled = got.pop(("21", "latticesum"))
+        assert (stalled["value"], stalled["error_estimate"], stalled["hypothesis_ok"]) == ("", "", "true")
+        assert expected.pop(("21", "latticesum"))["value"] != ""
+        assert got == expected
+
+
 def test_table_unwritable_exit_3(tmp_path):
     assert main(["table", "--k", "2", "--Dmax", "21", "--method", "exact",
                  "--out", "/nonexistent-dir/x.csv"]) == 3

@@ -484,6 +484,39 @@ def test_targeted_bracket_matches_full():
                               if (k[0], Fraction(k[1], full.den)) in few}
 
 
+def test_targeted_bracket_integer_weights_at_higher_degree():
+    # degrees 2 and 3 scale the pair weights by den^deg and a coefficient
+    # lcm L > 1, which the traces (n = 0, 1) barely exercise
+    from cyclotrace.special_forms import build_fD, hurwitz_gen, module_K_minus
+
+    MK = module_K_minus()
+    for D in (21, 76):
+        prec = Fraction(D + 4, 4)
+        h, th = hurwitz_gen(prec), theta_N_minus(prec)
+        fK = restrict(build_fD(4, D).series, embedding_PN_in_L())
+        wanted = [(c, -e) for (c, e) in _targets_of(fK)]
+        wanted += [(c, Fraction(m, 4)) for c in range(MK.order) for m in range(0, D + 1, 5)]
+        for n in (2, 3):
+            full = rankin_cohen(h, th, n, module=MK)
+            part = rankin_cohen(h, th, n, module=MK, targets=wanted)
+            for c, e in wanted:
+                assert part.coefficient(c, e) == full.coefficient(c, e), (D, n, c, e)
+            assert any(part.coefficient(c, -e) for (c, e) in _targets_of(fK))
+    # a hand-built pair with f.den = 4, g.den = 2 and negative exponents
+    f = VVSeries(module=module_P(), weight=Fraction(1, 2), den=4,
+                 terms={(0, -8): Fraction(2), (1, -3): Fraction(-1, 3), (0, 4): Fraction(5),
+                        (1, 1): Fraction(7, 2), (1, -7): Fraction(3, 4)}, prec=Fraction(3))
+    g = VVSeries(module=module_N_minus(), weight=Fraction(1), den=2,
+                 terms={(0, -2): Fraction(1), (3, -1): Fraction(4), (0, 0): Fraction(-2),
+                        (2, 3): Fraction(1, 5), (3, 1): Fraction(3), (1, -3): Fraction(2, 7)},
+                 prec=Fraction(2))
+    for n in (2, 3):
+        full = rankin_cohen(f, g, n)
+        assert full.terms
+        part = rankin_cohen(f, g, n, targets=_targets_of(full) + [(5, Fraction(-1, 2))])
+        assert part.terms == full.terms
+
+
 def test_targeted_bracket_precision():
     MP, MNm = module_P(), module_N_minus()
     thP = theta_series(lattice_P(), Fraction(9, 2), module=MP)

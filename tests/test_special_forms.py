@@ -5,8 +5,14 @@ import pytest
 
 from cyclotrace.arith import dirichlet_L_value, is_square
 from cyclotrace.bqf import hypothesis_check
-from cyclotrace.errors import HypothesisViolated, SquareDiscriminant, UnsupportedK
+from cyclotrace.errors import (
+    HypothesisViolated,
+    InsufficientPrecision,
+    SquareDiscriminant,
+    UnsupportedK,
+)
 from cyclotrace.special_forms import (
+    ExactSeries,
     build_fD,
     closed_formula,
     fD_const_term,
@@ -138,6 +144,17 @@ def test_rhs_equals_closed_formula_to_300():
     for D in admissible(300):
         for k in (2, 4):
             assert rhs_trace(k, D) == closed_formula(k, D), (k, D)
+
+
+def test_shared_series_gives_the_same_traces():
+    series = ExactSeries(400)
+    for D in admissible(400):
+        for k in (2, 4):
+            shared = rhs_trace(k, D, series=series)
+            assert shared == rhs_trace(k, D) == closed_formula(k, D), (k, D)
+    # complete only below exponent 26, so D = 120 needs more than it holds
+    with pytest.raises(InsufficientPrecision):
+        rhs_trace(2, 120, series=ExactSeries(100))
 
 
 def test_rhs_trace_rejects_higher_even_k():
