@@ -378,12 +378,6 @@ class FkAEvaluator:
             raise PoleAtZ("evaluation point lies on a pole of the form")
         return vals
 
-    def eval_adaptive(self, zs, tol: float) -> tuple[np.ndarray, float, int]:
-        """(values, error, cutoff): the values, `residual` and the pinning
-        cutoff.  Nothing is truncated at evaluation, so tol cannot change
-        the values; the caller compares error with it."""
-        return self.eval(zs), self.residual, self.cutoff
-
 
 @lru_cache(maxsize=None)
 def _shared_evaluator(k: int, d: int, rep: BQF | None) -> FkAEvaluator:

@@ -331,25 +331,38 @@ def theta_series(K: IntLattice, prec, module: FQModule | None = None) -> VVSerie
 
     Coefficient at (mu, n) counts vectors of norm q = n in the coset
     K + mu; weight rank/2, complete for exponents < prec.  The count is
-    exact integer arithmetic: see _coset_norms.
+    exact integer arithmetic.  With s the lcm of the denominators of mu's
+    representative, y = s x is integral for x in the coset, and x is kept
+    when y^T G y < B = 2 s^2 prec.  By Cauchy--Schwarz in the G-norm such
+    a y has y_i^2 < B adj(G)_ii / det G, so y_i runs over the residues
+    ≡ s mu_i (mod s) in that box.
     """
     if not K.is_positive_definite:
         raise NotPositiveDefinite("theta series needs a positive definite lattice")
     M = module if module is not None else FQModule(K)
     prec = Fraction(prec)
     den = _exponent_denominator(M)
-    # G = R^T R with R upper triangular; floats, used for loop bounds only
-    n = K.rank
-    R = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = K.gram[i][j] - sum(R[k][i] * R[k][j] for k in range(i))
-            R[i][j] = math.sqrt(v) if i == j else v / R[i][i]
+    g, n, det = K.gram, K.rank, K.det
+    # adj(G)_ii is the determinant of the minor without row and column i
+    adj = [_det([[g[a][b] for b in range(n) if b != i] for a in range(n) if a != i]) for i in range(n)]
+    # y^T G y as its nonzero upper-triangular terms
+    terms = [(i, j, g[i][j] * (1 if i == j else 2)) for i in range(n) for j in range(i, n) if g[i][j]]
     counts = {}
     for ci, t in enumerate(M.elements):
         shift = M.rep_vector(t)
         s = math.lcm(*(x.denominator for x in shift))
-        for norm in _coset_norms(K.gram, R, [int(x * s) for x in shift], s, 2 * s * s * prec):
+        bound = 2 * s * s * prec
+        box = []
+        for i in range(n):
+            r = math.isqrt(max(bound * adj[i] // det, 0))
+            box.append(range(-r + (int(shift[i] * s) + r) % s, r + 1, s))
+        top, bottom = bound.numerator, bound.denominator
+        for y in product(*box):
+            norm = 0
+            for i, j, c in terms:
+                norm += c * y[i] * y[j]
+            if norm * bottom >= top:
+                continue
             # q(x) = norm / (2 s^2) ≡ q(mu) (mod 1), so q(x) * den is an integer
             e, rem = divmod(norm * den, 2 * s * s)
             if rem:
@@ -369,39 +382,6 @@ def theta_series(K: IntLattice, prec, module: FQModule | None = None) -> VVSerie
 
 def _exponent_denominator(M: FQModule) -> int:
     return math.lcm(*(q.denominator for q in M._q))
-
-
-def _coset_norms(gram, R, a, s: int, bound: Fraction) -> list[int]:
-    """y^T G y for every integer vector y ≡ a (mod s) with y^T G y < bound.
-
-    With y = s x this lists the norms 2 s^2 q(x) of the coset x ∈ a/s + Z^n.
-    The integer comparison alone decides which y are kept.  The float
-    factor R (G = R^T R, upper triangular) only sets the loop bounds
-    (Fincke--Pohst), each widened by one unit of y, which is far more
-    than the rounding error of the floats at these sizes.
-    """
-    n = len(gram)
-    ratio = [[R[i][j] / R[i][i] for j in range(n)] for i in range(n)]
-    y = [0] * n
-    out = []
-
-    def walk(i, budget, tail):
-        # y[i+1:] are fixed: tail is their exact share of y^T G y, budget
-        # the float estimate of what is left of the bound
-        c = -sum(ratio[i][j] * y[j] for j in range(i + 1, n))
-        cross = 2 * sum(gram[i][j] * y[j] for j in range(i + 1, n))
-        r = math.sqrt(max(budget, 0.0)) / R[i][i] + 1
-        lo = math.floor(c - r)
-        for yi in range(lo + (a[i] - lo) % s, math.ceil(c + r) + 1, s):
-            norm = (gram[i][i] * yi + cross) * yi + tail
-            if i:
-                y[i] = yi
-                walk(i - 1, budget - (R[i][i] * (yi - c)) ** 2, norm)
-            elif norm * bound.denominator < bound.numerator:
-                out.append(norm)
-
-    walk(n - 1, float(bound), 0)
-    return out
 
 
 def _convolve(f: VVSeries, g: VVSeries, coeffs, module: FQModule | None, targets) -> VVSeries:

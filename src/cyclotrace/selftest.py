@@ -170,7 +170,7 @@ def _check_proportionality() -> bool:
 
     pts = np.array([complex(0.03 + 0.04 * j, 1.05 + 0.06 * j) for j in range(10)])
     ev = get_evaluator(2, -4)
-    vals, _, _ = ev.eval_adaptive(pts, 1e-8)
+    vals = ev.eval(pts)
     ratios = []
     for z, f in zip(pts, vals):
         E4, E6, Delta = eisenstein_oracle(complex(z))

@@ -8,7 +8,6 @@ weight input forms, and the finite constant-term formula for the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -35,7 +34,6 @@ __all__ = [
     "theta_N_minus",
     "ExactSeries",
     "fD_const_term",
-    "PlusForm",
     "build_fD",
     "rhs_trace",
     "closed_formula",
@@ -271,21 +269,6 @@ def fD_const_term(k: int, D: int) -> Fraction:
     return -cohen_H(k, D) / cohen_H(k, 0)
 
 
-@dataclass(frozen=True)
-class PlusForm:
-    """Principal part and constant term of the vector-valued input form.
-
-    Positive-exponent coefficients are never needed: in the constant-term
-    pairing against a holomorphic bracket only exponents <= 0 meet the
-    bracket's support.
-    """
-
-    k: int
-    D: int
-    const_term: Fraction
-    series: VVSeries
-
-
 def _check_exact_k(k: int) -> None:
     if k not in (2, 4):
         raise UnsupportedK(
@@ -294,11 +277,13 @@ def _check_exact_k(k: int) -> None:
         )
 
 
-def build_fD(k: int, D: int) -> PlusForm:
+def build_fD(k: int, D: int) -> VVSeries:
     """The unique plus-space form e(-D tau) + O(1) of weight 3/2 - k.
 
     Vector-valued over L'/L: coefficient 1 at exponent -D/4 on the
     component determined by D mod 2, constant term on the zero component.
+    It stops at prec 1/4: the pairing against a holomorphic bracket reads
+    no positive exponent.
 
     Only k = 2 and k = 4 are admitted: for even k >= 6 the dual space of
     cusp forms of weight k + 1/2 is nonzero, so no weakly holomorphic
@@ -308,23 +293,20 @@ def build_fD(k: int, D: int) -> PlusForm:
     _check_exact_k(k)
     check_discriminant(D)
     M = module_L()
-    c0 = fD_const_term(k, D)
-    comp = M.index[(0, 0, 0)] if D % 2 == 0 else M.index[_L_NONTRIVIAL]
-    terms = {(comp, -D): Fraction(1)}
-    zero_comp = M.index[(0, 0, 0)]
-    key0 = (zero_comp, 0)
-    terms[key0] = terms.get(key0, Fraction(0)) + c0
-    series = VVSeries(
+    zero = M.index[(0, 0, 0)]
+    comp = zero if D % 2 == 0 else M.index[_L_NONTRIVIAL]
+    f = VVSeries(
         module=M,
         weight=Fraction(3, 2) - k,
         den=4,
-        terms=terms,
+        # D is not 0, so the pole and the constant term are two keys
+        terms={(comp, -D): Fraction(1), (zero, 0): fD_const_term(k, D)},
         prec=Fraction(1, 4),
         pi_power=0,
         sigma=+1,
     )
-    series.validate_support()
-    return PlusForm(k=k, D=D, const_term=c0, series=series)
+    f.validate_support()
+    return f
 
 
 # ----------------------------------------------------------------------
@@ -360,8 +342,7 @@ def rhs_trace(k: int, D: int, series: ExactSeries | None = None) -> Fraction:
         raise HypothesisViolated(
             f"the CM point of disc -4 lies on a geodesic of disc {D}"
         )
-    f = build_fD(k, D)
-    fK = restrict(f.series, embedding_PN_in_L())
+    fK = restrict(build_fD(k, D), embedding_PN_in_L())
     # the pairing reads the bracket only opposite fK's terms (exponents D/4 and 0)
     targets = [(c, -Fraction(n, fK.den)) for (c, n) in fK.terms]
     if series is None:
@@ -389,20 +370,17 @@ def closed_formula(k: int, D: int) -> Fraction:
     if k not in (2, 4):
         raise UnsupportedK(f"no closed formula for k = {k}")
     s = isqrt(D)
-    total = Fraction(0)
+    total = 0  # 12 times the sum: 12 H(n) is an integer
     for n in range(-s, s + 1):
         if (n - D) % 2:
             continue
-        mmax = isqrt(D - n * n)
-        for m in range(-mmax, mmax + 1):
-            arg = D - n * n - m * m
-            h = hurwitz(arg)
+        for m in range(isqrt(D - n * n) + 1):
+            h = hurwitz(D - n * n - m * m)
             if not h:
                 continue
-            if k == 2:
-                total += h
-            else:
-                total += (4 * D - 10 * n * n - 10 * m * m) * h
+            # the terms at m and -m are equal
+            h12 = (24 if m else 12) * h.numerator // h.denominator
+            total += h12 if k == 2 else (4 * D - 10 * n * n - 10 * m * m) * h12
     if k == 2:
-        return -40 * dirichlet_L_value(D, -1) - 4 * total
-    return total
+        return -40 * dirichlet_L_value(D, -1) - Fraction(total, 3)
+    return Fraction(total, 12)

@@ -317,8 +317,7 @@ def test_layer_delta_only_where_cusp_forms_are_pinned():
     for k in (2, 3, 4, 5, 7):
         ev = get_evaluator(k, -23)
         assert ev.cutoff == 0 and ev.layer_delta(1 << 10) == 0.0
-        vals, error, cutoff = ev.eval_adaptive(np.array([0.2 + 1.1j]), 1e-9)
-        assert error == ev.residual and cutoff == 0
+        assert np.all(np.isfinite(ev.eval(np.array([0.2 + 1.1j])))) and 0.0 < ev.residual < 1e-7
     ev = get_evaluator(6, -23)
     assert 0.0 < ev.layer_delta(ev.cutoff) <= ev.residual < 1e-8
 
@@ -368,7 +367,7 @@ def test_eval_fkA_proportional_to_eisenstein_combination():
     # unique weight-4 meromorphic form with a double pole at i: E4 Delta / E6^2
     pts = np.array([complex(0.03 + 0.04 * j, 1.05 + 0.06 * j) for j in range(10)])
     ev = get_evaluator(2, -4)
-    vals, _, _ = ev.eval_adaptive(pts, 2e-8)
+    vals = ev.eval(pts)
     ratios = []
     for z, f in zip(pts, vals):
         E4, E6, Delta = eisenstein_oracle(complex(z))

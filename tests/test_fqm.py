@@ -450,7 +450,7 @@ def test_targeted_bracket_matches_full():
     for D in (12, 21, 44, 76, 149):
         prec = Fraction(D + 4, 4)
         h, th = hurwitz_gen(prec), theta_N_minus(prec)
-        fK = restrict(build_fD(4, D).series, E)
+        fK = restrict(build_fD(4, D), E)
         # the keys the pairing reads, plus a spread of others, some with coefficient 0
         wanted = [(c, -e) for (c, e) in _targets_of(fK)]
         wanted += [(c, Fraction(m, 4)) for c in range(MK.order) for m in range(0, D + 1, 7)]
@@ -493,7 +493,7 @@ def test_targeted_bracket_integer_weights_at_higher_degree():
     for D in (21, 76):
         prec = Fraction(D + 4, 4)
         h, th = hurwitz_gen(prec), theta_N_minus(prec)
-        fK = restrict(build_fD(4, D).series, embedding_PN_in_L())
+        fK = restrict(build_fD(4, D), embedding_PN_in_L())
         wanted = [(c, -e) for (c, e) in _targets_of(fK)]
         wanted += [(c, Fraction(m, 4)) for c in range(MK.order) for m in range(0, D + 1, 5)]
         for n in (2, 3):
@@ -558,6 +558,9 @@ def test_theta_series_matches_box_count():
         (((4, 1), (1, 4)), Fraction(21, 2)),
         (((4, 2, 1), (2, 6, 1), (1, 1, 8)), Fraction(17, 4)),
         (lattice_P().gram, Fraction(83, 7)),
+        (((2, 1), (1, 50)), Fraction(40)),
+        (((2, 0, 0), (0, 2, 0), (0, 0, 2)), Fraction(60)),
+        (lattice_N_minus().gram, Fraction(203, 2)),
     ]
     for gram, prec in cases:
         K = IntLattice(gram)
@@ -566,3 +569,13 @@ def test_theta_series_matches_box_count():
         assert th.terms == counts, gram
         assert th.prec == prec and all(Fraction(n, th.den) < prec for (_, n) in th.terms)
         th.validate_support()
+
+
+def test_theta_series_stops_strictly_below_prec():
+    # the vectors x = ±1 of P have norm exactly 1
+    i0 = module_P().index[(0,)]
+    assert theta_series(lattice_P(), 1, module=module_P()).coefficient(i0, 1) == 0
+    assert theta_series(lattice_P(), Fraction(5, 4), module=module_P()).coefficient(i0, 1) == 2
+    for prec in (0, -1):
+        th = theta_series(lattice_P(), prec, module=module_P())
+        assert th.terms == {} and th.prec == prec

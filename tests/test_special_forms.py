@@ -100,14 +100,14 @@ def test_build_fD():
     f = build_fD(2, 12)
     M = module_L()
     i0 = M.index[(0, 0, 0)]
-    assert f.series.terms == {(i0, -12): 1, (i0, 0): 240}
+    assert f.terms == {(i0, -12): 1, (i0, 0): 240}
     f5 = build_fD(2, 5)
     i1 = M.index[(0, 0, 1)]
-    assert f5.series.terms == {(i1, -5): 1, (i0, 0): 48}
+    assert f5.terms == {(i1, -5): 1, (i0, 0): 48}
     # Kohnen condition: the scalar exponents 4 * (n/4) lie in 0, 3 mod 4
-    for (c, n) in f5.series.terms:
+    for (c, n) in f5.terms:
         assert n % 4 in (0, 3)
-    f5.series.validate_support()
+    f5.validate_support()
     with pytest.raises(SquareDiscriminant):
         build_fD(2, 16)
     with pytest.raises(UnsupportedK):
