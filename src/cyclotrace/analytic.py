@@ -5,15 +5,16 @@ a modular form with poles on one CM orbit, so it is evaluated from
 E4, E6 and Delta (one vectorized q-series routine): a fit of partial
 fractions E/(j - j_A)^m to its principal part at the CM point, plus the
 cusp forms of weight 2k, pinned by the class sum where there are any
-(`FkAEvaluator`).  Cycle integrals use Gauss--Legendre nodes along one
-automorph period of each geodesic; their error estimate is the last
-panel doubling's change, plus the evaluator's residual over the window,
-plus a rounding floor.  The hypergeometric lattice sum counts
-representations with a factorization sieve, and its estimate is its
-last doubling's change.  At d = -4 the sieve is numpy array work: the
-square roots of -D modulo every new prime come from one batched
-Tonelli--Shanks as the cutoff grows, and the int64 values D + s^2 are
-divided by their prime powers in chunks of a bounded number of hits.
+(`FkAEvaluator`).  Cycle integrals use Gauss--Legendre nodes along the
+pieces of each geodesic's reduced cycle, the arcs of its reduced forms;
+their error estimate is the last panel doubling's change, plus the
+evaluator's residual over the nodes, plus a rounding floor.  The
+hypergeometric lattice sum counts representations with a factorization
+sieve, and its estimate is its last doubling's change.  At d = -4 the
+sieve is numpy array work: the square roots of -D modulo every new prime
+come from one batched Tonelli--Shanks as the cutoff grows, and the int64
+values D + s^2 are divided by their prime powers in chunks of a bounded
+number of hits.
 The 2F1 series stops once no term left can change its sum.
 """
 
@@ -34,8 +35,8 @@ from .bqf import (
     equivalent_indefinite,
     indefinite_class_reps,
     on_geodesic_forms,
-    pell_automorph,
     reduce_definite,
+    reduced_cycle,
     sqrt_mod_roots,
     stabilizer_order,
     definite_class_reps,
@@ -404,18 +405,14 @@ def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None) -> complex:
 # ----------------------------------------------------------------------
 # cycle integrals (method 1)
 
-# Orientation of the geodesics: integration runs along the automorph flow
-# from z0 toward gamma_Q z0 (t, u > 0); the overall sign is calibrated once
-# against the lattice-sum method at (k, D) = (2, 12) and frozen.
-CYCLE_ORIENTATION = 1
-
 # The rounding floor of a cycle integral, in units of eps * sum |term|
-# over its nodes, fixed once for every case.  On 220 traces with a known
-# value (k = 2..5, d in {-3, -4, -7, -20}, D < 110, tol 1e-13 and 1e-8),
-# the largest error left over by the other terms of the estimate needed
-# 17.7 of these units; the one exception, (3, 97, -20), stops on a
-# panel noise floor far above any rounding.
-ROUNDING_FLOOR = 32
+# over its nodes, fixed once for every case.  Over d = -4, k in {2, 4},
+# every admissible D <= 1000, at 1e-3, 1e-7 and 1e-8 * (1 + |trace|), and
+# odd k in {3, 5}, d in {-3, -7, -20}, D <= 300, at 1e-7 and 1e-8, the
+# largest error left over by the other terms of the estimate needed 238 of
+# these units, at (k, D) = (4, 728) and tol 1e-7 or 1e-8: node noise near
+# pole passages.
+ROUNDING_FLOOR = 256
 
 
 @lru_cache(maxsize=None)
@@ -429,104 +426,88 @@ def cycle_integral(
     d: int = -4,
     tol: float = 1e-9,
     check_pole: bool = True,
-    theta_start: float | None = None,
 ) -> tuple[complex, float, dict]:
     """One geodesic cycle integral of f_{k, class} against Q(z,1)^{k-1} dz.
 
-    Composite Gauss--Legendre quadrature in the hyperbolic arclength
-    parameter over one automorph period, panel count doubled until the
-    change fits in tol beside the estimate's other terms.  The default
-    starting point centers the period around the arc top: the height
-    along the arc is R/cosh(u), so a centered window keeps both endpoints
-    as high as possible, which bounds the precision lost to the chaotic
-    fundamental-domain reduction at low points.  Returns (value, error_estimate,
-    cutoff_metadata).  The estimate is the last doubling's change, plus
-    the evaluator's residual times a bound on the integral of
-    |Q(z,1)^(k-1) dz| over the window, plus ROUNDING_FLOOR eps times the
-    sum of the sizes of the rule's terms.
+    The closed geodesic of Q is the union of the arcs of the forms P of its
+    reduced cycle: the piece of P runs along P's semicircle from its
+    crossing of x = 0 to its crossing of x = n, the n of the river step
+    from P's predecessor (see `bqf._rho`).  Every piece's endpoints lie at
+    height >= D^(-1/4).  The integrand has weight 0, so each piece is the
+    matching stretch of Q's own period, taken against P(z,1)^{k-1} dz.
+    Composite Gauss--Legendre quadrature in the hyperbolic arclength u,
+    with each piece given max(1, round(its length)) panels times a common
+    multiplier, doubled until the change fits in tol beside the estimate's
+    other terms.  Returns (value, error_estimate, cutoff_metadata).  The
+    estimate is the last doubling's change, plus the evaluator's residual
+    times the rule's sum of |P(z,1)^(k-1) dz|, plus ROUNDING_FLOOR eps times
+    the sum of the sizes of the rule's terms.
     """
     check_tol(tol)
-    D = Q.disc
     if check_pole:
-        for X in on_geodesic_forms(D, d):
+        for X in on_geodesic_forms(Q.disc, d):
             if equivalent_indefinite(X, Q):
                 raise PoleOnGeodesic(f"a pole lies on the geodesic of {Q}")
     ev = get_evaluator(k, d)
-    arc = pell_automorph(Q)
-    C = float(arc.center)
-    R = math.sqrt(float(arc.radius_squared))
-    # the flow moves toward increasing u = log tan(theta/2) for a > 0,
-    # decreasing for a < 0
-    flow = 1.0 if Q.a > 0 else -1.0
-    if theta_start is None:
-        theta_start = 2 * math.atan(math.exp(-flow * arc.period_length / 2))
-    if not 0 < theta_start < math.pi:
-        raise ValueError("theta_start must be interior to (0, pi)")
-    theta0 = theta_start
-    # the window's far end comes from the exact period length, not from the
-    # float image of the base point: on long arcs that image lies within
-    # ~R sech(period) of an endpoint, where its rounding moves it far in u
-    u0 = math.log(math.tan(theta0 / 2))
-    u1 = u0 + flow * arc.period_length
-    theta1 = 2 * math.atan(math.exp(u1))
-
-    # a bound on the integral of |Q(z,1)^(k-1) dz| over the window
-    probe = C + R * np.exp(1j * np.linspace(theta0, theta1, 17))
-    qmax = float(np.max(np.abs(Q.a * probe * probe + Q.b * probe + Q.c))) ** (k - 1)
-    weight_bound = qmax * R * abs(theta1 - theta0) * 2.0
-
-    # composite Gauss--Legendre in the hyperbolic arclength parameter
-    # u = log tan(theta/2): the automorph period has u-length 2 log(eps),
-    # along which each fundamental-domain crossing is a unit-scale feature,
-    # so fixed-order panels with the panel count doubled converge fast even
-    # for long arcs (a single rule uniform in theta undersamples the ends)
+    cycle, _ = reduced_cycle(Q)
+    # per piece: P's coefficients, the center C and radius R of its
+    # semicircle, and u = log tan(theta/2) = -atanh((x - C)/R) at its
+    # crossings of x = 0 and x = n
+    pieces = []
+    for prev, P in zip(cycle[-1:] + cycle[:-1], cycle):
+        n = -(prev.b + P.b) // (2 * prev.c)
+        C, R = -P.b / (2 * P.a), math.sqrt(P.disc) / (2 * abs(P.a))
+        pieces.append((P.a, P.b, P.c, C, R, -math.atanh(-C / R), -math.atanh((n - C) / R)))
+    a, b, c, C, R, u0, u1 = np.array(pieces).T
+    base = np.maximum(1, np.round(np.abs(u1 - u0))).astype(int)
     x0, w0 = _gauss_legendre(48)
 
-    def quad(panels: int) -> tuple[complex, float]:
-        """The rule's value and the sum of its terms' sizes."""
-        edges = np.linspace(u0, u1, panels + 1)
-        mid = (edges[1:] + edges[:-1]) / 2
-        half = (edges[1:] - edges[:-1]) / 2
-        u = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-        wts = (half[:, None] * w0[None, :]).ravel()
-        theta = 2 * np.arctan(np.exp(u))
-        z = C + R * np.exp(1j * theta)
-        dz = 1j * R * np.exp(1j * theta) * np.sin(theta)
-        terms = wts * ev.eval(z) * (Q.a * z * z + Q.b * z + Q.c) ** (k - 1) * dz
-        return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+    def quad(mult: int) -> tuple[complex, float, float]:
+        """The rule's value, the sum of its terms' sizes and the sum of
+        |P(z,1)^(k-1) dz| over its nodes, at mult * base panels per piece."""
+        panels = base * mult
+        piece = np.repeat(np.arange(len(base)), panels)
+        # each panel's index within its piece, and its half-width in u
+        j = np.arange(piece.size) - np.repeat(np.cumsum(panels) - panels, panels)
+        half = ((u1 - u0) / (2 * panels))[piece]
+        u = ((u0[piece] + (2 * j + 1) * half)[:, None] + half[:, None] * x0).ravel()
+        node = np.repeat(piece, len(x0))
+        # z = C + R e^(i theta), with cos theta = -tanh u and sin theta = sech u
+        sech, tanh = 1 / np.cosh(u), np.tanh(u)
+        z = C[node] + R[node] * (1j * sech - tanh)
+        dz = (half[:, None] * w0).ravel() * -R[node] * sech * (sech + 1j * tanh)
+        weight = (a[node] * z * z + b[node] * z + c[node]) ** (k - 1) * dz
+        terms = ev.eval(z) * weight
+        return complex(np.sum(terms)), float(np.sum(np.abs(terms))), float(np.sum(np.abs(weight)))
 
-    def rest(size: float) -> float:
-        # what more panels cannot lower: the evaluator's residual over the
-        # window, and ROUNDING_FLOOR eps per unit of sum |term|
-        return ev.residual * weight_bound + ROUNDING_FLOOR * EPS * size
-
-    panels = max(2, int(abs(u1 - u0)))
-    prev, _ = quad(panels)
-    deltas: list[float] = []
+    mult = 1
+    prev, _, _ = quad(mult)
     while True:
-        panels *= 2
+        mult *= 2
+        panels = int(base.sum()) * mult
         if panels > 1 << 12:
             raise NoConvergence("quadrature panels above ceiling")
-        cur, size = quad(panels)
+        cur, size, weight_sum = quad(mult)
         delta = abs(cur - prev)
+        # what more panels cannot lower: the evaluator's residual over the
+        # rule's weights, and ROUNDING_FLOOR eps per unit of sum |term|
+        rest = ev.residual * weight_sum + ROUNDING_FLOOR * EPS * size
         meta = {"panels": panels, "layer_cutoff": ev.cutoff}
         # stop once delta fits in what the other terms leave of tol, or in
         # half of tol when they take more
-        if delta < max(tol - rest(size), tol / 2):
-            return CYCLE_ORIENTATION * cur, delta + rest(size), meta
-        # near-pole passages leave a noise floor in the node values; once
-        # two successive refinements stop producing real decay (geometric
-        # convergence would gain far more than 4x per two doublings) the
-        # delta has hit that floor and more panels cannot help.  Accept
-        # and report the floor honestly.
-        if len(deltas) >= 2 and panels >= 256 and delta > deltas[-2] / 4:
-            return CYCLE_ORIENTATION * cur, delta + rest(size), {**meta, "noise_floor": True}
-        deltas.append(delta)
+        if delta < max(tol - rest, tol / 2):
+            return cur, delta + rest, meta
+        # delta at or below rest: more panels cannot lower the estimate
+        if delta <= rest:
+            return cur, delta + rest, {**meta, "noise_floor": True}
         prev = cur
 
 
 def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
-    """Trace by numerical quadrature: sum of cycle integrals over classes."""
+    """Trace by numerical quadrature: sum of cycle integrals over classes.
+
+    The cutoff's `panels` is the largest over the classes of a class's
+    panels, summed over the pieces of its reduced cycle."""
     t0 = time.perf_counter()
     if k < 2:
         raise ValueError("k must be >= 2")

@@ -10,7 +10,6 @@ geodesic of discriminant D.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -298,12 +297,6 @@ class GeodesicArc:
     @property
     def radius_squared(self) -> Fraction:
         return Fraction(self.form.disc, 4 * self.form.a * self.form.a)
-
-    @property
-    def period_length(self) -> float:
-        """Hyperbolic length of the closed cycle: 2 log of the automorph's
-        larger eigenvalue (t + sqrt(t^2 - 4)) / 2."""
-        return 2 * math.log((self.t + math.sqrt(self.t * self.t - 4)) / 2)
 
 
 def pell_automorph(Q: BQF) -> GeodesicArc:

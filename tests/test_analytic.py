@@ -34,6 +34,7 @@ from cyclotrace.bqf import (
     definite_class_reps,
     indefinite_class_reps,
     reduce_definite,
+    reduced_cycle,
     sqrt_mod_roots,
 )
 from cyclotrace.errors import DivergentParameters, HypothesisViolated, PoleOnGeodesic
@@ -395,9 +396,10 @@ def test_cycle_integral_invariance():
     v1, e1, _ = cycle_integral(Q, 2, -4, tol=1e-7)
     v2, e2, _ = cycle_integral(Q.apply(g), 2, -4, tol=1e-7)
     assert abs(v1 - v2) < 1e-6
-    # base-point shift along the arc
-    v3, _, _ = cycle_integral(Q, 2, -4, tol=1e-7, theta_start=1.2)
-    assert abs(v1 - v3) < 1e-6
+    # every form of the reduced cycle traces the same closed geodesic
+    for P in reduced_cycle(Q)[0]:
+        v3, _, _ = cycle_integral(P, 2, -4, tol=1e-7)
+        assert abs(v1 - v3) < 1e-6
 
 
 def test_cycle_integral_pole_detection():
@@ -433,7 +435,7 @@ def test_lhs_geodesic():
 
 # D = 60 and 85: the class with the largest layer cutoff is not the one
 # with the most panels, nor the last; D = 48 at 1e-9 hits a noise floor;
-# k = 2, D = 12 at 1e-7 stops on its coefficient noise floor near 1.3e-6
+# k = 2, D = 12 at 1e-7 stops on tol with an estimate near 3e-12
 @pytest.mark.parametrize("k, D, d, tol", [(4, 60, -4, 1e-6), (3, 85, -3, 1e-6), (4, 48, -4, 1e-9),
                                           (2, 12, -4, 1e-7), (2, 12, -4, 1e-5)])
 def test_lhs_geodesic_keeps_every_class(k, D, d, tol):
@@ -596,13 +598,12 @@ def test_imprimitive_classes_in_trace():
 
 
 def test_long_period_arc():
-    # disc 129 has regulator ~10.4; the centered arclength window keeps the
-    # quadrature endpoints at numerically benign heights
+    # disc 129 has regulator ~10.4; the pieces of the reduced cycle keep
+    # every quadrature endpoint at height >= D^(-1/4)
     ex = float(rhs_trace(4, 129))
     g = lhs_geodesic(4, 129, -4, tol=1e-6 * (1 + abs(ex)))
     assert abs(g.value - ex) < 1e-6 * (1 + abs(ex))
-    # period ~22.9 at disc 209: the window endpoint must come from the
-    # exact period length, not the float image of the base point
+    # period ~22.9 at disc 209: its pieces' lengths sum to the period
     ex = float(rhs_trace(4, 209))
     g = lhs_geodesic(4, 209, -4, tol=0.2e-6 * (1 + abs(ex)))
     assert abs(g.value - ex) < 1e-6 * (1 + abs(ex))
@@ -610,12 +611,23 @@ def test_long_period_arc():
 
 @pytest.mark.parametrize("d, tol", [(-3, 1e-8), (-7, 1e-6)])
 def test_long_period_window_from_exact_period(d, tol):
-    # disc 97 has period ~37.3: the centered base point lies within 1.6e-8
-    # of theta = pi, and its float automorph image misses the window end
-    # by 0.01 in u, so only the exact period gives the window.  The odd-k
-    # trace is 0.
+    # disc 97 has period ~37.3: one period centered at the arc's top would
+    # end within 1.6e-8 of theta = pi, while the pieces of the reduced
+    # cycle end at height >= D^(-1/4).  The odd-k trace is 0.
     rep = lhs_geodesic(3, 97, d, tol=tol)
     assert abs(rep.value) <= rep.error_estimate
+
+
+# One period centered at the arc's top under-covered the first five and
+# raised on the last five (D = 721 and 889 have periods 76 and 89).
+# The tolerance is 1e-7 (1 + |trace|), five times tighter than what
+# `verify --tol 1e-6` asks of the geodesic; the odd-k trace is 0.
+@pytest.mark.parametrize("k, D, d", [(4, 649, -4), (2, 649, -4), (4, 921, -4), (3, 97, -20), (3, 281, -3),
+                                     (2, 721, -4), (4, 889, -4), (4, 249, -4), (2, 849, -4), (4, 996, -4)])
+def test_geodesic_error_bar_on_long_periods(k, D, d):
+    exact = float(rhs_trace(k, D)) if k % 2 == 0 else 0.0
+    rep = lhs_geodesic(k, D, d, tol=1e-7 * (1 + abs(exact)))
+    assert abs(rep.value - exact) <= rep.error_estimate
 
 
 def test_convergence_monotonicity():
