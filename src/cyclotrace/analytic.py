@@ -28,7 +28,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .arith import check_discriminant, sigma
+from .arith import check_discriminant
 from .bqf import (
     BQF,
     PairingSolver,
@@ -154,19 +154,40 @@ def hyp2f1(a: float, b: float, c: float, w: float) -> float:
 def _eisenstein(z: np.ndarray, terms: int = 24) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E4, E6 and Delta at the points z, by their q-expansions.
 
-    Delta is the product q prod_n (1 - q^n)^24, never (E4^3 - E6^2)/1728,
-    which cancels to nothing once Im z is above ~4.  At the default
-    terms every tail is below 1e-17 for Im z >= 0.4.  One pass per term
-    keeps the memory to a few arrays of the points' size.
+    Delta is q P^24 with P = prod_n (1 - q^n), the power taken by squarings,
+    never (E4^3 - E6^2)/1728, which cancels to nothing once Im z is above
+    ~4.  The coefficients 240 sigma_3(n) and -504 sigma_5(n) come from a
+    divisor sieve.  At the default terms every tail is below 1e-17 for
+    Im z >= 0.4.  One pass per term keeps the memory to a few arrays of the
+    points' size.
     """
+    s3, s5 = [0] * (terms + 1), [0] * (terms + 1)
+    for m in range(1, terms + 1):
+        for n in range(m, terms + 1, m):
+            s3[n] += m**3
+            s5[n] += m**5
     q = np.exp(2j * np.pi * np.asarray(z, dtype=complex))
-    E4, E6, delta, qn = np.ones_like(q), np.ones_like(q), q.copy(), np.ones_like(q)
+    E4, E6, P, qn = np.ones_like(q), np.ones_like(q), np.ones_like(q), np.ones_like(q)
+    # no in-place complex products: numpy may round `x *= y` on one element
+    # differently from the same product in a longer array
     for n in range(1, terms + 1):
         qn = qn * q
-        E4 += 240 * sigma(3, n) * qn
-        E6 -= 504 * sigma(5, n) * qn
-        delta *= (1 - qn) ** 24
-    return E4, E6, delta
+        E4 += 240 * s3[n] * qn
+        E6 -= 504 * s5[n] * qn
+        P = P * (1 - qn)
+    return E4, E6, q * _power(P, 24)
+
+
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x^n for an integer n >= 0, by squarings and elementwise products."""
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return np.ones_like(x) if out is None else out
 
 
 def check_tol(tol: float) -> None:
@@ -239,8 +260,9 @@ class FkAEvaluator:
 
     - Principal part.  Of the forms of the class only Q_A vanishes at
       tau_A, so f has the principal part of prefactor * Q_A(z,1)^(-k)
-      there.  One FFT of NODES values on a circle around tau_A, of radius
-      half the distance to the nearest other pole, gives the Laurent
+      there.  A discrete Fourier transform of NODES values on a circle
+      around tau_A, of radius half the distance to the nearest other
+      pole, taken only at the orders -1..-eM, gives the Laurent
       coefficients of that and of each E u^m.  E u^m has a pole of order
       e m - ord E, so the rows at those orders are a triangular system
       for the c_m; the other rows check the fit.
@@ -252,8 +274,11 @@ class FkAEvaluator:
       cusp would pin them too, but they grow like exp(pi n sqrt|d|) and
       cancel against the fit's to that many digits.
     - Values.  Points are reduced to the fundamental domain, E4, E6 and
-      Delta come from one q-series routine, and the automorphy factor
-      (cz + d)^(-2k) is restored.
+      Delta come from one q-series routine, c_1 u + ... + c_M u^M is
+      taken by Horner's rule and times E, the beta_i h_i are added in
+      order, and the automorphy factor (cz + d)^(-2k) is restored.  Every
+      step is elementwise, so a point's value does not depend on the
+      other points of its batch.
 
     `residual` is the evaluator's absolute error on values away from the
     pole, the sum of three terms: the part of the fit's principal-part
@@ -294,7 +319,7 @@ class FkAEvaluator:
         self._M = -(-(k + order) // e)
         E4, E6, delta = _eisenstein(np.array([tau]))
         with np.errstate(all="ignore"):
-            self._jA = complex(E4[0] ** 3 / delta[0])
+            self._jA = complex(E4[0] * E4[0] * E4[0] / delta[0])
         if not np.isfinite(self._jA):
             raise ValueError(f"j at the root of the class of d = {d} overflows a float")
         # h_i = Delta^i E4^p_i E6^r_i, as (i, p_i, r_i)
@@ -302,15 +327,17 @@ class FkAEvaluator:
         self._cusp = [(i, (k - 6 * i - 3 * self._r) // 2, self._r) for i in range(1, dim + 1)]
 
         # Laurent coefficients of orders -1..-eM, each times radius^order,
-        # from one FFT of values on the circle
+        # from a discrete Fourier transform of values on the circle at
+        # those orders only: row m - 1 holds order -m
         radius = min(_pole_gap(tau), tau.imag) / 2
         zc = tau + radius * np.exp(2j * np.pi * np.arange(self.NODES) / self.NODES)
         E4, E6, delta = _eisenstein(zc)
         # s, the median of |j - j_A| there, keeps u near 1 on the circle
-        self._scale = float(np.sort(np.abs(E4**3 / delta - self._jA))[self.NODES // 2])
-        rows = self.NODES - np.arange(1, e * self._M + 1)
-        G = np.fft.fft(self._terms(E4, E6, delta)[0], axis=0)[rows] / self.NODES
-        target = np.fft.fft(self.prefactor * (a * zc * zc + b * zc + c) ** (-k))[rows] / self.NODES
+        self._scale = float(np.sort(np.abs(E4 * E4 * E4 / delta - self._jA))[self.NODES // 2])
+        turns = np.outer(np.arange(1, e * self._M + 1), np.arange(self.NODES)) % self.NODES
+        phase = np.exp(2j * np.pi * turns / self.NODES)
+        G = phase @ self._terms(E4, E6, delta)[0] / self.NODES
+        target = phase @ (self.prefactor / _power(a * zc * zc + b * zc + c, k)) / self.NODES
         # E u^m has a pole of order e m - order: the rows at those orders
         # are a triangular system in the c_m
         self._c = np.zeros(self._M, dtype=complex)
@@ -335,13 +362,19 @@ class FkAEvaluator:
             raise ValueError(f"the coefficients of f_(k,A) at d = {d} are not finite")
         self.residual = fit + cancellation + pin_change
 
+    def _parts(self, E4, E6, delta) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """E = E4^p E6^r, u = s/(j - j_A) and the h_i, from E4, E6 and Delta at points."""
+        u = self._scale * delta / (E4 * E4 * E4 - self._jA * delta)
+        cusp = [_power(delta, i) * _power(E4, p) * _power(E6, r) for i, p, r in self._cusp]
+        return _power(E4, self._p) * _power(E6, self._r), u, cusp
+
     def _terms(self, E4, E6, delta) -> tuple[np.ndarray, np.ndarray]:
         """The columns E u^m (m = 1..M) and h_i, from E4, E6 and Delta at points."""
-        u = self._scale * delta / (E4**3 - self._jA * delta)
-        fractions = (E4**self._p * E6**self._r)[:, None] * u[:, None] ** np.arange(1, self._M + 1)
-        if not self._cusp:
+        E, u, cusp = self._parts(E4, E6, delta)
+        fractions = E[:, None] * np.cumprod(np.repeat(u[:, None], self._M, axis=1), axis=1)
+        if not cusp:
             return fractions, np.zeros((len(u), 0))
-        return fractions, np.column_stack([delta**i * E4**p * E6**r for i, p, r in self._cusp])
+        return fractions, np.column_stack(cusp)
 
     def _class_sum(self, zs: np.ndarray, a: np.ndarray, b0: np.ndarray) -> np.ndarray:
         """prefactor * sum Q(z,1)^(-k) over the forms [a, b0 + 2at, *], |t| <= PIN_TRANSLATES."""
@@ -349,7 +382,7 @@ class FkAEvaluator:
         a = a[:, None]
         b = b0[:, None] + 2 * a * t
         c = (b * b - self.d) / (4 * a)
-        return self.prefactor * np.array([np.sum((a * z * z + b * z + c) ** -self.k) for z in zs])
+        return self.prefactor * np.array([np.sum(1 / _power(a * z * z + b * z + c, self.k)) for z in zs])
 
     def _pin(self, A: int) -> tuple[np.ndarray, float]:
         """The beta_i pinned by the class sum over a <= A, and their change
@@ -373,8 +406,16 @@ class FkAEvaluator:
         if np.any(zs.imag <= 0):
             raise ValueError("points must lie in the upper half-plane")
         zr, jf = _reduce_points(zs)
-        fractions, cusp = self._terms(*_eisenstein(zr))
-        vals = (fractions @ self._c + cusp @ self._beta) * jf ** (-2 * self.k)
+        E, u, cusp = self._parts(*_eisenstein(zr))
+        # Horner's rule in u, then the h_i in order: each point's value is
+        # the same whatever points share its batch
+        acc = np.zeros_like(u)
+        for c in self._c[::-1]:
+            acc = (acc + c) * u
+        vals = E * acc
+        for beta, h in zip(self._beta, cusp):
+            vals = vals + beta * h
+        vals = vals / _power(jf, 2 * self.k)
         if not np.all(np.isfinite(vals)):
             raise PoleAtZ("evaluation point lies on a pole of the form")
         return vals
@@ -409,15 +450,36 @@ def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None) -> complex:
 # over its nodes, fixed once for every case.  Over d = -4, k in {2, 4},
 # every admissible D <= 1000, at 1e-3, 1e-7 and 1e-8 * (1 + |trace|), and
 # odd k in {3, 5}, d in {-3, -7, -20}, D <= 300, at 1e-7 and 1e-8, the
-# largest error left over by the other terms of the estimate needed 238 of
-# these units, at (k, D) = (4, 728) and tol 1e-7 or 1e-8: node noise near
+# largest error left over by the other terms of the estimate needed 58 of
+# these units, at (k, D) = (4, 796) and tol 1e-7 or 1e-8: node noise near
 # pole passages.
 ROUNDING_FLOOR = 256
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for m in range(1, n):
+        p0, p1 = p1, ((2 * m + 1) * x * p1 - m * p0) / (m + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """The n-point Gauss--Legendre nodes and weights on [-1, 1], n >= 2.
+
+    Golub--Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the Legendre recurrence, off-diagonal m/sqrt(4m^2 - 1), polished by one
+    Newton step; the weights are 2/((1 - x^2) P_n'(x)^2).  Both are then
+    made symmetric about 0.
+    """
+    m = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(m / np.sqrt(4 * m * m - 1), -1))  # reads the lower triangle
+    p, dp = _legendre(n, x)
+    x = x - p / dp
+    dp = _legendre(n, x)[1]
+    w = 2 / ((1 - x * x) * dp * dp)
+    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
 
 
 def cycle_integral(

@@ -353,6 +353,20 @@ def test_equivalent_reps_share_an_evaluator():
             assert eval_fkA(z, 6, -23, rep) == complex(fresh.eval(np.array([z]))[0])
 
 
+@pytest.mark.parametrize("k, d", [(6, -23), (4, -7), (8, -163)])
+def test_eval_fkA_does_not_depend_on_the_batch(k, d):
+    # each point is evaluated by the same elementwise steps, so its value
+    # alone and its entry in any batch agree bit for bit
+    ev = get_evaluator(k, d)
+    rng = np.random.default_rng(7)
+    for z in (complex(0.13, 1.07), complex(-0.4, 0.3), complex(2.7, 0.05)):
+        alone = eval_fkA(z, k, d)
+        for size in (2, 37):
+            others = rng.uniform(-1, 1, size - 1) + 1j * rng.uniform(0.1, 2, size - 1)
+            assert ev.eval(np.concatenate([[z], others]))[0] == alone
+            assert ev.eval(np.concatenate([others, [z]]))[-1] == alone
+
+
 def test_eval_fkA_examples():
     z = complex(0.3, 1.1)
     f1 = eval_fkA(z, 2, -4)
@@ -388,6 +402,17 @@ def test_eisenstein_oracle():
 
 
 # ------------------------------------------------------- cycle integrals
+
+
+def test_gauss_legendre_rule():
+    x, w = analytic._gauss_legendre(48)
+    # exact on every polynomial of degree <= 95
+    for j in range(0, 95, 2):
+        assert abs(np.sum(w * x**j) - 2 / (j + 1)) <= 1e-15
+    assert abs(np.sum(w) - 2) <= 1e-15
+    assert np.all(x == -x[::-1]) and np.all(w == w[::-1])
+    ref = np.polynomial.legendre.leggauss(48)[0]
+    assert np.all(np.abs(x - ref) <= 2 * np.spacing(np.abs(ref)))
 
 
 def test_cycle_integral_invariance():

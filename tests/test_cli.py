@@ -45,6 +45,18 @@ def test_trace_geodesic_same_under_optimize():
     assert seconds.sub("", optimized.stdout) == seconds.sub("", plain.stdout)
 
 
+def test_geodesic_trace_loads_no_fft_or_polynomial_module():
+    # numpy.fft and numpy.polynomial take milliseconds to import, which a
+    # cold trace would pay on first use
+    code = ("import sys\n"
+            "from cyclotrace.cli import main\n"
+            "status = main(['trace', '--k', '2', '--D', '12', '--method', 'geodesic', '--tol', '1e-6'])\n"
+            "print(status, sorted(m for m in sys.modules if m.startswith(('numpy.fft', 'numpy.polynomial'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_readme_geodesic_example():
     proc = run_cli("trace", "--k", "2", "--D", "76", "--method", "geodesic", "--tol", "1e-8")
     assert proc.returncode == 0, proc.stderr
