@@ -10,9 +10,11 @@ pieces of each geodesic's reduced cycle, the arcs of its reduced forms;
 their error estimate is the last panel doubling's change, plus the
 evaluator's residual over the nodes, plus a rounding floor.  The
 hypergeometric lattice sum counts representations with a factorization
-sieve, and its estimate is its last doubling's change.  At d = -4 the
-sieve is numpy array work: the square roots of -D modulo every new prime
-come from one batched Tonelli--Shanks as the cutoff grows, and the int64
+sieve; its value is the tail extrapolate of its last doubling, and its
+estimate the largest of the extrapolate's last three changes, scaled
+down by the decay of those changes.  At d = -4 the sieve is numpy array
+work: the square roots of -D modulo every new prime come from one
+batched Tonelli--Shanks as the cutoff grows, and the int64
 values D + s^2 are divided by their prime powers in chunks of a bounded
 number of hits.
 The 2F1 series stops once no term left can change its sum.
@@ -610,6 +612,8 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
 # The most (index, prime) hits one pass of the d = -4 sieve holds in its
 # arrays; it bounds the sieve's memory and does not change its counts.
 SIEVE_CHUNK = 1 << 16
+# The ceiling of the d = -4 lattice sum's cutoff s.
+S_CEILING = 1 << 24
 # The most terms of a doubling's window that the lattice sum evaluates at
 # once; it bounds the sum's memory and does not change its terms.
 TAIL_SLICE = 1 << 19
@@ -691,11 +695,14 @@ class _PrimeRoots:
     r^2 ≡ -D (mod p), for one D, as int64 arrays sorted by p, then r.
 
     `upto(bound)` extends them to every p <= bound.  It sieves only the
-    primes above the bound it reached before, keeps those with a root by
-    Euler's criterion, and finds the roots of all of them in one batched
-    Tonelli--Shanks.  A prime dividing D has the single root 0, and 2 has
-    the single root D mod 2.  A lattice sum keeps one of these across its
-    doublings, so each prime's roots are found once, not once per window.
+    primes above the bound it reached before, up to 4 times that bound
+    but at most the root bound isqrt(D + S_CEILING^2) + 1 of the s
+    ceiling, keeps those with a root by Euler's criterion, and finds the
+    roots of all of them in one batched Tonelli--Shanks, whose cost
+    hardly depends on its size.  A prime dividing D has the single root
+    0, and 2 has the single root D mod 2.  A lattice sum keeps one of
+    these across its doublings, so each prime's roots are found once, not
+    once per window.
     """
 
     def __init__(self, D: int):
@@ -705,8 +712,9 @@ class _PrimeRoots:
 
     def upto(self, bound: int) -> tuple[np.ndarray, np.ndarray]:
         if bound > self.bound:
-            p = _primes_between(self.bound, bound)
-            self.bound = bound
+            reach = max(bound, min(4 * self.bound, isqrt(self.D + S_CEILING * S_CEILING) + 1))
+            p = _primes_between(self.bound, reach)
+            self.bound = reach
             n = (-self.D) % p
             # each prime's roots as a row (low, high), with a mask of those
             # that exist: one root for 2 and for p | D, else none or two
@@ -812,16 +820,24 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     b^2 + e^2 = D + s^2, e ≡ s (2), by a factorization sieve; for other d
     `PairingSolver` counts each group exactly, stepping the leading
     coefficient a of the forms through the integer window where
-    q(a) = a0^2 D + 2 a0 t a + disc(Q0) a^2 >= 0.  The cutoff is doubled
-    until the change is below tol, and each doubling's window is summed in
-    slices of at most TAIL_SLICE terms.  The d = -4 sieve works in int64, so a D
-    with D + s^2 beyond int64 below the s ceiling raises ValueError.
+    q(a) = a0^2 D + 2 a0 t a + disc(Q0) a^2 >= 0.
+
+    The cutoff doubles from 2^8 (s) or 16 (t), and each doubling's window
+    is summed in slices of at most TAIL_SLICE terms.  After each doubling
+    the terms past the cutoff, which fall like S^(-k), are extrapolated
+    from its increment: R = pref (total + inc/(2^(k-1) - 1)).  The value
+    is the last R.  The estimate is the window
+    max(|dR_n|, |dR_(n-1)| 2^-(k-2), |dR_(n-2)| 2^-2(k-2)) of the last
+    three changes of R, the older ones discounted by the S^(2-k) decay of
+    the changes; the loop stops once it is below tol.  The d = -4 sieve
+    works in int64, so a D with D + s^2 beyond int64 below the s ceiling
+    raises ValueError.
     """
     t0 = time.perf_counter()
     if k < 2:
         raise ValueError("k must be >= 2")
     check_tol(tol)
-    first, ceiling, key = (1 << 12, 1 << 24, "s_cutoff") if d == -4 else (64, 1 << 16, "t_cutoff")
+    first, ceiling, key = (1 << 8, S_CEILING, "s_cutoff") if d == -4 else (16, 1 << 16, "t_cutoff")
     if d == -4 and D + ceiling * ceiling > np.iinfo(np.int64).max:
         raise ValueError(f"D = {D}: D + s^2 overflows int64 below the s ceiling {ceiling}")
     if not hypothesis_check(D, d):
@@ -865,8 +881,7 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
             acc += float(np.sum(counts * (D + p2) ** (-k / 2.0) * F))
         return acc
 
-    S = first
-    total = tail_sum(0, S)
+    S, total, R = first, tail_sum(0, first), []  # R: the last four extrapolates
     while True:
         S2 = 2 * S
         if S2 > ceiling:
@@ -874,15 +889,19 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         inc = tail_sum(S, S2)
         total += inc
         S = S2
-        if abs(pref * inc) < tol / 2:
-            break
+        R = R[-3:] + [pref * (total + inc / (2 ** (k - 1) - 1))]
+        if len(R) == 4:
+            # the i-th latest change discounted by i doublings of S^(2-k)
+            est = max(abs(R[3 - i] - R[2 - i]) * 2.0 ** (-(k - 2) * i) for i in range(3))
+            if est < tol:
+                break
     return TraceReport(
         k=k,
         D=D,
         d=d,
         method="latticesum",
-        value=pref * total,
-        error_estimate=max(abs(pref * inc), 1e-15),
+        value=R[-1],
+        error_estimate=max(est, 1e-15),
         hypothesis_ok=True,
         seconds=time.perf_counter() - t0,
         cutoff={key: S},

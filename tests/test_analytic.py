@@ -89,9 +89,9 @@ def _full_series(a, b, c, w, terms=90):
 
 @pytest.mark.parametrize("D", [5, 12, 44, 97, 805])
 def test_hyp2f1_early_stop_is_bit_identical(D, monkeypatch):
-    # the lattice sum's first four d = -4 windows, s <= 2^15, where both
+    # the lattice sum's first eight d = -4 windows, s <= 2^15, where both
     # branches of _hyp2f1_vec run
-    windows = [(0, 1 << 12)] + [(1 << j, 1 << (j + 1)) for j in range(12, 15)]
+    windows = [(0, 1 << 8)] + [(1 << j, 1 << (j + 1)) for j in range(8, 15)]
     for k in range(1, 13):
         a, c = k / 2, k + 0.5
         for lo, hi in windows:
@@ -516,6 +516,23 @@ def test_r2_table_with_shared_prime_roots():
         assert np.array_equal(_r2_table(21, lo, hi, roots), _r2_table(21, lo, hi))
 
 
+def test_prime_roots_reach_ahead_up_to_the_ceiling(monkeypatch):
+    # each pass reaches 4x past the last, but never past the root bound of
+    # the s ceiling (2^10 here); a table that reached ahead counts as a
+    # fresh one does
+    monkeypatch.setattr(analytic, "S_CEILING", 1 << 10)
+    D = 21
+    cap = math.isqrt(D + (1 << 20)) + 1
+    roots = _PrimeRoots(D)
+    reached_ahead = False
+    for lo, hi in ((0, 256), (256, 512), (512, 1024)):
+        table = _r2_table(D, lo, hi, roots)
+        assert roots.bound <= cap
+        reached_ahead |= roots.bound > math.isqrt(D + hi * hi) + 1
+        assert np.array_equal(table, _r2_table(D, lo, hi))
+    assert reached_ahead and roots.bound == cap
+
+
 PRIMES_BELOW_20000 = [p for p in range(2, 20000) if factor(p) == [(p, 1)]]
 
 
@@ -582,6 +599,20 @@ def test_lhs_latticesum():
         lhs_latticesum(2, 8, -4)
 
 
+def test_latticesum_k2_error_bar_covers_the_closed_formula():
+    # verify --tol 1e-4 asks 5e-5 (1 + |trace|) of the sum; the last
+    # increment alone under-covered D = 12, 24, 44 and 48 there
+    from cyclotrace.arith import is_square
+    from cyclotrace.bqf import hypothesis_check
+    from cyclotrace.special_forms import closed_formula
+
+    for D in range(5, 101):
+        if D % 4 in (0, 1) and not is_square(D) and hypothesis_check(D, -4):
+            exact = float(closed_formula(2, D))
+            rep = lhs_latticesum(2, D, -4, tol=5e-5 * (1 + abs(exact)))
+            assert abs(rep.value - exact) <= rep.error_estimate, D
+
+
 def test_latticesum_rejects_int64_overflow():
     # D + s^2 must fit in int64 up to the s ceiling 2^24 of the sieve
     D = (1 << 63) - 3
@@ -591,9 +622,9 @@ def test_latticesum_rejects_int64_overflow():
 
 @pytest.mark.parametrize("d, tol", [(-4, 1e-6), (-7, 1e-3)])
 def test_latticesum_slices_keep_the_sum(monkeypatch, d, tol):
-    # slices of 48 cut every window, the first ones (64 and 4096 terms) too
+    # slices of 12 cut every window, the first ones (16 and 256 terms) too
     whole = lhs_latticesum(4, 21, d, tol=tol)
-    monkeypatch.setattr(analytic, "TAIL_SLICE", 48)
+    monkeypatch.setattr(analytic, "TAIL_SLICE", 12)
     sliced = lhs_latticesum(4, 21, d, tol=tol)
     assert sliced.cutoff == whole.cutoff
     assert abs(sliced.value - whole.value) <= 1e-13 * abs(whole.value)

@@ -94,6 +94,11 @@ def test_verify_even_k(capsys):
     assert "MISMATCH" not in out
 
 
+def test_verify_k2_lattice_sum_at_tol_1e6():
+    # the last increment alone stopped 5.3e-3 from the trace 4448 here
+    assert main(["verify", "--k", "2", "--D", "721", "--tol", "1e-6"]) == 0
+
+
 def test_verify_odd_k_two_way(capsys):
     assert main(["verify", "--k", "3", "--D", "12", "--tol", "1e-4"]) == 0
     out = capsys.readouterr().out
