@@ -9,14 +9,16 @@ cusp forms of weight 2k, pinned by the class sum where there are any
 pieces of each geodesic's reduced cycle, the arcs of its reduced forms;
 their error estimate is the last panel doubling's change, plus the
 evaluator's residual over the nodes, plus a rounding floor.  The
-hypergeometric lattice sum counts representations with a factorization
-sieve; its value is the tail extrapolate of its last doubling, and its
-estimate the largest of the extrapolate's last three changes, scaled
-down by the decay of those changes.  At d = -4 the sieve is numpy array
-work: the square roots of -D modulo every new prime come from one
-batched Tonelli--Shanks as the cutoff grows, and the int64
-values D + s^2 are divided by their prime powers in chunks of a bounded
-number of hits.
+hypergeometric lattice sum counts the forms of each group; its value is
+the tail extrapolate of its last doubling, and its estimate the largest
+of the extrapolate's last three changes, scaled down by the decay of
+those changes.  At d = -4 and the odd d of class number one the counts
+are divisor sums of a quadratic character (Dirichlet), from one
+factorization sieve in numpy array work: the square roots of -M modulo
+every new prime come from one batched Tonelli--Shanks as the cutoff
+grows, with least non-residues by reciprocity, and the int64 values
+M + t^2 are divided by their prime powers in chunks of a bounded number
+of hits.  Other d count with `PairingSolver`.
 The 2F1 series stops once no term left can change its sum.
 """
 
@@ -98,18 +100,34 @@ def _hyp_series(a: float, b: float, c: float, w, terms: int = 90):
     |rho_m|, m >= n > -c, by 1 + |a + b - c - 1|/(c + n) + |ab - c|/((c + n)(1 + n)).
     The next ratio alone bounds none of them: at a = b = k/2 it rises
     toward 1 for small k, and exceeds 1 at small m for k >= 5.
+
+    For a, b, c > 0 and w >= 0 every term and sum is positive, and as
+    rounding is monotone none is smaller than at a smaller w: the largest
+    term is the one at max w and the smallest sum the one at min w.  Those
+    two are carried as floats through the same recurrence, in place of
+    reductions over the arrays, and give the same stop.
     """
     w = np.asarray(w, dtype=float)
     t = np.ones_like(w)
     acc = t.copy()
     wmax = float(np.max(np.abs(w), initial=0.0))
     slope, offset = abs(a + b - c - 1), abs(a * b - c)
+    wmin = float(np.min(w, initial=np.inf))
+    positive = a > 0 and b > 0 and c > 0 and 0 <= wmin < np.inf
+    t_hi = t_lo = acc_lo = 1.0
     for j in range(terms):
-        t = t * ((a + j) * (b + j)) / ((c + j) * (1.0 + j)) * w
+        num, den = (a + j) * (b + j), (c + j) * (1.0 + j)
+        t = t * num / den * w
         acc = acc + t
+        if positive:
+            t_hi, t_lo = t_hi * num / den * wmax, t_lo * num / den * wmin
+            acc_lo = acc_lo + t_lo
         n = j + 1  # the next ratio is rho_n
         if c + n > 0 and (1 + slope / (c + n) + offset / ((c + n) * (1 + n))) * wmax <= 1:
-            if np.max(np.abs(t), initial=0.0) < np.spacing(np.min(np.abs(acc), initial=np.inf)) / 4:
+            if positive:
+                if t_hi < math.ulp(acc_lo) / 4:
+                    break
+            elif np.max(np.abs(t), initial=0.0) < np.spacing(np.min(np.abs(acc), initial=np.inf)) / 4:
                 break
     return acc
 
@@ -609,11 +627,14 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
 # hypergeometric lattice sum (method 2)
 
 
-# The most (index, prime) hits one pass of the d = -4 sieve holds in its
+# The most (index, prime) hits one pass of the sieve holds in its
 # arrays; it bounds the sieve's memory and does not change its counts.
 SIEVE_CHUNK = 1 << 16
-# The ceiling of the d = -4 lattice sum's cutoff s.
+# The ceiling of the sieved lattice sums' cutoff s or t.
 S_CEILING = 1 << 24
+# The odd d of class number one, whose lattice sums count each group t
+# with the sieve, by Dirichlet's formula; d = -4 is sieved too.
+ODD_CLASS_NUMBER_ONE = (-3, -7, -11, -19, -43, -67, -163)
 # The most terms of a doubling's window that the lattice sum evaluates at
 # once; it bounds the sum's memory and does not change its terms.
 TAIL_SLICE = 1 << 19
@@ -656,6 +677,29 @@ def _order_log2(t: np.ndarray, p: np.ndarray) -> np.ndarray:
     return i
 
 
+def _least_non_residues(p: np.ndarray) -> np.ndarray:
+    """The least quadratic non-residue of each prime p ≡ 1 (mod 4).
+
+    It is a prime below sqrt(p) + 1, and by reciprocity, for such p, 2 is a
+    non-residue exactly when p ≡ 5 (mod 8), and an odd prime l exactly when
+    p mod l is a non-residue mod l; so no power mod p is taken.
+    """
+    z = np.zeros_like(p)
+    todo = np.arange(p.size)
+    for l in _primes_between(1, isqrt(int(p.max(initial=2))) + 1).tolist():
+        if not todo.size:
+            break
+        if l == 2:
+            non = p[todo] % 8 == 5
+        else:
+            residue = np.zeros(l, dtype=bool)
+            residue[np.arange(l) ** 2 % l] = True
+            non = ~residue[p[todo] % l]
+        z[todo[non]] = l
+        todo = todo[~non]
+    return z
+
+
 def _sqrt_mod_primes(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Euler's criterion and Tonelli--Shanks, batched over odd primes p that
     do not divide n: (square, r), where square marks the p mod which n is a
@@ -669,14 +713,10 @@ def _sqrt_mod_primes(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarr
     i = _order_log2(t, p)
     square = i < m
     p, q, m, t, r, i = (x[square] for x in (p, q, m, t, r, i))
-    # c = z^q for the least non-residue z of p among 2, 3, 4, ...; only
-    # p ≡ 1 (mod 4) needs one, since t = 1 already when m = 1
+    # c = z^q for the least non-residue z of p; only p ≡ 1 (mod 4) needs
+    # one, since t = 1 already when m = 1
     z = np.full_like(p, 2)
-    todo = np.flatnonzero(m > 1)
-    while todo.size:
-        pt = p[todo]
-        todo = todo[_powmod(z[todo], (pt - 1) // 2, pt) != pt - 1]
-        z[todo] += 1
+    z[m > 1] = _least_non_residues(p[m > 1])
     c = _powmod(z, q, p)
     # each step keeps r^2 ≡ n t and lowers the order of t, until t = 1
     live = np.flatnonzero(i > 0)
@@ -733,30 +773,39 @@ class _PrimeRoots:
         return self.p[:n], self.r[:n]
 
 
-def _r2_table(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
-    """r2(D + s^2) for s = lo+1..hi via a quadratic-progression sieve.
+def _divisor_sums(d: int, M: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
+    """sum_{m | n} chi_d(m) over the values V = M + t^2, t = lo+1..hi, via a
+    quadratic-progression sieve; entry i belongs to t = lo+1+i.
 
-    r2(n) counts all (b, e) with b^2 + e^2 = n; it vanishes unless every
-    prime ≡ 3 (mod 4) divides n to an even power, and otherwise equals
-    4 * prod (e_p + 1) over p ≡ 1 (mod 4).  Entry i belongs to s = lo+1+i.
-    The primes and their roots come from `roots` when given.
+    d is -4 or -q for a prime q ≡ 3 (mod 4), and chi_d is the character of
+    Q(sqrt d).  By quadratic reciprocity chi_d(p) for a prime p is 1 or -1
+    as p mod |d| is or is not a square of a unit mod |d|, and 0 for p | d;
+    this holds for p = 2 too.  For odd d, n = V/4, and the sum is 0 where 4
+    does not divide V; at d = -4, where chi_d(2) = 0, n = V.  The sum is the
+    product over p^e || n of e + 1 where chi_d(p) = 1, of 1 or 0 as e is
+    even or odd where chi_d(p) = -1, and of 1 where p | d.  The primes and
+    the square roots of -M come from `roots` when given.
 
-    The values D + s^2 are int64.  A pair (p, r) hits the entries with
-    s ≡ r (mod p), all of which p divides.  The hits are taken in chunks
+    The values V are int64.  A pair (p, r) hits the entries with
+    t ≡ r (mod p), all of which p divides.  The hits are taken in chunks
     of at most SIEVE_CHUNK; each chunk finds the p-adic valuations of its
-    hits as arrays, and folds them into the exponent product, the bad
-    flags and the product of the prime powers found with np.multiply.at:
-    an entry repeats across the primes of a chunk, and a fancy-index
-    write-back would keep only one of its updates.  What the prime powers
-    leave of D + s^2 is 1 or one prime above the sieve's bound.
+    hits as arrays, and folds them into the product of local factors, the
+    zero flags and the product of the prime powers found with
+    np.multiply.at: an entry repeats across the primes of a chunk, and a
+    fancy-index write-back would keep only one of its updates.  What the
+    prime powers leave of V is 1 or one prime above the sieve's bound.
     """
+    q = -d
+    chi = np.full(q, -1, dtype=np.int8)
+    chi[np.arange(1, q) ** 2 % q] = 1
+    chi[np.gcd(np.arange(q), q) > 1] = 0
     size = hi - lo
-    vals = D + np.arange(lo + 1, hi + 1, dtype=np.int64) ** 2
+    vals = M + np.arange(lo + 1, hi + 1, dtype=np.int64) ** 2
     mult = np.ones(size, dtype=np.int64)
     found = np.ones(size, dtype=np.int64)
-    bad = np.zeros(size, dtype=bool)
-    p, r = (roots or _PrimeRoots(D)).upto(isqrt(D + hi * hi) + 1)
-    # the first index whose s = lo+1+i is ≡ r (mod p), and the hits per pair
+    zero = vals % 4 != 0 if q % 2 else np.zeros(size, dtype=bool)
+    p, r = (roots or _PrimeRoots(M)).upto(isqrt(M + hi * hi) + 1)
+    # the first index whose t = lo+1+i is ≡ r (mod p), and the hits per pair
     first = (r - (lo + 1)) % p
     ends = np.cumsum((size - first + p - 1) // p)
     starts = np.concatenate([[0], ends[:-1]])
@@ -777,16 +826,27 @@ def _r2_table(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.
             e[more] += 1
             more = more[v[more] % pp[more] == 0]
         np.multiply.at(found, idx, power)
-        one = pp & 3 == 1
-        np.multiply.at(mult, idx[one], e[one] + 1)
-        bad[idx[(pp & 3 == 3) & (e & 1 == 1)]] = True
+        if q % 2:
+            e[pp == 2] -= 2  # n = V/4
+        c = chi[pp % q]
+        np.multiply.at(mult, idx[c == 1], e[c == 1] + 1)
+        zero[idx[(c == -1) & (e & 1 == 1)]] = True
     # the leftover prime (exponent 1)
     left = vals // found
-    mult[(left > 1) & (left % 4 == 1)] *= 2
-    bad |= left % 4 == 3
-    r2 = 4 * mult
-    r2[bad] = 0
-    return r2
+    c = chi[left % q]
+    mult[(left > 1) & (c == 1)] *= 2
+    zero |= c == -1
+    mult[zero] = 0
+    return mult
+
+
+def _r2_table(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
+    """r2(D + s^2) for s = lo+1..hi, entry i belonging to s = lo+1+i.
+
+    r2(n) counts all (b, e) with b^2 + e^2 = n, and equals
+    4 sum_{m | n} chi_{-4}(m) (Jacobi): the d = -4 case of `_divisor_sums`.
+    """
+    return 4 * _divisor_sums(-4, D, lo, hi, roots)
 
 
 def _parity_counts(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
@@ -817,10 +877,14 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     with N(t) the number of forms in group t; the prefactor composes the
     trace scaling with the raised-form series constants.  For d = -4 the
     terms are indexed by s = t/2 = a + c, and N(t) = N(-t) counts
-    b^2 + e^2 = D + s^2, e ≡ s (2), by a factorization sieve; for other d
+    b^2 + e^2 = D + s^2, e ≡ s (2), by a factorization sieve.  For the
+    odd d of class number one the same sieve counts
+    N(t) = w (1 + [|d| divides t]) sum_{m | n} chi_d(m), n = (|d| D + t^2)/4,
+    w the stabilizer order (Dirichlet's formula).  For other d
     `PairingSolver` counts each group exactly, stepping the leading
     coefficient a of the forms through the integer window where
-    q(a) = a0^2 D + 2 a0 t a + disc(Q0) a^2 >= 0.
+    q(a) = a0^2 D + 2 a0 t a + disc(Q0) a^2 >= 0; its t ceiling is 2^16,
+    and the sieve's S_CEILING.
 
     The cutoff doubles from 2^8 (s) or 16 (t), and each doubling's window
     is summed in slices of at most TAIL_SLICE terms.  After each doubling
@@ -829,17 +893,20 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     is the last R.  The estimate is the window
     max(|dR_n|, |dR_(n-1)| 2^-(k-2), |dR_(n-2)| 2^-2(k-2)) of the last
     three changes of R, the older ones discounted by the S^(2-k) decay of
-    the changes; the loop stops once it is below tol.  The d = -4 sieve
-    works in int64, so a D with D + s^2 beyond int64 below the s ceiling
-    raises ValueError.
+    the changes; the loop stops once it is below tol.  The sieve works in
+    int64, so a D with D + s^2 or |d| D + t^2 beyond int64 below the
+    ceiling raises ValueError, before the hypothesis check.
     """
     t0 = time.perf_counter()
     if k < 2:
         raise ValueError("k must be >= 2")
     check_tol(tol)
-    first, ceiling, key = (1 << 8, S_CEILING, "s_cutoff") if d == -4 else (16, 1 << 16, "t_cutoff")
-    if d == -4 and D + ceiling * ceiling > np.iinfo(np.int64).max:
-        raise ValueError(f"D = {D}: D + s^2 overflows int64 below the s ceiling {ceiling}")
+    first, key = (1 << 8, "s_cutoff") if d == -4 else (16, "t_cutoff")
+    sieved = d == -4 or d in ODD_CLASS_NUMBER_ONE
+    ceiling = S_CEILING if sieved else 1 << 16
+    M = D if d == -4 else -d * D  # the sieve's values are M + s^2 or M + t^2
+    if sieved and M + ceiling * ceiling > np.iinfo(np.int64).max:
+        raise ValueError(f"D = {D}: {M} + {key[0]}^2 overflows int64 below the ceiling {ceiling}")
     if not hypothesis_check(D, d):
         raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
     w_stab = stabilizer_order(d)
@@ -862,6 +929,13 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
             s = np.arange(lo + 1, hi + 1, dtype=float)
             return s * s, 2.0 * _parity_counts(D, lo, hi, roots)
+    elif sieved:
+        roots = _PrimeRoots(M)
+
+        def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            t = np.arange(lo + 1, hi + 1)
+            N = w_stab * (1 + (t % -d == 0)) * _divisor_sums(d, M, lo, hi, roots)
+            return t * t / (-d), 2.0 * N
     else:
         solver = PairingSolver(definite_class_reps(d)[0])
 

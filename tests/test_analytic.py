@@ -18,11 +18,15 @@ from cyclotrace.analytic import (
 )
 from cyclotrace import analytic
 from cyclotrace.analytic import (
+    ODD_CLASS_NUMBER_ONE,
     _PrimeRoots,
     _class_pairs,
+    _divisor_sums,
     _hyp_series,
     _hyp2f1_vec,
+    _least_non_residues,
     _parity_counts,
+    _primes_between,
     _r2_table,
     _reduce_points,
 )
@@ -36,6 +40,7 @@ from cyclotrace.bqf import (
     reduce_definite,
     reduced_cycle,
     sqrt_mod_roots,
+    stabilizer_order,
 )
 from cyclotrace.errors import DivergentParameters, HypothesisViolated, PoleOnGeodesic
 from cyclotrace.special_forms import rhs_trace
@@ -110,6 +115,14 @@ def test_hyp_series_early_stop_waits_for_growing_terms():
     # series may not stop there
     w = np.array([0.5])
     assert np.array_equal(_hyp_series(1e-20, 100.0, 1.5, w), _full_series(1e-20, 100.0, 1.5, w))
+
+
+@pytest.mark.parametrize("a, b, c, sign", [(-0.5, 1.0, 1.5, 1), (1.0, -2.5, 3.5, 1), (2.0, 2.0, -0.5, 1),
+                                           (1.0, 1.0, 2.5, -1), (3.0, 3.0, 6.5, -1)])
+def test_hyp_series_early_stop_off_the_positive_parameters(a, b, c, sign):
+    # a negative parameter, or w < 0, takes the stop check over the arrays
+    w = sign * np.linspace(0.0, 0.5, 101)
+    assert np.array_equal(_hyp_series(a, b, c, w), _full_series(a, b, c, w))
 
 
 def test_hyp2f1_errors():
@@ -516,6 +529,13 @@ def test_r2_table_with_shared_prime_roots():
         assert np.array_equal(_r2_table(21, lo, hi, roots), _r2_table(21, lo, hi))
 
 
+def test_least_non_residues_by_reciprocity():
+    p = _primes_between(1, 1 << 14)
+    p = p[p % 4 == 1]
+    brute = [next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1) for q in p.tolist()]
+    assert _least_non_residues(p).tolist() == brute
+
+
 def test_prime_roots_reach_ahead_up_to_the_ceiling(monkeypatch):
     # each pass reaches 4x past the last, but never past the root bound of
     # the s ceiling (2^10 here); a table that reached ahead counts as a
@@ -620,6 +640,15 @@ def test_latticesum_rejects_int64_overflow():
         lhs_latticesum(2, D, -4)
 
 
+@pytest.mark.parametrize("d", ODD_CLASS_NUMBER_ONE)
+def test_sieved_latticesums_reject_int64_overflow(d):
+    # |d| D + t^2 must fit in int64 up to the t ceiling 2^24, and the check
+    # comes before hypothesis_check, which does not return on such D
+    D = 4 * ((1 << 63) // (4 * -d) + 1)
+    with pytest.raises(ValueError, match=f"D = {D}"):
+        lhs_latticesum(2, D, d)
+
+
 @pytest.mark.parametrize("d, tol", [(-4, 1e-6), (-7, 1e-3)])
 def test_latticesum_slices_keep_the_sum(monkeypatch, d, tol):
     # slices of 12 cut every window, the first ones (16 and 256 terms) too
@@ -641,6 +670,31 @@ def test_pairing_solver_counts_match_sieve():
             count = len(solver.forms(D, 2 * s)) + len(solver.forms(D, -2 * s))
             assert count == 2 * N[s - lo - 1], (D, s)
             assert solver.forms(D, 2 * s + 1) == solver.forms(D, -2 * s - 1) == []
+
+
+@pytest.mark.parametrize("d", ODD_CLASS_NUMBER_ONE)
+def test_divisor_sums_count_as_the_pairing_solver(d):
+    # N(t) = w (1 + [|d| divides t]) sum_{m | n} chi_d(m), n = (|d| D + t^2)/4,
+    # over growing windows with one _PrimeRoots, the last one holding
+    # multiples of |d| near t = 4096
+    solver, w = PairingSolver(definite_class_reps(d)[0]), stabilizer_order(d)
+    windows = ((0, 64), (64, 300), (4095 + 2 * d, 4096))
+    for D in range(5, 61):
+        if D % 4 not in (0, 1) or math.isqrt(D) ** 2 == D:
+            continue
+        roots = _PrimeRoots(-d * D)
+        for lo, hi in windows:
+            t = np.arange(lo + 1, hi + 1)
+            N = w * (1 + (t % -d == 0)) * _divisor_sums(d, -d * D, lo, hi, roots)
+            assert N.tolist() == [len(solver.forms(D, u)) for u in t.tolist()], (D, lo)
+
+
+@pytest.mark.parametrize("k, D, d", [(2, 12, -7), (2, 21, -3)])
+def test_sieved_latticesum_meets_the_geodesic(k, D, d):
+    # the 1/t tail of k = 2: at t = 2^16 for (12, -7)
+    l = lhs_latticesum(k, D, d, tol=1e-3)
+    g = lhs_geodesic(k, D, d, tol=1e-11)
+    assert abs(l.value - g.value) <= l.error_estimate + g.error_estimate
 
 
 def test_imprimitive_classes_in_trace():
