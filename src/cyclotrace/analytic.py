@@ -12,13 +12,15 @@ evaluator's residual over the nodes, plus a rounding floor.  The
 hypergeometric lattice sum counts the forms of each group; its value is
 the tail extrapolate of its last doubling, and its estimate the largest
 of the extrapolate's last three changes, scaled down by the decay of
-those changes.  At d = -4 and the odd d of class number one the counts
-are divisor sums of a quadratic character (Dirichlet), from one
-factorization sieve in numpy array work: the square roots of -M modulo
-every new prime come from one batched Tonelli--Shanks as the cutoff
-grows, with least non-residues by reciprocity, and the int64 values
-M + t^2 are divided by their prime powers in chunks of a bounded number
-of hits.  Other d count with `PairingSolver`.
+those changes.  Only the t of the parity of |d| D hold forms, so the
+groups are indexed by j with t = 2j - (|d| D mod 2).  At the nine d of
+class number one the counts are divisor sums of a quadratic character
+(Dirichlet), from one factorization sieve in numpy array work: the
+square roots of -|d| D modulo every new prime come from one batched
+Tonelli--Shanks as the cutoff grows, with least non-residues by
+reciprocity, and the int64 values n(j) = (|d| D + t^2)/4 are divided by
+their prime powers in chunks of a bounded number of hits.  Other d
+count with `PairingSolver`.
 The 2F1 series stops once no term left can change its sum.
 """
 
@@ -32,7 +34,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .arith import check_discriminant
+from .arith import check_discriminant, kronecker
 from .bqf import (
     BQF,
     PairingSolver,
@@ -630,11 +632,11 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
 # The most (index, prime) hits one pass of the sieve holds in its
 # arrays; it bounds the sieve's memory and does not change its counts.
 SIEVE_CHUNK = 1 << 16
-# The ceiling of the sieved lattice sums' cutoff s or t.
+# The ceiling of the sieved lattice sums' cutoff j, the index of t = 2j - e.
 S_CEILING = 1 << 24
-# The odd d of class number one, whose lattice sums count each group t
-# with the sieve, by Dirichlet's formula; d = -4 is sieved too.
-ODD_CLASS_NUMBER_ONE = (-3, -7, -11, -19, -43, -67, -163)
+# The fundamental d of class number one, whose lattice sums count each
+# group with the sieve, by Dirichlet's formula.
+CLASS_NUMBER_ONE = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 # The most terms of a doubling's window that the lattice sum evaluates at
 # once; it bounds the sum's memory and does not change its terms.
 TAIL_SLICE = 1 << 19
@@ -730,82 +732,95 @@ def _sqrt_mod_primes(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return square, r
 
 
+def _n_of_j(M: int, j):
+    """n(j) = (M + t^2)/4 at t = 2j - (M mod 2), for an int or an int64 array j."""
+    return (M + (2 * j - M % 2) ** 2) // 4
+
+
 class _PrimeRoots:
-    """The pairs (p, r) of a prime p and a residue 0 <= r < p with
-    r^2 ≡ -D (mod p), for one D, as int64 arrays sorted by p, then r.
+    """The pairs (p, r) of a prime p and a residue 0 <= r < p with p | n(r),
+    for n(j) = (M + (2j - e)^2)/4 and e = M mod 2, as int64 arrays sorted by
+    p, then r.
 
     `upto(bound)` extends them to every p <= bound.  It sieves only the
     primes above the bound it reached before, up to 4 times that bound
-    but at most the root bound isqrt(D + S_CEILING^2) + 1 of the s
-    ceiling, keeps those with a root by Euler's criterion, and finds the
-    roots of all of them in one batched Tonelli--Shanks, whose cost
-    hardly depends on its size.  A prime dividing D has the single root
-    0, and 2 has the single root D mod 2.  A lattice sum keeps one of
-    these across its doublings, so each prime's roots are found once, not
-    once per window.
+    but at most the root bound isqrt(n(S_CEILING)) + 1 of the j ceiling,
+    keeps the odd p mod which -M is a square by Euler's criterion, and
+    finds the square roots x of -M mod all of them in one batched
+    Tonelli--Shanks, whose cost hardly depends on its size;
+    2j - e ≡ x (mod p) holds at j ≡ (x + e)(p + 1)/2.  A prime dividing M
+    has the single root x = 0, and 2 has the residues r in {0, 1} where
+    n(r) is even.  A lattice sum keeps one of these across its doublings,
+    so each prime's roots are found once, not once per window.
     """
 
-    def __init__(self, D: int):
-        self.D = D
+    def __init__(self, M: int):
+        self.M = M
         self.bound = 1
         self.p = self.r = np.zeros(0, dtype=np.int64)
 
     def upto(self, bound: int) -> tuple[np.ndarray, np.ndarray]:
         if bound > self.bound:
-            reach = max(bound, min(4 * self.bound, isqrt(self.D + S_CEILING * S_CEILING) + 1))
+            M = self.M
+            reach = max(bound, min(4 * self.bound, isqrt(_n_of_j(M, S_CEILING)) + 1))
             p = _primes_between(self.bound, reach)
             self.bound = reach
-            n = (-self.D) % p
-            # each prime's roots as a row (low, high), with a mask of those
-            # that exist: one root for 2 and for p | D, else none or two
-            one = (p == 2) | (n == 0)
+            x = (-M) % p
+            # each odd prime's square roots x of -M as a row, with a mask of
+            # those that exist: one for p | M, else none or two
+            two, one = p == 2, (p != 2) & (x == 0)
             pairs = np.zeros((p.size, 2), dtype=np.int64)
             exists = np.zeros((p.size, 2), dtype=bool)
-            pairs[one, 0], exists[one, 0] = np.where(p[one] == 2, self.D % 2, 0), True
-            odd = np.flatnonzero(~one)
-            square, x = _sqrt_mod_primes(n[odd], p[odd])
+            exists[one, 0] = True
+            odd = np.flatnonzero(~two & ~one)
+            square, x = _sqrt_mod_primes(x[odd], p[odd])
             odd = odd[square]
-            pairs[odd, 0], pairs[odd, 1] = np.minimum(x, p[odd] - x), np.maximum(x, p[odd] - x)
+            pairs[odd, 0], pairs[odd, 1] = x, p[odd] - x
             exists[odd] = True
+            # the roots j of the odd primes, and those of 2
+            half = (p[:, None] + 1) // 2
+            pairs = np.sort((pairs + M % 2) * half % p[:, None], axis=1)
+            pairs[two] = (0, 1)
+            exists[two] = (_n_of_j(M, 0) % 2 == 0, _n_of_j(M, 1) % 2 == 0)
             self.p = np.concatenate([self.p, np.repeat(p, 2).reshape(-1, 2)[exists]])
             self.r = np.concatenate([self.r, pairs[exists]])
         n = np.searchsorted(self.p, bound, side="right")
         return self.p[:n], self.r[:n]
 
 
-def _divisor_sums(d: int, M: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
-    """sum_{m | n} chi_d(m) over the values V = M + t^2, t = lo+1..hi, via a
-    quadratic-progression sieve; entry i belongs to t = lo+1+i.
+def _form_counts(d: int, D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
+    """N(t), the number of forms of disc D > 0 with doubled pairing t with
+    the CM form of disc d, for t = 2j - e, j = lo+1..hi and e = |d| D mod 2,
+    via a quadratic-progression sieve; entry i belongs to j = lo+1+i.
 
-    d is -4 or -q for a prime q ≡ 3 (mod 4), and chi_d is the character of
-    Q(sqrt d).  By quadratic reciprocity chi_d(p) for a prime p is 1 or -1
-    as p mod |d| is or is not a square of a unit mod |d|, and 0 for p | d;
-    this holds for p = 2 too.  For odd d, n = V/4, and the sum is 0 where 4
-    does not divide V; at d = -4, where chi_d(2) = 0, n = V.  The sum is the
-    product over p^e || n of e + 1 where chi_d(p) = 1, of 1 or 0 as e is
-    even or odd where chi_d(p) = -1, and of 1 where p | d.  The primes and
-    the square roots of -M come from `roots` when given.
+    d is one of CLASS_NUMBER_ONE.  By Dirichlet's formula,
+    N(t) = w (1 + [p_d | n]) sum_{m | n} chi_d(m), with n = n(j) =
+    (|d| D + t^2)/4, w the stabilizer order of the CM point, p_d the prime
+    dividing d and chi_d(m) the Kronecker symbol (d/m), periodic mod |d|.
+    The sum is the product over p^e || n of e + 1 where chi_d(p) = 1, of
+    1 or 0 as e is even or odd where chi_d(p) = -1, and of 1 where p | d.
+    The primes and their roots j come from `roots`, kept for M = |d| D,
+    when given.
 
-    The values V are int64.  A pair (p, r) hits the entries with
-    t ≡ r (mod p), all of which p divides.  The hits are taken in chunks
+    The values n(j) are int64.  A pair (p, r) hits the entries with
+    j ≡ r (mod p), all of which p divides.  The hits are taken in chunks
     of at most SIEVE_CHUNK; each chunk finds the p-adic valuations of its
     hits as arrays, and folds them into the product of local factors, the
     zero flags and the product of the prime powers found with
     np.multiply.at: an entry repeats across the primes of a chunk, and a
-    fancy-index write-back would keep only one of its updates.  What the
-    prime powers leave of V is 1 or one prime above the sieve's bound.
+    fancy-index write-back would keep only one of its updates.  The sieve
+    takes the primes up to isqrt(n) + 1, so what their powers leave of n
+    is 1 or one prime.
     """
-    q = -d
-    chi = np.full(q, -1, dtype=np.int8)
-    chi[np.arange(1, q) ** 2 % q] = 1
-    chi[np.gcd(np.arange(q), q) > 1] = 0
+    q, M = -d, -d * D
+    chi = np.array([kronecker(d, m) for m in range(q)], dtype=np.int8)
     size = hi - lo
-    vals = M + np.arange(lo + 1, hi + 1, dtype=np.int64) ** 2
+    vals = _n_of_j(M, np.arange(lo + 1, hi + 1, dtype=np.int64))
     mult = np.ones(size, dtype=np.int64)
     found = np.ones(size, dtype=np.int64)
-    zero = vals % 4 != 0 if q % 2 else np.zeros(size, dtype=bool)
-    p, r = (roots or _PrimeRoots(M)).upto(isqrt(M + hi * hi) + 1)
-    # the first index whose t = lo+1+i is ≡ r (mod p), and the hits per pair
+    zero = np.zeros(size, dtype=bool)
+    p, r = (roots or _PrimeRoots(M)).upto(isqrt(_n_of_j(M, hi)) + 1)
+    # the first index whose j = lo+1+i is ≡ r (mod p), and the hits per pair
     first = (r - (lo + 1)) % p
     ends = np.cumsum((size - first + p - 1) // p)
     starts = np.concatenate([[0], ends[:-1]])
@@ -826,8 +841,6 @@ def _divisor_sums(d: int, M: int, lo: int, hi: int, roots: _PrimeRoots | None = 
             e[more] += 1
             more = more[v[more] % pp[more] == 0]
         np.multiply.at(found, idx, power)
-        if q % 2:
-            e[pp == 2] -= 2  # n = V/4
         c = chi[pp % q]
         np.multiply.at(mult, idx[c == 1], e[c == 1] + 1)
         zero[idx[(c == -1) & (e & 1 == 1)]] = True
@@ -837,33 +850,8 @@ def _divisor_sums(d: int, M: int, lo: int, hi: int, roots: _PrimeRoots | None = 
     mult[(left > 1) & (c == 1)] *= 2
     zero |= c == -1
     mult[zero] = 0
-    return mult
-
-
-def _r2_table(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
-    """r2(D + s^2) for s = lo+1..hi, entry i belonging to s = lo+1+i.
-
-    r2(n) counts all (b, e) with b^2 + e^2 = n, and equals
-    4 sum_{m | n} chi_{-4}(m) (Jacobi): the d = -4 case of `_divisor_sums`.
-    """
-    return 4 * _divisor_sums(-4, D, lo, hi, roots)
-
-
-def _parity_counts(D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
-    """N(s) = #{(b, e): b^2 + e^2 = D + s^2, e ≡ s (mod 2)} for s = lo+1..hi,
-    entry i belonging to s = lo+1+i.
-
-    D + s^2 ≡ D + (s mod 2) (mod 4), so N(s) is r2(D + s^2) times a weight
-    fixed by the parity of s: 1/2 where D + s^2 is odd (b and e differ in
-    parity), else 1 or 0 as the common parity of b and e, odd exactly when
-    D + s^2 ≡ 2 (mod 4), is or is not that of s.
-    """
-    N = _r2_table(D, lo, hi, roots).astype(float)
-    for start in (0, 1):
-        parity = (lo + 1 + start) % 2
-        n = (D + parity) % 4
-        N[start::2] *= 0.5 if n % 2 else float(n // 2 == parity)
-    return N
+    p_d = 2 if q % 4 == 0 else q
+    return stabilizer_order(d) * (1 + (vals % p_d == 0)) * mult
 
 
 def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceReport:
@@ -875,38 +863,41 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
       sum_{t != 0} sgn(t)^k N(t) (D + p^2)^{-k/2} 2F1(k/2, k/2; k+1/2; D/(D+p^2))
 
     with N(t) the number of forms in group t; the prefactor composes the
-    trace scaling with the raised-form series constants.  For d = -4 the
-    terms are indexed by s = t/2 = a + c, and N(t) = N(-t) counts
-    b^2 + e^2 = D + s^2, e ≡ s (2), by a factorization sieve.  For the
-    odd d of class number one the same sieve counts
-    N(t) = w (1 + [|d| divides t]) sum_{m | n} chi_d(m), n = (|d| D + t^2)/4,
-    w the stabilizer order (Dirichlet's formula).  For other d
-    `PairingSolver` counts each group exactly, stepping the leading
-    coefficient a of the forms through the integer window where
-    q(a) = a0^2 D + 2 a0 t a + disc(Q0) a^2 >= 0; its t ceiling is 2^16,
-    and the sieve's S_CEILING.
+    trace scaling with the raised-form series constants.  A group holds
+    forms only if t ≡ |d| D (mod 2), so the terms are indexed by j >= 1
+    with t = 2j - (|d| D mod 2), and N(t) = N(-t).  For the d of
+    CLASS_NUMBER_ONE a factorization sieve counts
+    N(t) = w (1 + [p_d divides n]) sum_{m | n} chi_d(m), n = (|d| D + t^2)/4
+    (`_form_counts`, Dirichlet's formula).  For other d `PairingSolver`
+    counts each group exactly, stepping the leading coefficient a of the
+    forms through the integer window where
+    q(a) = a0^2 D + 2 a0 t a + disc(Q0) a^2 >= 0; its j ceiling is 2^15
+    (t <= 2^16), and the sieve's S_CEILING.
 
-    The cutoff doubles from 2^8 (s) or 16 (t), and each doubling's window
-    is summed in slices of at most TAIL_SLICE terms.  After each doubling
+    The cutoff S on j doubles from 2^8 at d = -4 (where j = t/2 = a + c)
+    or 8 elsewhere; the report names it s_cutoff = S at d = -4 and
+    t_cutoff = 2S elsewhere.  Each doubling's window is summed in slices
+    of at most TAIL_SLICE terms.  After each doubling
     the terms past the cutoff, which fall like S^(-k), are extrapolated
     from its increment: R = pref (total + inc/(2^(k-1) - 1)).  The value
     is the last R.  The estimate is the window
     max(|dR_n|, |dR_(n-1)| 2^-(k-2), |dR_(n-2)| 2^-2(k-2)) of the last
     three changes of R, the older ones discounted by the S^(2-k) decay of
     the changes; the loop stops once it is below tol.  The sieve works in
-    int64, so a D with D + s^2 or |d| D + t^2 beyond int64 below the
-    ceiling raises ValueError, before the hypothesis check.
+    int64, so a sieved d and D with |d| D + (2 S_CEILING)^2 beyond int64
+    raise ValueError, before the hypothesis check.
     """
     t0 = time.perf_counter()
     if k < 2:
         raise ValueError("k must be >= 2")
     check_tol(tol)
-    first, key = (1 << 8, "s_cutoff") if d == -4 else (16, "t_cutoff")
-    sieved = d == -4 or d in ODD_CLASS_NUMBER_ONE
-    ceiling = S_CEILING if sieved else 1 << 16
-    M = D if d == -4 else -d * D  # the sieve's values are M + s^2 or M + t^2
-    if sieved and M + ceiling * ceiling > np.iinfo(np.int64).max:
-        raise ValueError(f"D = {D}: {M} + {key[0]}^2 overflows int64 below the ceiling {ceiling}")
+    first, key = (1 << 8, "s_cutoff") if d == -4 else (8, "t_cutoff")
+    sieved = d in CLASS_NUMBER_ONE
+    ceiling = S_CEILING if sieved else 1 << 15
+    M = -d * D
+    e = M % 2  # t = 2j - e
+    if sieved and M + (2 * ceiling) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(f"D = {D}: {M} + t^2 overflows int64 below the t ceiling {2 * ceiling}")
     if not hypothesis_check(D, d):
         raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
     w_stab = stabilizer_order(d)
@@ -923,36 +914,29 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
             k=k, D=D, d=d, method="latticesum", value=0.0, error_estimate=0.0,
             hypothesis_ok=True, seconds=time.perf_counter() - t0, cutoff={key: 0},
         )
-    if d == -4:
-        roots = _PrimeRoots(D)
-
-        def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            s = np.arange(lo + 1, hi + 1, dtype=float)
-            return s * s, 2.0 * _parity_counts(D, lo, hi, roots)
-    elif sieved:
+    if sieved:
         roots = _PrimeRoots(M)
 
-        def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            t = np.arange(lo + 1, hi + 1)
-            N = w_stab * (1 + (t % -d == 0)) * _divisor_sums(d, M, lo, hi, roots)
-            return t * t / (-d), 2.0 * N
+        def counts(lo: int, hi: int) -> np.ndarray:
+            return _form_counts(d, D, lo, hi, roots)
     else:
         solver = PairingSolver(definite_class_reps(d)[0])
 
-        def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            # X -> -X maps the forms with pairing t/2 onto those with -t/2
-            t = np.arange(lo + 1, hi + 1)
-            counts = [2 * len(solver.forms(D, u)) for u in range(lo + 1, hi + 1)]
-            return t * t / (-d), np.array(counts, dtype=float)
+        def counts(lo: int, hi: int) -> np.ndarray:
+            return np.array([len(solver.forms(D, 2 * j - e)) for j in range(lo + 1, hi + 1)])
 
     def tail_sum(lo: int, hi: int) -> float:
-        """The terms lo < s <= hi (or t), in slices of at most TAIL_SLICE;
-        each doubling counts only its new half."""
+        """The terms lo < j <= hi, in slices of at most TAIL_SLICE; each
+        doubling counts only its new half."""
         acc = 0.0
         for start in range(lo, hi, TAIL_SLICE):
-            p2, counts = window(start, min(start + TAIL_SLICE, hi))
+            end = min(start + TAIL_SLICE, hi)
+            t = 2 * np.arange(start + 1, end + 1) - e
+            p2 = t * t / (-d)
+            # X -> -X maps the forms with pairing t/2 onto those with -t/2
+            N = 2.0 * counts(start, end)
             F = _hyp2f1_vec(k / 2, k / 2, k + 0.5, D / (D + p2))
-            acc += float(np.sum(counts * (D + p2) ** (-k / 2.0) * F))
+            acc += float(np.sum(N * (D + p2) ** (-k / 2.0) * F))
         return acc
 
     S, total, R = first, tail_sum(0, first), []  # R: the last four extrapolates
@@ -978,5 +962,5 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         error_estimate=max(est, 1e-15),
         hypothesis_ok=True,
         seconds=time.perf_counter() - t0,
-        cutoff={key: S},
+        cutoff={key: S if d == -4 else 2 * S},
     )

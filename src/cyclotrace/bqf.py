@@ -276,10 +276,10 @@ def equivalent_indefinite(Q1: BQF, Q2: BQF) -> bool:
 class GeodesicArc:
     """The closed geodesic attached to an indefinite form.
 
-    The semicircle a|z|^2 + b x + c = 0 has center -b/(2a) and radius
-    sqrt(D)/(2|a|); the automorph cuts out one period.  (t, u) is the
-    minimal positive solution of t^2 - D0 u^2 = 4 for the discriminant
-    D0 of the primitive part of the form: the stabiliser of m*Q' equals
+    The automorph cuts out one period of the semicircle
+    a|z|^2 + b x + c = 0.  (t, u) is the minimal positive solution of
+    t^2 - D0 u^2 = 4 for the discriminant D0 of the primitive part of
+    the form: the stabiliser of m*Q' equals
     the stabiliser of Q', so for imprimitive forms the generator's
     parameters live at the primitive discriminant.
     """
@@ -289,14 +289,6 @@ class GeodesicArc:
     t: int
     u: int
     primitive_disc: int
-
-    @property
-    def center(self) -> Fraction:
-        return Fraction(-self.form.b, 2 * self.form.a)
-
-    @property
-    def radius_squared(self) -> Fraction:
-        return Fraction(self.form.disc, 4 * self.form.a * self.form.a)
 
 
 def pell_automorph(Q: BQF) -> GeodesicArc:

@@ -18,16 +18,14 @@ from cyclotrace.analytic import (
 )
 from cyclotrace import analytic
 from cyclotrace.analytic import (
-    ODD_CLASS_NUMBER_ONE,
+    CLASS_NUMBER_ONE,
     _PrimeRoots,
     _class_pairs,
-    _divisor_sums,
+    _form_counts,
     _hyp_series,
     _hyp2f1_vec,
     _least_non_residues,
-    _parity_counts,
     _primes_between,
-    _r2_table,
     _reduce_points,
 )
 from cyclotrace.arith import factor
@@ -514,19 +512,27 @@ def _r2_of_factors(n):
     return out
 
 
+def _d4_counts(r2, D, lo, hi):
+    # at d = -4, j = t/2 and n = D + j^2, and the group t holds
+    # 2 (1 + [n even]) r2(n)/4 forms
+    return [(1 + ((D + j * j) % 2 == 0)) * r2(D + j * j) // 2 for j in range(lo + 1, hi + 1)]
+
+
 def test_r2_table_vs_brute():
-    # windows with lo > 0 and D with square factors (45, 588)
+    # windows with lo > 0, D with square factors (45, 588), and D ≡ 1 (mod 8),
+    # where n ≡ 2 (mod 4) can be a sum of two squares
     for D, lo, hi in ((12, 0, 60), (21, 0, 60), (5, 0, 60), (12, 23, 60), (5, 37, 160),
-                      (21, 37, 160), (45, 37, 160), (76, 500, 560), (588, 37, 160), (588, 500, 560)):
-        table = _r2_table(D, lo, hi)
-        assert table.tolist() == [_r2_brute(D + s * s) for s in range(lo + 1, hi + 1)], (D, lo)
+                      (21, 37, 160), (45, 37, 160), (76, 500, 560), (588, 37, 160), (588, 500, 560),
+                      (17, 37, 160)):
+        assert _form_counts(-4, D, lo, hi).tolist() == _d4_counts(_r2_brute, D, lo, hi), (D, lo)
 
 
 def test_r2_table_with_shared_prime_roots():
     # one _PrimeRoots across growing windows, as the lattice sum keeps it
-    roots = _PrimeRoots(21)
-    for lo, hi in ((0, 64), (64, 128), (128, 512)):
-        assert np.array_equal(_r2_table(21, lo, hi, roots), _r2_table(21, lo, hi))
+    for d in CLASS_NUMBER_ONE:
+        roots = _PrimeRoots(-d * 21)
+        for lo, hi in ((0, 64), (64, 128), (128, 512)):
+            assert np.array_equal(_form_counts(d, 21, lo, hi, roots), _form_counts(d, 21, lo, hi)), d
 
 
 def test_least_non_residues_by_reciprocity():
@@ -536,21 +542,28 @@ def test_least_non_residues_by_reciprocity():
     assert _least_non_residues(p).tolist() == brute
 
 
+def _n_of_j(M, j):
+    # n(j) = (M + t^2)/4 at t = 2j - (M mod 2)
+    return (M + (2 * j - M % 2) ** 2) // 4
+
+
 def test_prime_roots_reach_ahead_up_to_the_ceiling(monkeypatch):
     # each pass reaches 4x past the last, but never past the root bound of
-    # the s ceiling (2^10 here); a table that reached ahead counts as a
+    # the j ceiling (2^10 here); a table that reached ahead counts as a
     # fresh one does
     monkeypatch.setattr(analytic, "S_CEILING", 1 << 10)
     D = 21
-    cap = math.isqrt(D + (1 << 20)) + 1
-    roots = _PrimeRoots(D)
-    reached_ahead = False
-    for lo, hi in ((0, 256), (256, 512), (512, 1024)):
-        table = _r2_table(D, lo, hi, roots)
-        assert roots.bound <= cap
-        reached_ahead |= roots.bound > math.isqrt(D + hi * hi) + 1
-        assert np.array_equal(table, _r2_table(D, lo, hi))
-    assert reached_ahead and roots.bound == cap
+    for d in CLASS_NUMBER_ONE:
+        M = -d * D
+        cap = math.isqrt(_n_of_j(M, 1 << 10)) + 1
+        roots = _PrimeRoots(M)
+        reached_ahead = False
+        for lo, hi in ((0, 256), (256, 512), (512, 1024)):
+            table = _form_counts(d, D, lo, hi, roots)
+            assert roots.bound <= cap
+            reached_ahead |= roots.bound > math.isqrt(_n_of_j(M, hi)) + 1
+            assert np.array_equal(table, _form_counts(d, D, lo, hi)), d
+        assert reached_ahead and roots.bound == cap, d
 
 
 PRIMES_BELOW_20000 = [p for p in range(2, 20000) if factor(p) == [(p, 1)]]
@@ -558,42 +571,49 @@ PRIMES_BELOW_20000 = [p for p in range(2, 20000) if factor(p) == [(p, 1)]]
 
 @pytest.mark.parametrize("D", [3, 4, 12, 21, 75, 588, 805, 9997])
 def test_prime_roots_match_direct_search(D):
-    # grown in three steps, as the doublings of a lattice sum grow it; the
-    # D include primes dividing D, where 0 is the one root
-    roots = _PrimeRoots(D)
-    roots.upto(100)
-    roots.upto(5000)
-    p, r = roots.upto(19999)
-    assert np.all(np.diff(p) >= 0)
-    got = {}
-    for q, x in zip(p.tolist(), r.tolist()):
-        got.setdefault(q, []).append(x)
-    want = {q: np.flatnonzero((np.arange(q) ** 2 + D) % q == 0).tolist() for q in PRIMES_BELOW_20000}
-    assert got == {q: xs for q, xs in want.items() if xs}
+    # the roots j of p | n(j) for M = |d| D at d = -4, -3 and -7, where n(j)
+    # is an integer; grown in three steps, as the doublings of a lattice sum
+    # grow it.  The M include primes dividing M, which have one root, and
+    # both parities; 2 has no root, one or two
+    for M in (4 * D, 3 * D, 7 * D):
+        if M % 4 not in (0, 3):
+            continue
+        roots = _PrimeRoots(M)
+        roots.upto(100)
+        roots.upto(5000)
+        p, r = roots.upto(19999)
+        assert np.all(np.diff(p) >= 0)
+        got = {}
+        for q, x in zip(p.tolist(), r.tolist()):
+            got.setdefault(q, []).append(x)
+        want = {q: np.flatnonzero(_n_of_j(M, np.arange(q)) % q == 0).tolist() for q in PRIMES_BELOW_20000}
+        assert got == {q: xs for q, xs in want.items() if xs}, M
 
 
 def test_r2_table_near_the_s_ceiling():
-    # D + s^2 near 2^48, where an int64 product in the sieve could overflow;
+    # D + j^2 near 2^48, where an int64 product in the sieve could overflow;
     # arith.factor works in Python ints
     D, hi = 45, 1 << 24
-    table = _r2_table(D, hi - 16, hi)
-    assert table.tolist() == [_r2_of_factors(D + s * s) for s in range(hi - 15, hi + 1)]
+    assert _form_counts(-4, D, hi - 16, hi).tolist() == _d4_counts(_r2_of_factors, D, hi - 16, hi)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_r2_table_chunks_do_not_change_counts(chunk, monkeypatch):
     # chunks of 1 and 7 hits split every prime's hits across chunks, and 7
     # repeats indices within a chunk
-    want = [_r2_table(D, lo, hi) for D, lo, hi in ((12, 0, 300), (588, 200, 500))]
+    cases = ((-4, 12, 0, 300), (-4, 588, 200, 500), (-3, 21, 0, 300), (-8, 12, 200, 500))
+    want = [_form_counts(d, D, lo, hi) for d, D, lo, hi in cases]
     monkeypatch.setattr(analytic, "SIEVE_CHUNK", chunk)
-    got = [_r2_table(D, lo, hi) for D, lo, hi in ((12, 0, 300), (588, 200, 500))]
+    got = [_form_counts(d, D, lo, hi) for d, D, lo, hi in cases]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_parity_counts_vs_brute():
+    # at d = -4 the group t = 2j holds the (b, e) with b^2 + e^2 = D + j^2,
+    # e ≡ j and b ≡ D (mod 2)
     for D, lo in ((12, 0), (21, 0), (24, 0), (21, 17)):
         S = 40
-        N = _parity_counts(D, lo, S)
+        N = _form_counts(-4, D, lo, S)
         for s in range(lo + 1, S + 1):
             n = D + s * s
             brute = sum(
@@ -634,24 +654,25 @@ def test_latticesum_k2_error_bar_covers_the_closed_formula():
 
 
 def test_latticesum_rejects_int64_overflow():
-    # D + s^2 must fit in int64 up to the s ceiling 2^24 of the sieve
+    # 4 D + t^2 must fit in int64 up to the t ceiling 2^25 of the sieve
     D = (1 << 63) - 3
     with pytest.raises(ValueError, match=f"D = {D}"):
         lhs_latticesum(2, D, -4)
 
 
-@pytest.mark.parametrize("d", ODD_CLASS_NUMBER_ONE)
+@pytest.mark.parametrize("d", CLASS_NUMBER_ONE)
 def test_sieved_latticesums_reject_int64_overflow(d):
-    # |d| D + t^2 must fit in int64 up to the t ceiling 2^24, and the check
-    # comes before hypothesis_check, which does not return on such D
-    D = 4 * ((1 << 63) // (4 * -d) + 1)
+    # |d| D + t^2 must fit in int64 up to the t ceiling 2^25, here with
+    # |d| D itself below 2^63, and the check comes before hypothesis_check,
+    # which does not return on such D
+    D = 4 * (((1 << 63) - (1 << 50)) // (4 * -d) + 1)
     with pytest.raises(ValueError, match=f"D = {D}"):
         lhs_latticesum(2, D, d)
 
 
 @pytest.mark.parametrize("d, tol", [(-4, 1e-6), (-7, 1e-3)])
 def test_latticesum_slices_keep_the_sum(monkeypatch, d, tol):
-    # slices of 12 cut every window, the first ones (16 and 256 terms) too
+    # slices of 12 cut every window, the first ones (8 and 256 terms) too
     whole = lhs_latticesum(4, 21, d, tol=tol)
     monkeypatch.setattr(analytic, "TAIL_SLICE", 12)
     sliced = lhs_latticesum(4, 21, d, tol=tol)
@@ -660,36 +681,37 @@ def test_latticesum_slices_keep_the_sum(monkeypatch, d, tol):
 
 
 def test_pairing_solver_counts_match_sieve():
-    # at d = -4 the doubled pairing with [1, 0, 1] is t = 2s, and the
-    # solver's groups t and -t together hold the 2 N(s) forms the sieve
-    # counts; odd t pair to no form
-    solver = PairingSolver(BQF(1, 0, 1))
-    for D, lo, hi in ((12, 0, 40), (21, 0, 40), (24, 0, 40), (21, 17, 60), (60, 100, 130)):
-        N = _parity_counts(D, lo, hi)
-        for s in range(lo + 1, hi + 1):
-            count = len(solver.forms(D, 2 * s)) + len(solver.forms(D, -2 * s))
-            assert count == 2 * N[s - lo - 1], (D, s)
-            assert solver.forms(D, 2 * s + 1) == solver.forms(D, -2 * s - 1) == []
+    # the lattice sum counts the groups t and -t together as 2 N(t)
+    for d in CLASS_NUMBER_ONE:
+        solver = PairingSolver(definite_class_reps(d)[0])
+        for D, lo, hi in ((12, 0, 40), (21, 0, 40), (24, 0, 40), (21, 17, 60), (60, 100, 130)):
+            N = _form_counts(d, D, lo, hi)
+            for j in range(lo + 1, hi + 1):
+                t = 2 * j - (-d * D) % 2
+                count = len(solver.forms(D, t)) + len(solver.forms(D, -t))
+                assert count == 2 * N[j - lo - 1], (d, D, t)
 
 
-@pytest.mark.parametrize("d", ODD_CLASS_NUMBER_ONE)
+@pytest.mark.parametrize("d", CLASS_NUMBER_ONE)
 def test_divisor_sums_count_as_the_pairing_solver(d):
-    # N(t) = w (1 + [|d| divides t]) sum_{m | n} chi_d(m), n = (|d| D + t^2)/4,
-    # over growing windows with one _PrimeRoots, the last one holding
-    # multiples of |d| near t = 4096
+    # N(t) = w (1 + [p_d divides n]) sum_{m | n} chi_d(m), n = (|d| D + t^2)/4,
+    # at t = 2j - e, e = |d| D mod 2, over growing windows with one
+    # _PrimeRoots, the last one holding multiples of |d| near t = 4096;
+    # the t of the other parity hold no form
     solver, w = PairingSolver(definite_class_reps(d)[0]), stabilizer_order(d)
-    windows = ((0, 64), (64, 300), (4095 + 2 * d, 4096))
+    windows = ((0, 32), (32, 150), (2048 + d, 2048))
     for D in range(5, 61):
         if D % 4 not in (0, 1) or math.isqrt(D) ** 2 == D:
             continue
         roots = _PrimeRoots(-d * D)
         for lo, hi in windows:
-            t = np.arange(lo + 1, hi + 1)
-            N = w * (1 + (t % -d == 0)) * _divisor_sums(d, -d * D, lo, hi, roots)
-            assert N.tolist() == [len(solver.forms(D, u)) for u in t.tolist()], (D, lo)
+            t = [2 * j - (-d * D) % 2 for j in range(lo + 1, hi + 1)]
+            N = _form_counts(d, D, lo, hi, roots)
+            assert N.tolist() == [len(solver.forms(D, u)) for u in t], (D, lo)
+            assert not any(solver.forms(D, u + 1) for u in t), (D, lo)
 
 
-@pytest.mark.parametrize("k, D, d", [(2, 12, -7), (2, 21, -3)])
+@pytest.mark.parametrize("k, D, d", [(2, 12, -7), (2, 21, -3), (2, 13, -8)])
 def test_sieved_latticesum_meets_the_geodesic(k, D, d):
     # the 1/t tail of k = 2: at t = 2^16 for (12, -7)
     l = lhs_latticesum(k, D, d, tol=1e-3)
