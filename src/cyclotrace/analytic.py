@@ -733,8 +733,10 @@ def _sqrt_mod_primes(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _n_of_j(M: int, j):
-    """n(j) = (M + t^2)/4 at t = 2j - (M mod 2), for an int or an int64 array j."""
-    return (M + (2 * j - M % 2) ** 2) // 4
+    """n(j) = (M + t^2)/4 at t = 2j - e, e = M mod 2, for an int or an int64
+    array j, as j (j - e) + (M + e)/4, so that M + t^2 is never formed."""
+    e = M % 2
+    return j * (j - e) + (M + e) // 4
 
 
 class _PrimeRoots:
@@ -765,7 +767,8 @@ class _PrimeRoots:
             reach = max(bound, min(4 * self.bound, isqrt(_n_of_j(M, S_CEILING)) + 1))
             p = _primes_between(self.bound, reach)
             self.bound = reach
-            x = (-M) % p
+            # -M = e - 4 n(0), reduced mod p without forming M in int64
+            x = (M % 2 - 4 * (_n_of_j(M, 0) % p)) % p
             # each odd prime's square roots x of -M as a row, with a mask of
             # those that exist: one for p | M, else none or two
             two, one = p == 2, (p != 2) & (x == 0)
@@ -884,8 +887,8 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     max(|dR_n|, |dR_(n-1)| 2^-(k-2), |dR_(n-2)| 2^-2(k-2)) of the last
     three changes of R, the older ones discounted by the S^(2-k) decay of
     the changes; the loop stops once it is below tol.  The sieve works in
-    int64, so a sieved d and D with |d| D + (2 S_CEILING)^2 beyond int64
-    raise ValueError, before the hypothesis check.
+    int64, so a sieved d and D with n(S_CEILING) beyond int64 raise
+    ValueError, before the hypothesis check.
     """
     t0 = time.perf_counter()
     if k < 2:
@@ -896,8 +899,8 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     ceiling = S_CEILING if sieved else 1 << 15
     M = -d * D
     e = M % 2  # t = 2j - e
-    if sieved and M + (2 * ceiling) ** 2 > np.iinfo(np.int64).max:
-        raise ValueError(f"D = {D}: {M} + t^2 overflows int64 below the t ceiling {2 * ceiling}")
+    if sieved and _n_of_j(M, ceiling) > np.iinfo(np.int64).max:
+        raise ValueError(f"D = {D}: n(j) = ({M} + t^2)/4 overflows int64 below the j ceiling {ceiling}")
     if not hypothesis_check(D, d):
         raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
     w_stab = stabilizer_order(d)

@@ -654,7 +654,7 @@ def test_latticesum_k2_error_bar_covers_the_closed_formula():
 
 
 def test_latticesum_rejects_int64_overflow():
-    # 4 D + t^2 must fit in int64 up to the t ceiling 2^25 of the sieve
+    # n(j) = D + j^2 must fit in int64 up to the j ceiling 2^24 of the sieve
     D = (1 << 63) - 3
     with pytest.raises(ValueError, match=f"D = {D}"):
         lhs_latticesum(2, D, -4)
@@ -662,19 +662,22 @@ def test_latticesum_rejects_int64_overflow():
 
 @pytest.mark.parametrize("d", CLASS_NUMBER_ONE)
 def test_sieved_latticesums_reject_int64_overflow(d):
-    # |d| D + t^2 must fit in int64 up to the t ceiling 2^25, here with
-    # |d| D itself below 2^63, and the check comes before hypothesis_check,
-    # which does not return on such D
-    D = 4 * (((1 << 63) - (1 << 50)) // (4 * -d) + 1)
+    # n(j) = |d| D/4 + j^2 at D ≡ 0 (mod 4) must fit in int64 up to the j
+    # ceiling 2^24, and the check comes before hypothesis_check, which does
+    # not return on such D.  D is the least multiple of 4 past that border,
+    # so |d| D itself does not fit in int64
+    big, S = (1 << 63) - 1, analytic.S_CEILING
+    D = 4 * ((big - S * S) // -d + 1)
+    assert -d * (D - 4) // 4 + S * S <= big < -d * D // 4 + S * S
     with pytest.raises(ValueError, match=f"D = {D}"):
         lhs_latticesum(2, D, d)
 
 
 @pytest.mark.parametrize("d, tol", [(-4, 1e-6), (-7, 1e-3)])
 def test_latticesum_slices_keep_the_sum(monkeypatch, d, tol):
-    # slices of 12 cut every window, the first ones (8 and 256 terms) too
+    # slices of 5 cut every window, the first ones (8 and 256 terms) too
     whole = lhs_latticesum(4, 21, d, tol=tol)
-    monkeypatch.setattr(analytic, "TAIL_SLICE", 12)
+    monkeypatch.setattr(analytic, "TAIL_SLICE", 5)
     sliced = lhs_latticesum(4, 21, d, tol=tol)
     assert sliced.cutoff == whole.cutoff
     assert abs(sliced.value - whole.value) <= 1e-13 * abs(whole.value)
@@ -690,6 +693,8 @@ def test_pairing_solver_counts_match_sieve():
                 t = 2 * j - (-d * D) % 2
                 count = len(solver.forms(D, t)) + len(solver.forms(D, -t))
                 assert count == 2 * N[j - lo - 1], (d, D, t)
+                # the t of the other parity hold no form
+                assert solver.forms(D, t + 1) == solver.forms(D, -t - 1) == [], (d, D, t)
 
 
 @pytest.mark.parametrize("d", CLASS_NUMBER_ONE)
@@ -708,7 +713,7 @@ def test_divisor_sums_count_as_the_pairing_solver(d):
             t = [2 * j - (-d * D) % 2 for j in range(lo + 1, hi + 1)]
             N = _form_counts(d, D, lo, hi, roots)
             assert N.tolist() == [len(solver.forms(D, u)) for u in t], (D, lo)
-            assert not any(solver.forms(D, u + 1) for u in t), (D, lo)
+            assert not any(solver.forms(D, u + 1) or solver.forms(D, -u - 1) for u in t), (D, lo)
 
 
 @pytest.mark.parametrize("k, D, d", [(2, 12, -7), (2, 21, -3), (2, 13, -8)])
