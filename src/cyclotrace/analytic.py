@@ -8,7 +8,11 @@ cusp forms of weight 2k, pinned by the class sum where there are any
 (`FkAEvaluator`).  Cycle integrals use Gauss--Legendre nodes along the
 pieces of each geodesic's reduced cycle, the arcs of its reduced forms;
 their error estimate is the last panel doubling's change, plus the
-evaluator's residual over the nodes, plus a rounding floor.  The
+evaluator's residual over the nodes, plus a rounding floor.  A trace
+doubles the panels of all its classes in lockstep, so each doubling
+makes one evaluator call for every class not yet within its tolerance,
+the first holding the two levels of every class that the first stop
+test reads.  The
 hypergeometric lattice sum counts the forms of each group; its value is
 the tail extrapolate of its last doubling, and its estimate the largest
 of the extrapolate's last three changes, scaled down by the decay of
@@ -180,8 +184,9 @@ def _eisenstein(z: np.ndarray, terms: int = 24) -> tuple[np.ndarray, np.ndarray,
     never (E4^3 - E6^2)/1728, which cancels to nothing once Im z is above
     ~4.  The coefficients 240 sigma_3(n) and -504 sigma_5(n) come from a
     divisor sieve.  At the default terms every tail is below 1e-17 for
-    Im z >= 0.4.  One pass per term keeps the memory to a few arrays of the
-    points' size.
+    Im z >= 0.4; at points of the fundamental domain, where
+    |q| <= exp(-pi sqrt 3) ~ 4.3e-3, 12 terms leave tails below 1e-25.  One
+    pass per term keeps the memory to a few arrays of the points' size.
     """
     s3, s5 = [0] * (terms + 1), [0] * (terms + 1)
     for m in range(1, terms + 1):
@@ -190,14 +195,16 @@ def _eisenstein(z: np.ndarray, terms: int = 24) -> tuple[np.ndarray, np.ndarray,
             s5[n] += m**5
     q = np.exp(2j * np.pi * np.asarray(z, dtype=complex))
     E4, E6, P, qn = np.ones_like(q), np.ones_like(q), np.ones_like(q), np.ones_like(q)
-    # no in-place complex products: numpy may round `x *= y` on one element
-    # differently from the same product in a longer array
+    # no in-place complex products, and np.multiply where the right factor
+    # is a temporary: numpy computes `x * y` with a temporary y of 256 KiB
+    # or more as y * x in y's memory, and a complex product's imaginary
+    # part rounds differently with its factors swapped
     for n in range(1, terms + 1):
         qn = qn * q
         E4 += 240 * s3[n] * qn
         E6 -= 504 * s5[n] * qn
-        P = P * (1 - qn)
-    return E4, E6, q * _power(P, 24)
+        P = np.multiply(P, 1 - qn)
+    return E4, E6, np.multiply(q, _power(P, 24))
 
 
 def _power(x: np.ndarray, n: int) -> np.ndarray:
@@ -296,11 +303,13 @@ class FkAEvaluator:
       cusp would pin them too, but they grow like exp(pi n sqrt|d|) and
       cancel against the fit's to that many digits.
     - Values.  Points are reduced to the fundamental domain, E4, E6 and
-      Delta come from one q-series routine, c_1 u + ... + c_M u^M is
-      taken by Horner's rule and times E, the beta_i h_i are added in
-      order, and the automorphy factor (cz + d)^(-2k) is restored.  Every
-      step is elementwise, so a point's value does not depend on the
-      other points of its batch.
+      Delta come from one q-series routine (12 terms, as |q| <= 4.3e-3
+      there), c_1 u + ... + c_M u^M is taken by Horner's rule and times
+      E, the beta_i h_i are added in order, and the automorphy factor
+      (cz + d)^(-2k) is restored.  Every step is elementwise, and no
+      complex product lets numpy swap its factors in a large batch (see
+      `_eisenstein`), so a point's value does not depend on the other
+      points of its batch, at any batch size.
 
     `residual` is the evaluator's absolute error on values away from the
     pole, the sum of three terms: the part of the fit's principal-part
@@ -339,21 +348,32 @@ class FkAEvaluator:
         else:
             e, order = 1, 0
         self._M = -(-(k + order) // e)
-        E4, E6, delta = _eisenstein(np.array([tau]))
-        with np.errstate(all="ignore"):
-            self._jA = complex(E4[0] * E4[0] * E4[0] / delta[0])
-        if not np.isfinite(self._jA):
-            raise ValueError(f"j at the root of the class of d = {d} overflows a float")
         # h_i = Delta^i E4^p_i E6^r_i, as (i, p_i, r_i)
         dim = k // 6 - (k % 6 == 1)
         self._cusp = [(i, (k - 6 * i - 3 * self._r) // 2, self._r) for i in range(1, dim + 1)]
+        # NODES points on a circle around tau, of radius half the distance
+        # to the nearest other pole, and probes half a period from tau and
+        # above the unit circle, far from every pole; the first dim of them
+        # are the pin points.  E4, E6 and Delta at tau, the circle and the
+        # probes come from one call
+        radius = min(_pole_gap(tau), tau.imag) / 2
+        zc = tau + radius * np.exp(2j * np.pi * np.arange(self.NODES) / self.NODES)
+        x = tau.real + (0.5 if tau.real <= 0 else -0.5)
+        probes = x + 1j * (1.25 + 0.3 * np.arange(max(dim, 3)))
+        self._pin_points = probes[:dim]
+        at_tau, circle, at_probes = np.split(np.stack(_eisenstein(np.concatenate([[tau], zc, probes]))),
+                                             [1, 1 + self.NODES], axis=1)
+        self._pin_values = at_probes[:, :dim]
+        E4, E6, delta = at_tau[:, 0]
+        with np.errstate(all="ignore"):
+            self._jA = complex(E4 * E4 * E4 / delta)
+        if not np.isfinite(self._jA):
+            raise ValueError(f"j at the root of the class of d = {d} overflows a float")
 
         # Laurent coefficients of orders -1..-eM, each times radius^order,
         # from a discrete Fourier transform of values on the circle at
         # those orders only: row m - 1 holds order -m
-        radius = min(_pole_gap(tau), tau.imag) / 2
-        zc = tau + radius * np.exp(2j * np.pi * np.arange(self.NODES) / self.NODES)
-        E4, E6, delta = _eisenstein(zc)
+        E4, E6, delta = circle
         # s, the median of |j - j_A| there, keeps u near 1 on the circle
         self._scale = float(np.sort(np.abs(E4 * E4 * E4 / delta - self._jA))[self.NODES // 2])
         turns = np.outer(np.arange(1, e * self._M + 1), np.arange(self.NODES)) % self.NODES
@@ -370,12 +390,7 @@ class FkAEvaluator:
         # consistent fit
         rounding = 16 * EPS * (np.sum(np.abs(G) @ np.abs(self._c)) + np.sum(np.abs(target)))
         fit = max(0.0, float(np.sum(np.abs(G @ self._c - target)) - rounding))
-        # probes half a period from tau and above the unit circle, far from
-        # every pole; the first dim of them are the pin points
-        x = tau.real + (0.5 if tau.real <= 0 else -0.5)
-        probes = x + 1j * (1.25 + 0.3 * np.arange(max(dim, 3)))
-        self._pin_points = probes[:dim]
-        fractions = self._terms(*_eisenstein(probes))[0]
+        fractions = self._terms(*at_probes)[0]
         cancellation = 16 * EPS * float(np.min(np.abs(fractions) @ np.abs(self._c)))
 
         self.cutoff = self.PIN_CUTOFF if dim else 0
@@ -387,8 +402,9 @@ class FkAEvaluator:
     def _parts(self, E4, E6, delta) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """E = E4^p E6^r, u = s/(j - j_A) and the h_i, from E4, E6 and Delta at points."""
         u = self._scale * delta / (E4 * E4 * E4 - self._jA * delta)
-        cusp = [_power(delta, i) * _power(E4, p) * _power(E6, r) for i, p, r in self._cusp]
-        return _power(E4, self._p) * _power(E6, self._r), u, cusp
+        # np.multiply: a power may be a temporary right factor (see _eisenstein)
+        cusp = [np.multiply(np.multiply(_power(delta, i), _power(E4, p)), _power(E6, r)) for i, p, r in self._cusp]
+        return np.multiply(_power(E4, self._p), _power(E6, self._r)), u, cusp
 
     def _terms(self, E4, E6, delta) -> tuple[np.ndarray, np.ndarray]:
         """The columns E u^m (m = 1..M) and h_i, from E4, E6 and Delta at points."""
@@ -411,7 +427,7 @@ class FkAEvaluator:
         from the sum over a <= A/2, weighted by the largest |h_i| at the
         pin points."""
         a, b0 = _class_pairs(self.d, A, self.rep if self.filter_class else None)
-        fractions, cusp = self._terms(*_eisenstein(self._pin_points))
+        fractions, cusp = self._terms(*self._pin_values)
         beta, half = (np.linalg.solve(cusp, self._class_sum(self._pin_points, a[keep], b0[keep]) - fractions @ self._c)
                       for keep in (a > 0, a <= A // 2))
         return beta, float(np.abs(beta - half) @ np.max(np.abs(cusp), axis=0))
@@ -428,7 +444,8 @@ class FkAEvaluator:
         if np.any(zs.imag <= 0):
             raise ValueError("points must lie in the upper half-plane")
         zr, jf = _reduce_points(zs)
-        E, u, cusp = self._parts(*_eisenstein(zr))
+        # |q| <= 4.3e-3 at reduced points: 12 terms suffice (see _eisenstein)
+        E, u, cusp = self._parts(*_eisenstein(zr, 12))
         # Horner's rule in u, then the h_i in order: each point's value is
         # the same whatever points share its batch
         acc = np.zeros_like(u)
@@ -504,6 +521,116 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x - x[::-1]) / 2, (w + w[::-1]) / 2
 
 
+# The most panels a cycle integral's rule may reach.  One evaluator call
+# holds at most the nodes of that many panels, so no call is larger than
+# one rule at its ceiling.
+PANEL_CEILING = 1 << 12
+
+
+class _CycleRule:
+    """Composite Gauss--Legendre rule along the reduced cycle of a form Q.
+
+    Per form P of the cycle: P's coefficients, the center C and radius R of
+    its semicircle, and u = log tan(theta/2) = -atanh((x - C)/R) at its
+    crossings of x = 0 and x = n; `base` holds each piece's
+    max(1, round(its length)) panels.
+    """
+
+    def __init__(self, Q: BQF, k: int):
+        cycle, _ = reduced_cycle(Q)
+        pieces = []
+        for prev, P in zip(cycle[-1:] + cycle[:-1], cycle):
+            n = -(prev.b + P.b) // (2 * prev.c)
+            C, R = -P.b / (2 * P.a), math.sqrt(P.disc) / (2 * abs(P.a))
+            pieces.append((P.a, P.b, P.c, C, R, -math.atanh(-C / R), -math.atanh((n - C) / R)))
+        self.k = k
+        self.pieces = np.array(pieces).T
+        u0, u1 = self.pieces[-2:]
+        self.base = np.maximum(1, np.round(np.abs(u1 - u0))).astype(int)
+
+    def panels(self, mult: int) -> int:
+        return int(self.base.sum()) * mult
+
+    def nodes(self, mult: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes z and the weights P(z,1)^(k-1) dz at mult * base panels per piece."""
+        a, b, c, C, R, u0, u1 = self.pieces
+        x0, w0 = _gauss_legendre(48)
+        panels = self.base * mult
+        piece = np.repeat(np.arange(len(panels)), panels)
+        # each panel's index within its piece, and its half-width in u
+        j = np.arange(piece.size) - np.repeat(np.cumsum(panels) - panels, panels)
+        half = ((u1 - u0) / (2 * panels))[piece]
+        u = ((u0[piece] + (2 * j + 1) * half)[:, None] + half[:, None] * x0).ravel()
+        node = np.repeat(piece, len(x0))
+        # z = C + R e^(i theta), with cos theta = -tanh u and sin theta = sech u
+        sech, tanh = 1 / np.cosh(u), np.tanh(u)
+        z = C[node] + R[node] * (1j * sech - tanh)
+        dz = (half[:, None] * w0).ravel() * -R[node] * sech * (sech + 1j * tanh)
+        return z, (a[node] * z * z + b[node] * z + c[node]) ** (self.k - 1) * dz
+
+
+def _quadratures(ev: FkAEvaluator, levels: list[tuple[_CycleRule, int]]) -> list[tuple[complex, float, float]]:
+    """Per level (rule, mult): the rule's value at mult * base panels per
+    piece, the sum of its terms' sizes and the sum of |P(z,1)^(k-1) dz| over
+    its nodes.  A level above PANEL_CEILING panels raises NoConvergence
+    before any is evaluated.  The levels share evaluator calls in order, as
+    many in each as PANEL_CEILING panels hold; a node's value does not
+    depend on its batch, so neither do the sums."""
+    panels = [rule.panels(mult) for rule, mult in levels]
+    if max(panels, default=0) > PANEL_CEILING:
+        raise NoConvergence("quadrature panels above ceiling")
+    out = []
+    while levels:
+        # the longest run of levels within PANEL_CEILING panels
+        n = int(np.searchsorted(np.cumsum(panels), PANEL_CEILING, side="right"))
+        nodes = [rule.nodes(mult) for rule, mult in levels[:n]]
+        values = ev.eval(np.concatenate([z for z, _ in nodes]))
+        start = 0
+        for z, weight in nodes:
+            terms = values[start : start + z.size] * weight
+            start += z.size
+            out.append((complex(np.sum(terms)), float(np.sum(np.abs(terms))), float(np.sum(np.abs(weight)))))
+        levels, panels = levels[n:], panels[n:]
+    return out
+
+
+def _cycle_integrals(forms: list[BQF], k: int, d: int, tol: float) -> list[tuple[complex, float, dict]]:
+    """The cycle integrals of the forms, each to tol, as `cycle_integral`
+    computes one, with their rules doubled in lockstep.
+
+    The first round evaluates every form's rule at mult = 1 and 2, which
+    its first stop test reads; each later round doubles the rules of the
+    forms whose test has not fired.  Each round shares its evaluator calls
+    across the forms (`_quadratures`), and each form keeps its own rule,
+    estimate, stop and cutoff metadata.
+    """
+    ev = get_evaluator(k, d)
+    rules = [_CycleRule(Q, k) for Q in forms]
+    results = [None] * len(rules)
+    last = [0j] * len(rules)  # each rule's value at its last level
+    levels = [(i, mult) for i in range(len(rules)) for mult in (1, 2)]
+    while levels:
+        sums = _quadratures(ev, [(rules[i], mult) for i, mult in levels])
+        for (i, mult), (cur, size, weight_sum) in zip(levels, sums):
+            prev, last[i] = last[i], cur
+            if mult == 1:
+                continue
+            delta = abs(cur - prev)
+            # what more panels cannot lower: the evaluator's residual over
+            # the rule's weights, and ROUNDING_FLOOR eps per unit of sum |term|
+            rest = ev.residual * weight_sum + ROUNDING_FLOOR * EPS * size
+            meta = {"panels": rules[i].panels(mult), "layer_cutoff": ev.cutoff}
+            # stop once delta fits in what the other terms leave of tol, or
+            # in half of tol when they take more
+            if delta < max(tol - rest, tol / 2):
+                results[i] = cur, delta + rest, meta
+            # delta at or below rest: more panels cannot lower the estimate
+            elif delta <= rest:
+                results[i] = cur, delta + rest, {**meta, "noise_floor": True}
+        levels = [(i, 2 * mult) for i, mult in levels if mult > 1 and results[i] is None]
+    return results
+
+
 def cycle_integral(
     Q: BQF,
     k: int,
@@ -522,76 +649,29 @@ def cycle_integral(
     Composite Gauss--Legendre quadrature in the hyperbolic arclength u,
     with each piece given max(1, round(its length)) panels times a common
     multiplier, doubled until the change fits in tol beside the estimate's
-    other terms.  Returns (value, error_estimate, cutoff_metadata).  The
-    estimate is the last doubling's change, plus the evaluator's residual
-    times the rule's sum of |P(z,1)^(k-1) dz|, plus ROUNDING_FLOOR eps times
-    the sum of the sizes of the rule's terms.
+    other terms, up to PANEL_CEILING panels.  Returns (value,
+    error_estimate, cutoff_metadata).  The estimate is the last doubling's
+    change, plus the evaluator's residual times the rule's sum of
+    |P(z,1)^(k-1) dz|, plus ROUNDING_FLOOR eps times the sum of the sizes
+    of the rule's terms.  This is the one-form case of `_cycle_integrals`,
+    through which `lhs_geodesic` integrates all its classes at once.
     """
     check_tol(tol)
     if check_pole:
         for X in on_geodesic_forms(Q.disc, d):
             if equivalent_indefinite(X, Q):
                 raise PoleOnGeodesic(f"a pole lies on the geodesic of {Q}")
-    ev = get_evaluator(k, d)
-    cycle, _ = reduced_cycle(Q)
-    # per piece: P's coefficients, the center C and radius R of its
-    # semicircle, and u = log tan(theta/2) = -atanh((x - C)/R) at its
-    # crossings of x = 0 and x = n
-    pieces = []
-    for prev, P in zip(cycle[-1:] + cycle[:-1], cycle):
-        n = -(prev.b + P.b) // (2 * prev.c)
-        C, R = -P.b / (2 * P.a), math.sqrt(P.disc) / (2 * abs(P.a))
-        pieces.append((P.a, P.b, P.c, C, R, -math.atanh(-C / R), -math.atanh((n - C) / R)))
-    a, b, c, C, R, u0, u1 = np.array(pieces).T
-    base = np.maximum(1, np.round(np.abs(u1 - u0))).astype(int)
-    x0, w0 = _gauss_legendre(48)
-
-    def quad(mult: int) -> tuple[complex, float, float]:
-        """The rule's value, the sum of its terms' sizes and the sum of
-        |P(z,1)^(k-1) dz| over its nodes, at mult * base panels per piece."""
-        panels = base * mult
-        piece = np.repeat(np.arange(len(base)), panels)
-        # each panel's index within its piece, and its half-width in u
-        j = np.arange(piece.size) - np.repeat(np.cumsum(panels) - panels, panels)
-        half = ((u1 - u0) / (2 * panels))[piece]
-        u = ((u0[piece] + (2 * j + 1) * half)[:, None] + half[:, None] * x0).ravel()
-        node = np.repeat(piece, len(x0))
-        # z = C + R e^(i theta), with cos theta = -tanh u and sin theta = sech u
-        sech, tanh = 1 / np.cosh(u), np.tanh(u)
-        z = C[node] + R[node] * (1j * sech - tanh)
-        dz = (half[:, None] * w0).ravel() * -R[node] * sech * (sech + 1j * tanh)
-        weight = (a[node] * z * z + b[node] * z + c[node]) ** (k - 1) * dz
-        terms = ev.eval(z) * weight
-        return complex(np.sum(terms)), float(np.sum(np.abs(terms))), float(np.sum(np.abs(weight)))
-
-    mult = 1
-    prev, _, _ = quad(mult)
-    while True:
-        mult *= 2
-        panels = int(base.sum()) * mult
-        if panels > 1 << 12:
-            raise NoConvergence("quadrature panels above ceiling")
-        cur, size, weight_sum = quad(mult)
-        delta = abs(cur - prev)
-        # what more panels cannot lower: the evaluator's residual over the
-        # rule's weights, and ROUNDING_FLOOR eps per unit of sum |term|
-        rest = ev.residual * weight_sum + ROUNDING_FLOOR * EPS * size
-        meta = {"panels": panels, "layer_cutoff": ev.cutoff}
-        # stop once delta fits in what the other terms leave of tol, or in
-        # half of tol when they take more
-        if delta < max(tol - rest, tol / 2):
-            return cur, delta + rest, meta
-        # delta at or below rest: more panels cannot lower the estimate
-        if delta <= rest:
-            return cur, delta + rest, {**meta, "noise_floor": True}
-        prev = cur
+    return _cycle_integrals([Q], k, d, tol)[0]
 
 
 def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
     """Trace by numerical quadrature: sum of cycle integrals over classes.
 
-    The cutoff's `panels` is the largest over the classes of a class's
-    panels, summed over the pieces of its reduced cycle."""
+    Each class's integral is taken to tol over the number of classes, all
+    in lockstep (`_cycle_integrals`), so each doubling makes one evaluator
+    call for every class still short of its tolerance.  The cutoff's
+    `panels` is the largest over the classes of a class's panels, summed
+    over the pieces of its reduced cycle."""
     t0 = time.perf_counter()
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -602,8 +682,7 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
     err = 0.0
     metas = []
     reps = indefinite_class_reps(D)
-    for Q in reps:
-        val, e, meta = cycle_integral(Q, k, d, tol=tol / max(1, len(reps)), check_pole=False)
+    for val, e, meta in _cycle_integrals(reps, k, d, tol / max(1, len(reps))):
         total += val
         err += e
         metas.append(meta)

@@ -40,7 +40,7 @@ from cyclotrace.bqf import (
     sqrt_mod_roots,
     stabilizer_order,
 )
-from cyclotrace.errors import DivergentParameters, HypothesisViolated, PoleOnGeodesic
+from cyclotrace.errors import DivergentParameters, HypothesisViolated, NoConvergence, PoleOnGeodesic
 from cyclotrace.special_forms import rhs_trace
 
 
@@ -364,10 +364,12 @@ def test_equivalent_reps_share_an_evaluator():
             assert eval_fkA(z, 6, -23, rep) == complex(fresh.eval(np.array([z]))[0])
 
 
-@pytest.mark.parametrize("k, d", [(6, -23), (4, -7), (8, -163)])
+@pytest.mark.parametrize("k, d", [(6, -23), (4, -7), (8, -163), (2, -4), (2, -3), (10, -4)])
 def test_eval_fkA_does_not_depend_on_the_batch(k, d):
     # each point is evaluated by the same elementwise steps, so its value
-    # alone and its entry in any batch agree bit for bit
+    # alone and its entry in any batch agree bit for bit.  That holds past
+    # 16,384 points too, where numpy would compute x * y with a temporary y
+    # as y * x, which rounds differently (at (10, -4) in the cusp form's E4^2)
     ev = get_evaluator(k, d)
     rng = np.random.default_rng(7)
     for z in (complex(0.13, 1.07), complex(-0.4, 0.3), complex(2.7, 0.05)):
@@ -376,6 +378,22 @@ def test_eval_fkA_does_not_depend_on_the_batch(k, d):
             others = rng.uniform(-1, 1, size - 1) + 1j * rng.uniform(0.1, 2, size - 1)
             assert ev.eval(np.concatenate([[z], others]))[0] == alone
             assert ev.eval(np.concatenate([others, [z]]))[-1] == alone
+    zs = rng.uniform(-3, 3, 20000) + 1j * rng.uniform(0.15, 2.5, 20000)
+    batch = ev.eval(zs)
+    for i in rng.choice(zs.size, 200, replace=False):
+        assert ev.eval(zs[i : i + 1])[0] == batch[i]
+
+
+def test_eisenstein_needs_twelve_terms_at_reduced_points():
+    # |q| <= exp(-pi sqrt 3) in the fundamental domain: FkAEvaluator.eval
+    # sums 12 q-terms, where the default keeps 24 for Im z >= 0.4
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-3, 3, 20000) + 1j * rng.uniform(0.05, 3, 20000)
+    rho = complex(-0.5, math.sqrt(3) / 2)
+    zr = np.concatenate([_reduce_points(zs)[0], [rho, rho + 1, 1j]])
+    assert np.all(np.abs(zr.real) <= 0.5 + 1e-12) and np.all(np.abs(zr) >= 1 - 1e-12)
+    for short, full in zip(analytic._eisenstein(zr, 12), analytic._eisenstein(zr, 24)):
+        assert np.all(np.abs(short - full) <= 1e-20 * np.maximum(1, np.abs(full)))
 
 
 def test_eval_fkA_examples():
@@ -471,21 +489,71 @@ def test_lhs_geodesic():
 
 # D = 60 and 85: the class with the largest layer cutoff is not the one
 # with the most panels, nor the last; D = 48 at 1e-9 hits a noise floor;
-# k = 2, D = 12 at 1e-7 stops on tol with an estimate near 3e-12
+# k = 2, D = 12 at 1e-7 stops on tol with an estimate near 3e-12.  The
+# classes run in lockstep, one evaluator call per doubling, through the one
+# quadrature path that cycle_integral takes for a single class, so the
+# trace is their sum bit for bit
 @pytest.mark.parametrize("k, D, d, tol", [(4, 60, -4, 1e-6), (3, 85, -3, 1e-6), (4, 48, -4, 1e-9),
-                                          (2, 12, -4, 1e-7), (2, 12, -4, 1e-5)])
+                                          (2, 12, -4, 1e-7), (2, 12, -4, 1e-5)]
+                         + [(k, D, d, tol) for k in (2, 4) for D, d in ((12, -4), (12, -7), (40, -7))
+                            for tol in (1e-5, 1e-9) if (k, D, d, tol) != (2, 12, -4, 1e-5)])
 def test_lhs_geodesic_keeps_every_class(k, D, d, tol):
     rep = lhs_geodesic(k, D, d, tol=tol)
     reps = indefinite_class_reps(D)
-    metas = [
-        cycle_integral(Q, k, d, tol=tol / len(reps), check_pole=False)[2]
-        for Q in reps
-    ]
+    integrals = [cycle_integral(Q, k, d, tol=tol / len(reps), check_pole=False) for Q in reps]
+    metas = [meta for _, _, meta in integrals]
+    total = 0j
+    for value, _, _ in integrals:
+        total += value
+    assert rep.value == total.real
     assert rep.cutoff["classes"] == len(reps)
     assert rep.cutoff["panels"] == max(m["panels"] for m in metas)
     assert rep.cutoff["layer_cutoff"] == max(m["layer_cutoff"] for m in metas)
     assert rep.cutoff.get("noise_floor", False) == any(m.get("noise_floor") for m in metas)
     assert rep.cutoff["met_tol"] == (rep.error_estimate <= tol)
+
+
+def _count_eval_calls(monkeypatch) -> list[int]:
+    sizes = []
+    evaluate = FkAEvaluator.eval
+
+    def counting(self, zs):
+        sizes.append(np.size(zs))
+        return evaluate(self, zs)
+
+    monkeypatch.setattr(FkAEvaluator, "eval", counting)
+    return sizes
+
+
+def test_geodesic_trace_evaluates_every_class_in_one_call(monkeypatch):
+    # two classes of one panel per piece that stop at their first doubling:
+    # the levels mult = 1 and 2 of both share the one call
+    get_evaluator(2, -4)
+    sizes = _count_eval_calls(monkeypatch)
+    rep = lhs_geodesic(2, 12, -4, tol=1e-5)
+    assert rep.cutoff["classes"] == 2 and rep.cutoff["panels"] == 4
+    assert sizes == [2 * (2 + 4) * 48]
+
+
+def test_cycle_integrals_split_their_calls_at_the_panel_ceiling(monkeypatch):
+    # the first round of D = 12 holds 2 + 4 panels per class; under a
+    # ceiling of 6 panels no call holds more nodes, and every value, estimate
+    # and cutoff stays bit for bit
+    forms = indefinite_class_reps(12)
+    want = analytic._cycle_integrals(forms, 2, -4, 1e-5 / 2)
+    sizes = _count_eval_calls(monkeypatch)
+    monkeypatch.setattr(analytic, "PANEL_CEILING", 6)
+    assert analytic._cycle_integrals(forms, 2, -4, 1e-5 / 2) == want
+    assert sizes == [6 * 48, 6 * 48]
+
+
+def test_panel_ceiling_raises_before_the_level_is_evaluated(monkeypatch):
+    get_evaluator(2, -4)
+    sizes = _count_eval_calls(monkeypatch)
+    monkeypatch.setattr(analytic, "PANEL_CEILING", 3)
+    with pytest.raises(NoConvergence):
+        lhs_geodesic(2, 12, -4, tol=1e-5)
+    assert sizes == []
 
 
 # ------------------------------------------------------- lattice sum
