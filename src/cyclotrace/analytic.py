@@ -1007,28 +1007,35 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         def counts(lo: int, hi: int) -> np.ndarray:
             return np.array([len(solver.forms(D, 2 * j - e)) for j in range(lo + 1, hi + 1)])
 
-    def tail_sum(lo: int, hi: int) -> float:
-        """The terms lo < j <= hi, in slices of at most TAIL_SLICE; each
-        doubling counts only its new half."""
-        acc = 0.0
-        for start in range(lo, hi, TAIL_SLICE):
-            end = min(start + TAIL_SLICE, hi)
+    def window_sums(bounds: list[int]) -> list[float]:
+        """The sums of the terms bounds[i] < j <= bounds[i+1], from one pass
+        over bounds[0] < j <= bounds[-1] in slices of at most TAIL_SLICE."""
+        sums = [0.0] * (len(bounds) - 1)
+        for start in range(bounds[0], bounds[-1], TAIL_SLICE):
+            end = min(start + TAIL_SLICE, bounds[-1])
             t = 2 * np.arange(start + 1, end + 1) - e
             p2 = t * t / (-d)
             # X -> -X maps the forms with pairing t/2 onto those with -t/2
             N = 2.0 * counts(start, end)
             F = _hyp2f1_vec(k / 2, k / 2, k + 0.5, D / (D + p2))
-            acc += float(np.sum(N * (D + p2) ** (-k / 2.0) * F))
-        return acc
+            terms = N * (D + p2) ** (-k / 2.0) * F
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                if lo < end and hi > start:
+                    sums[i] += float(np.sum(terms[max(lo, start) - start : min(hi, end) - start]))
+        return sums
 
-    S, total, R = first, tail_sum(0, first), []  # R: the last four extrapolates
+    # the stop test reads four extrapolates, so no sum stops before j =
+    # 16 first: one pass sums the first window and the next four
+    S, R = first, []  # R: the last four extrapolates
+    total, *incs = window_sums([0] + [first << i for i in range(5)])
     while True:
-        S2 = 2 * S
-        if S2 > ceiling:
-            raise NoConvergence("lattice-sum cutoff above ceiling")
-        inc = tail_sum(S, S2)
+        if not incs:
+            if 2 * S > ceiling:
+                raise NoConvergence("lattice-sum cutoff above ceiling")
+            incs = window_sums([S, 2 * S])
+        inc = incs.pop(0)
         total += inc
-        S = S2
+        S *= 2
         R = R[-3:] + [pref * (total + inc / (2 ** (k - 1) - 1))]
         if len(R) == 4:
             # the i-th latest change discounted by i doublings of S^(2-k)
