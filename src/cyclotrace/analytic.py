@@ -16,8 +16,9 @@ test reads.  The
 hypergeometric lattice sum counts the forms of each group; its value is
 the tail extrapolate of its last doubling, and its estimate the largest
 of the extrapolate's last three changes, scaled down by the decay of
-those changes.  Only the t of the parity of |d| D hold forms, so the
-groups are indexed by j with t = 2j - (|d| D mod 2).  At the nine d of
+those changes, plus a rounding floor.  Only the t of the parity of
+|d| D hold forms, so the groups are indexed by j with
+t = 2j - (|d| D mod 2).  At the nine d of
 class number one the counts are divisor sums of a quadratic character
 (Dirichlet), from one factorization sieve in numpy array work: the
 square roots of -|d| D modulo every new prime come from one batched
@@ -491,7 +492,9 @@ def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None) -> complex:
 # odd k in {3, 5}, d in {-3, -7, -20}, D <= 300, at 1e-7 and 1e-8, the
 # largest error left over by the other terms of the estimate needed 58 of
 # these units, at (k, D) = (4, 796) and tol 1e-7 or 1e-8: node noise near
-# pole passages.
+# pole passages.  The lattice sum charges the same units on its sum of
+# positive terms; at d = -4, k = 4, D < 400 and 1e-13 (1 + |trace|) its
+# largest error was 131 of them.
 ROUNDING_FLOOR = 256
 
 
@@ -716,8 +719,8 @@ S_CEILING = 1 << 24
 # The fundamental d of class number one, whose lattice sums count each
 # group with the sieve, by Dirichlet's formula.
 CLASS_NUMBER_ONE = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
-# The most terms of a doubling's window that the lattice sum evaluates at
-# once; it bounds the sum's memory and does not change its terms.
+# The most terms that the lattice sum evaluates at once; it bounds the
+# sum's memory and does not change its terms.
 TAIL_SLICE = 1 << 19
 
 
@@ -956,18 +959,25 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     q(a) = a0^2 D + 2 a0 t a + disc(Q0) a^2 >= 0; its j ceiling is 2^15
     (t <= 2^16), and the sieve's S_CEILING.
 
-    The cutoff S on j doubles from 2^8 at d = -4 (where j = t/2 = a + c)
-    or 8 elsewhere; the report names it s_cutoff = S at d = -4 and
-    t_cutoff = 2S elsewhere.  Each doubling's window is summed in slices
-    of at most TAIL_SLICE terms.  After each doubling
-    the terms past the cutoff, which fall like S^(-k), are extrapolated
-    from its increment: R = pref (total + inc/(2^(k-1) - 1)).  The value
-    is the last R.  The estimate is the window
+    The cutoff S on j doubles from first = 2^8 at d = -4 (where
+    j = t/2 = a + c) or 8 elsewhere; the report names it s_cutoff = S at
+    d = -4 and t_cutoff = 2S elsewhere.  After each doubling the terms
+    past the cutoff, which fall like S^(-k), are extrapolated from its
+    increment: R = pref (total + inc/(2^(k-1) - 1)).  The value is the
+    last R.  The estimate is the window
     max(|dR_n|, |dR_(n-1)| 2^-(k-2), |dR_(n-2)| 2^-2(k-2)) of the last
     three changes of R, the older ones discounted by the S^(2-k) decay of
-    the changes; the loop stops once it is below tol.  The sieve works in
-    int64, so a sieved d and D with n(S_CEILING) beyond int64 raise
-    ValueError, before the hypothesis check.
+    the changes, plus the sum's rounding, ROUNDING_FLOOR eps times
+    |pref total|.  The loop stops once the window fits in what the
+    rounding leaves of tol, or in half of tol, or, marked noise_floor,
+    once the window is at most the rounding.  The estimate needs four
+    extrapolates, so no sum stops before S = 16 first: one pass counts
+    the groups and evaluates 2F1 over j <= 16 first, and the first
+    window's sum and the next four increments are read off it; each
+    later doubling is one pass over its new half.  Every pass runs in
+    slices of at most TAIL_SLICE terms.  The sieve works in int64, so a sieved d and D with
+    n(S_CEILING) beyond int64 raise ValueError, before the hypothesis
+    check.
     """
     t0 = time.perf_counter()
     if k < 2:
@@ -1026,7 +1036,7 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
 
     # the stop test reads four extrapolates, so no sum stops before j =
     # 16 first: one pass sums the first window and the next four
-    S, R = first, []  # R: the last four extrapolates
+    S, R, noise_floor = first, [], False  # R: the last four extrapolates
     total, *incs = window_sums([0] + [first << i for i in range(5)])
     while True:
         if not incs:
@@ -1040,16 +1050,28 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         if len(R) == 4:
             # the i-th latest change discounted by i doublings of S^(2-k)
             est = max(abs(R[3 - i] - R[2 - i]) * 2.0 ** (-(k - 2) * i) for i in range(3))
-            if est < tol:
+            # what more terms cannot lower: the sum's rounding, ROUNDING_FLOOR
+            # eps per unit of the sum, whose terms are all positive at even k
+            rest = ROUNDING_FLOOR * EPS * abs(pref * total)
+            # stop once est fits in what rest leaves of tol, or in half of
+            # tol when rest takes more, as _cycle_integrals does
+            if est < max(tol - rest, tol / 2):
                 break
+            # est at or below rest: more terms cannot lower the estimate
+            if est <= rest:
+                noise_floor = True
+                break
+    cutoff = {key: S if d == -4 else 2 * S}
+    if noise_floor:
+        cutoff["noise_floor"] = True
     return TraceReport(
         k=k,
         D=D,
         d=d,
         method="latticesum",
         value=R[-1],
-        error_estimate=max(est, 1e-15),
+        error_estimate=max(est + rest, 1e-15),
         hypothesis_ok=True,
         seconds=time.perf_counter() - t0,
-        cutoff={key: S if d == -4 else 2 * S},
+        cutoff=cutoff,
     )

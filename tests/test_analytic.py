@@ -743,12 +743,93 @@ def test_sieved_latticesums_reject_int64_overflow(d):
 
 @pytest.mark.parametrize("d, tol", [(-4, 1e-6), (-7, 1e-3)])
 def test_latticesum_slices_keep_the_sum(monkeypatch, d, tol):
-    # slices of 5 cut every window, the first ones (8 and 256 terms) too
+    # slices of 5 cut every window, and the first pass over j <= 16 first
+    # (128 terms at d = -7, 4096 at d = -4) mid-window too
     whole = lhs_latticesum(4, 21, d, tol=tol)
     monkeypatch.setattr(analytic, "TAIL_SLICE", 5)
     sliced = lhs_latticesum(4, 21, d, tol=tol)
     assert sliced.cutoff == whole.cutoff
     assert abs(sliced.value - whole.value) <= 1e-13 * abs(whole.value)
+
+
+def _latticesum_by_windows(k, D, d, tol):
+    """lhs_latticesum's value and cutoff from a loop that sieves and sums one
+    window per doubling, with the same terms, extrapolates and stop."""
+    first, key = (256, "s_cutoff") if d == -4 else (8, "t_cutoff")
+    e = -d * D % 2
+    if d in CLASS_NUMBER_ONE:
+        roots = _PrimeRoots(-d * D)
+        counts = lambda lo, hi: _form_counts(d, D, lo, hi, roots)
+    else:
+        solver = PairingSolver(definite_class_reps(d)[0])
+        counts = lambda lo, hi: np.array([len(solver.forms(D, 2 * j - e)) for j in range(lo + 1, hi + 1)])
+
+    def window(lo, hi):
+        t = 2 * np.arange(lo + 1, hi + 1) - e
+        p2 = t * t / (-d)
+        F = _hyp2f1_vec(k / 2, k / 2, k + 0.5, D / (D + p2))
+        return float(np.sum(2.0 * counts(lo, hi) * (D + p2) ** (-k / 2.0) * F))
+
+    pref = ((-1) ** k * 2**k * math.sqrt(-d) * D ** (k - 0.5)
+            / (stabilizer_order(d) * math.comb(2 * k - 2, k - 1) * math.pi * (2 * k - 1)))
+    S, total, R = first, window(0, first), []
+    while True:
+        inc = window(S, 2 * S)
+        total += inc
+        S *= 2
+        R = R[-3:] + [pref * (total + inc / (2 ** (k - 1) - 1))]
+        if len(R) == 4:
+            est = max(abs(R[3 - i] - R[2 - i]) * 2.0 ** (-(k - 2) * i) for i in range(3))
+            rest = analytic.ROUNDING_FLOOR * analytic.EPS * abs(pref * total)
+            cutoff = {key: S if d == -4 else 2 * S}
+            if est < max(tol - rest, tol / 2):
+                return R[-1], cutoff
+            if est <= rest:
+                return R[-1], {**cutoff, "noise_floor": True}
+
+
+# (4, 12, -4) stops at the least s_cutoff 16 * 2^8, (2, 24, -4) runs on
+# past the first pass, and (6, 5, -23) counts with PairingSolver
+@pytest.mark.parametrize("k, D, d, tol, cutoff", [
+    (4, 12, -4, 1e-4, {"s_cutoff": 4096}),
+    (2, 24, -4, 2e-3, {"s_cutoff": 32768}),
+    (4, 33, -7, 1e-6, {"t_cutoff": 16384}),
+    (4, 13, -8, 1e-6, {"t_cutoff": 4096}),
+    (6, 5, -23, 1e-6, {"t_cutoff": 512}),
+])
+def test_latticesum_first_pass_keeps_every_window(k, D, d, tol, cutoff):
+    rep = lhs_latticesum(k, D, d, tol=tol)
+    assert rep.cutoff == cutoff
+    assert (rep.value, rep.cutoff) == _latticesum_by_windows(k, D, d, tol)
+
+
+def test_latticesum_sieves_its_first_span_once(monkeypatch):
+    # the stop test needs four extrapolates, so a sum stopping at the
+    # least s_cutoff 4096 sieves and evaluates 2F1 over j <= 4096 once
+    calls = {"_form_counts": 0, "_hyp2f1_vec": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(analytic, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(analytic, name, counted)
+    assert lhs_latticesum(4, 12, -4, tol=1e-4).cutoff == {"s_cutoff": 4096}
+    assert calls == {"_form_counts": 1, "_hyp2f1_vec": 1}
+
+
+@pytest.mark.parametrize("D, tol", [(21, None), (57, None), (44, 1e-11), (384, 1e-12)])
+def test_latticesum_estimate_covers_its_rounding(D, tol):
+    # near the sum's own rounding the changes of the extrapolate no longer
+    # bound its error: without the rounding term D = 21 and 57 at
+    # 1e-13 (1 + |trace|) were off by 58 and 53 eps relative, beside
+    # estimates of 40 and 45, D = 44 at 1e-11 absolute was under-covered,
+    # and D = 384 at 1e-12 absolute ran to the ceiling; the absolute ones
+    # now stop at the noise floor
+    from cyclotrace.special_forms import closed_formula
+
+    exact = float(closed_formula(4, D))
+    rep = lhs_latticesum(4, D, -4, tol=tol or 1e-13 * (1 + exact))
+    assert abs(rep.value - exact) <= rep.error_estimate
+    assert rep.cutoff.get("noise_floor", False) == (tol is not None)
 
 
 def test_pairing_solver_counts_match_sieve():
