@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 from .errors import NonFundamental, SquareDiscriminant
 
@@ -177,7 +177,9 @@ def gen_bernoulli(r: int, D: int) -> Fraction:
         B_{r,chi_D} = sum_j C(r, j) B_j f^(j-1) P_(r-j),
 
     with the integer power sums P_m = sum_{a=1..f} chi_D(a) a^m.
-    D = 1 reduces to the ordinary Bernoulli number B_r.
+    chi_D(a) = (D/a) is completely multiplicative in a, so it is read
+    from a table filled from its values at the primes.  D = 1 reduces to
+    the ordinary Bernoulli number B_r.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -186,16 +188,28 @@ def gen_bernoulli(r: int, D: int) -> Fraction:
     if not is_fundamental_discriminant(D):
         raise NonFundamental(f"{D} is not a fundamental discriminant")
     f = abs(D)
+    # least[a] is the least prime factor of a: the slices of the larger p
+    # are written first and overwritten by those of the smaller
+    least = list(range(f + 1))
+    for p in range(isqrt(f), 1, -1):
+        least[p * p :: p] = [p] * len(range(p * p, f + 1, p))
+    chis = [0, 1] + [0] * (f - 1)
     P = [0] * (r + 1)
     for a in range(1, f + 1):
-        chi = kronecker(D, a)
+        if a > 1:
+            p = least[a]
+            chis[a] = kronecker(D, a) if p == a else chis[p] * chis[a // p]
+        chi = chis[a]
         if chi:
             power = chi
             for m in range(r + 1):
                 P[m] += power
                 power *= a
+    # over the common denominator L f, L the lcm of the B_j's denominators
     B = bernoulli_numbers(r)
-    return sum(comb(r, j) * B[j] * Fraction(f) ** (j - 1) * P[r - j] for j in range(r + 1))
+    L = lcm(*(b.denominator for b in B))
+    return Fraction(sum(comb(r, j) * B[j].numerator * (L // B[j].denominator) * f**j * P[r - j]
+                        for j in range(r + 1)), L * f)
 
 
 def moebius(n: int) -> int:
@@ -243,7 +257,7 @@ def cohen_H(r: int, N: int) -> Fraction:
         return Fraction(0)
     D0, f = fundamental_decomposition(signed)
     base = -gen_bernoulli(r, D0) / r
-    acc = Fraction(0)
+    acc = 0
     for d in divisors(f):
         mu = moebius(d)
         if mu == 0:

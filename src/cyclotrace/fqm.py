@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -293,6 +293,10 @@ class VVSeries:
     pi^pi_power * sum c(mu, n) q^n e_mu, complete for exponents < prec.
     sigma in {+1, -1, None} tags which of n ≡ ±q(mu) (mod 1) the
     exponents satisfy (None when mixed, e.g. after tensor products).
+
+    terms is never changed after construction: the integer view that
+    `integers` fills on first use is kept with the series and read again
+    by every later product, pairing or exponent_floor.
     """
 
     module: FQModule
@@ -302,6 +306,20 @@ class VVSeries:
     prec: Fraction
     pi_power: int = 0
     sigma: int | None = None
+    _integers: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def integers(self) -> tuple[int, dict, dict]:
+        """(L, by_key, by_comp): the least common denominator L of the
+        coefficients, the integer numerator L c of each key, and each
+        component's (scaled exponent, L c) pairs by rising exponent."""
+        if self._integers is None:
+            L = math.lcm(*(v.denominator for v in self.terms.values()))
+            by_key = {key: v.numerator * (L // v.denominator) for key, v in self.terms.items()}
+            by_comp = {}
+            for (c, n), v in sorted(by_key.items()):
+                by_comp.setdefault(c, []).append((n, v))
+            self._integers = (L, by_key, by_comp)
+        return self._integers
 
     def coefficient(self, comp: int, exponent: Fraction) -> Fraction:
         n = Fraction(exponent) * self.den
@@ -310,9 +328,9 @@ class VVSeries:
         return self.terms.get((comp, int(n)), Fraction(0))
 
     def exponent_floor(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return Fraction(min(n for (_, n) in self.terms), self.den)
+        """The least exponent of a term, 0 without terms."""
+        by_comp = self.integers()[2]
+        return Fraction(min((pairs[0][0] for pairs in by_comp.values()), default=0), self.den)
 
     def validate_support(self) -> None:
         """Check the sigma-congruence n ≡ sigma q(mu) (mod 1) for all terms."""
@@ -384,48 +402,58 @@ def _exponent_denominator(M: FQModule) -> int:
     return math.lcm(*(q.denominator for q in M._q))
 
 
-def _convolve(f: VVSeries, g: VVSeries, coeffs, module: FQModule | None, targets) -> VVSeries:
+def _convolve(f: VVSeries, g: VVSeries, C, L: int, module: FQModule | None, targets) -> VVSeries:
     """The product series sum P(e_f, e_g) f(mu, e_f) g(nu, e_g) q^(e_f+e_g) e_(mu,nu).
 
     The sum runs over pairs of terms, with the pair weight
-    P(e_f, e_g) = sum_r coeffs[r] e_f^r e_g^(n-r), n = len(coeffs) - 1,
-    over the direct-sum module, whose component (mu, nu) has index
-    mu |g| + nu.  Without targets every pair below the product's
-    precision is summed.  With targets, an iterable of (component,
-    exponent) pairs, only those coefficients are computed: for each, the
-    g-terms on its g-component are walked and their f partners looked up.
+    P(e_f, e_g) = sum_r C[r] e_f^r e_g^(n-r) / L, n = len(C) - 1, for
+    integers C[r] and L, over the direct-sum module, whose component
+    (mu, nu) has index mu |g| + nu.  Without targets every pair below the
+    product's precision is summed.  With targets, an iterable of
+    (component, exponent) pairs, only those coefficients are computed:
+    for each, the g-terms on its g-component are walked and their f
+    partners looked up.
     A requested coefficient that is zero is absent, as in the full sum;
     a target at or beyond the precision raises InsufficientPrecision.
+
+    Both sums run in integers.  With the exponents x_f, x_g in units of
+    1/den and the integer views L_f f, L_g g of the series, a pair adds
+    W(x_f, x_g) (L_f f) (L_g g), W(x, y) = sum_r C[r] x^r y^(n-r), to its
+    coefficient, which is divided once by L den^n L_f L_g.
     """
     M = module if module is not None else FQModule.direct_sum(f.module, g.module)
     den = math.lcm(f.den, g.den)
+    fs, gs = den // f.den, den // g.den
     ng = len(g.module.elements)
     prec = min(f.prec + g.exponent_floor(), g.prec + f.exponent_floor())
-    deg = len(coeffs) - 1
+    Lf, fi, _ = f.integers()
+    Lg, _, g_comp = g.integers()
+    scale = L * den ** (len(C) - 1) * Lf * Lg
 
-    def weight(ef, eg):
-        return sum(c * ef**r * eg ** (deg - r) for r, c in enumerate(coeffs) if c)
+    def weight(x, y):
+        # Horner's rule in x over the falling powers of y
+        acc, ypow = C[-1], 1
+        for c in C[-2::-1]:
+            ypow *= y
+            acc = acc * x + c * ypow
+        return acc
 
-    terms = {}
+    # each component's g-terms rise in exponent, so a walk stops at the
+    # first whose exponent is too large
+    sums = {}
     if targets is None:
-        for (cf, nf), vf in f.terms.items():
-            ef = Fraction(nf, f.den)
-            for (cg, m), vg in g.terms.items():
-                eg = Fraction(m, g.den)
-                if ef + eg < prec:
-                    key = (cf * ng + cg, int((ef + eg) * den))
-                    terms[key] = terms.get(key, 0) + weight(ef, eg) * vf * vg
+        top = math.ceil(prec * den)  # x_f + x_g < prec den
+        for (cf, nf), vf in fi.items():
+            xf = nf * fs
+            for cg, pairs in g_comp.items():
+                for m, vg in pairs:
+                    xg = m * gs
+                    if xf + xg >= top:
+                        break
+                    key = (cf * ng + cg, xf + xg)
+                    sums[key] = sums.get(key, 0) + weight(xf, xg) * vf * vg
     else:
-        # exponents in units of 1/den, as integers; scaled by L, the lcm of
-        # the coefficients' denominators, L den^deg P(e_f, e_g) is the integer
-        # sum_r C_r N_f^r N_g^(deg-r), divided out once per target
-        fs, gs = den // f.den, den // g.den
-        L = math.lcm(*(Fraction(c).denominator for c in coeffs))
-        C = [int(c * L) for c in coeffs]
-        scale = L * den**deg
-        g_by_comp = {}
-        for (cg, m), vg in g.terms.items():
-            g_by_comp.setdefault(cg, []).append((m * gs, vg))
+        xf_min = int(f.exponent_floor() * den)
         for c, e in targets:
             e = Fraction(e)
             if not 0 <= c < len(M.elements):
@@ -437,20 +465,21 @@ def _convolve(f: VVSeries, g: VVSeries, coeffs, module: FQModule | None, targets
                 continue
             N = int(e * den)
             cf, cg = divmod(c, ng)
-            acc = 0
-            for mg, vg in g_by_comp.get(cg, ()):
-                mf = N - mg
-                nf, rem = divmod(mf, fs)
-                vf = None if rem else f.terms.get((cf, nf))
+            acc, xg_max = 0, N - xf_min
+            for m, vg in g_comp.get(cg, ()):
+                xg = m * gs
+                if xg > xg_max:
+                    break
+                nf, rem = divmod(N - xg, fs)
+                vf = None if rem else fi.get((cf, nf))
                 if vf:
-                    w = sum(Cr * mf**r * mg ** (deg - r) for r, Cr in enumerate(C) if Cr)
-                    acc += w * vg * vf
-            terms[(c, N)] = Fraction(acc, scale)
+                    acc += weight(N - xg, xg) * vg * vf
+            sums[(c, N)] = acc
     return VVSeries(
         module=M,
         weight=f.weight + g.weight,
         den=den,
-        terms={k: v for k, v in terms.items() if v != 0},
+        terms={key: Fraction(v, scale) for key, v in sums.items() if v},
         prec=prec,
         pi_power=f.pi_power + g.pi_power,
         sigma=f.sigma if f.sigma == g.sigma else None,
@@ -459,7 +488,7 @@ def _convolve(f: VVSeries, g: VVSeries, coeffs, module: FQModule | None, targets
 
 def tensor(f: VVSeries, g: VVSeries, module: FQModule | None = None) -> VVSeries:
     """Componentwise tensor product over the direct-sum module."""
-    return _convolve(f, g, (1,), module, None)
+    return _convolve(f, g, (1,), 1, module, None)
 
 
 @dataclass(frozen=True)
@@ -575,20 +604,18 @@ def trace_up(g: VVSeries, E: LatticeEmbedding) -> VVSeries:
     )
 
 
-def _gamma_ratio_product(kappa: Fraction, n: int, s: int) -> Fraction:
-    """Gamma(kappa+n) / (Gamma(s+1) Gamma(kappa+n-s)) as an exact rational."""
-    return math.prod((kappa + n - i for i in range(1, s + 1)), start=Fraction(1)) / math.factorial(s)
-
-
 def rankin_cohen(f: VVSeries, g: VVSeries, n: int, module: FQModule | None = None,
                  targets=None) -> VVSeries:
     """n-th Rankin--Cohen bracket via the exponent operator q d/dq.
 
     [f, g]_n = sum_{r+s=n} (-1)^r C(kappa, s) C(ell, r) theta^r f ⊗ theta^s g
-    with C(kappa, s) = Gamma(kappa+n)/(Gamma(s+1) Gamma(kappa+n-s)) evaluated
-    as rational rising-factorial quotients; weight kappa + ell + 2n.  A pair
-    of terms at exponents e_f, e_g is weighted by
-    sum_r (-1)^r C(kappa, s) C(ell, r) e_f^r e_g^s.
+    with C(kappa, s) = Gamma(kappa+n)/(Gamma(s+1) Gamma(kappa+n-s)), the
+    product of kappa + n - i over i = 1..s divided by s!; weight
+    kappa + ell + 2n.  A pair of terms at exponents e_f, e_g is weighted by
+    sum_r (-1)^r C(kappa, s) C(ell, r) e_f^r e_g^s.  With kappa = a/b and
+    ell = c/e in lowest terms, these coefficients times b^n e^n n! are the
+    integers (-1)^r binom(n, r) b^r e^s prod_i (a + b (n - i)) prod_j (c + e (n - j)),
+    i = 1..s, j = 1..r.
 
     targets, an iterable of (component, exponent) pairs, restricts the
     result to those coefficients (see _convolve); without it the whole
@@ -600,9 +627,12 @@ def rankin_cohen(f: VVSeries, g: VVSeries, n: int, module: FQModule | None = Non
     for w in (kappa + n, ell + n):
         if w.denominator == 1 and w <= 0:
             raise GammaPole(f"Gamma ratio undefined for weight {w - n} with n={n}")
-    coeffs = [(-1) ** r * _gamma_ratio_product(kappa, n, n - r) * _gamma_ratio_product(ell, n, r)
-              for r in range(n + 1)]
-    out = _convolve(f, g, coeffs, module, targets)
+    a, b, c, e = kappa.numerator, kappa.denominator, ell.numerator, ell.denominator
+    C = [(-1) ** r * math.comb(n, r) * b**r * e ** (n - r)
+         * math.prod(a + b * (n - i) for i in range(1, n - r + 1))
+         * math.prod(c + e * (n - j) for j in range(1, r + 1))
+         for r in range(n + 1)]
+    out = _convolve(f, g, C, b**n * e**n * math.factorial(n), module, targets)
     out.weight = kappa + ell + 2 * n
     return out
 
@@ -629,14 +659,15 @@ def ct_pairing(f: VVSeries, g: VVSeries) -> tuple[Fraction, int]:
             f"first series complete only below {f.prec}, need > {need_f}",
             required=need_f,
         )
-    total = Fraction(0)
-    for (c, nf), vf in f.terms.items():
-        e = Fraction(nf, f.den)
-        ng = -e * g.den
-        if ng.denominator != 1:
-            continue
-        total += vf * g.terms.get((c, int(ng)), Fraction(0))
-    return total, f.pi_power + g.pi_power
+    # summed over the integer views, divided once
+    Lf, fi, _ = f.integers()
+    Lg, gi, _ = g.integers()
+    total = 0
+    for (c, nf), vf in fi.items():
+        ng, rem = divmod(-nf * g.den, f.den)
+        if not rem:
+            total += vf * gi.get((c, ng), 0)
+    return Fraction(total, Lf * Lg), f.pi_power + g.pi_power
 
 
 # ----------------------------------------------------------------------

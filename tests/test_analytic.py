@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,7 +24,9 @@ from cyclotrace.analytic import (
     _class_pairs,
     _form_counts,
     _hyp_series,
+    _hyp2f1_quadratic,
     _hyp2f1_vec,
+    _latticesum_terms,
     _least_non_residues,
     _primes_between,
     _reduce_points,
@@ -57,7 +60,7 @@ def test_hyp2f1_oracles():
 
 def test_hyp2f1_against_scipy():
     sp = pytest.importorskip("scipy.special")
-    for k in (2, 3, 4, 5):
+    for k in range(2, 13):
         for w in np.linspace(0.0, 0.999, 61):
             a = hyp2f1(k / 2, k / 2, k + 0.5, float(w))
             b = float(sp.hyp2f1(k / 2, k / 2, k + 0.5, w))
@@ -65,11 +68,45 @@ def test_hyp2f1_against_scipy():
 
 
 def test_hyp2f1_branch_continuity():
-    # both branches evaluated at the same point near the switchover
+    # the direct series and the quadratic transformation at the same
+    # point just past w = 1/2
     for k in (2, 3, 4):
         w = 0.5 + 1e-13
         direct = float(_hyp_series(k / 2, k / 2, k + 0.5, w))
         assert abs(direct - hyp2f1(k / 2, k / 2, k + 0.5, w)) < 1e-11 * direct
+
+
+@pytest.mark.parametrize("k", range(2, 17, 2))
+def test_hyp2f1_quadratic_stops_before_its_cap(k, monkeypatch):
+    # at z just below 1/2 the terms fall slowest, and an array that also
+    # holds z = 0 waits longest for its stop; a ten times larger cap
+    # changes no bit only if the stop fired before the cap
+    caps = []
+
+    def recorded(a, b, c, w, terms):
+        caps.append(terms)
+        return _hyp_series(a, b, c, w, terms)
+
+    monkeypatch.setattr(analytic, "_hyp_series", recorded)
+    for z in (np.array([0.5 - 1e-9]), np.array([0.0, 0.5 - 1e-9])):
+        value = _hyp2f1_quadratic(k / 2, k / 2, z)
+        assert np.array_equal(value, _hyp_series(k, k, k + 0.5, z, terms=10 * caps[-1])), (k, z)
+
+
+def test_latticesum_terms_against_mpmath():
+    # the lattice sum's z = D/(2s(s + p)) against (D + p^2)^(-k/2)
+    # 2F1(k/2, k/2; k + 1/2; D/(D + p^2)) at the exact w
+    mp = pytest.importorskip("mpmath")
+    t = np.arange(1, 65)
+    with mp.workdps(30):
+        for k in range(2, 13, 2):
+            for d in (-3, -4, -7, -163):
+                for D in (5, 12, 45, 1000):
+                    got = _latticesum_terms(k, D, d, t)
+                    for ti, v in zip(t.tolist(), got.tolist()):
+                        s2 = D + mp.mpf(ti) ** 2 / -d
+                        want = s2 ** (-k / 2) * mp.hyp2f1(k / 2, k / 2, k + 0.5, D / s2)
+                        assert abs(v - want) <= 1e-14 * want, (k, d, D, ti)
 
 
 def test_hyp2f1_vectorized():
@@ -92,11 +129,12 @@ def _full_series(a, b, c, w, terms=90):
 
 @pytest.mark.parametrize("D", [5, 12, 44, 97, 805])
 def test_hyp2f1_early_stop_is_bit_identical(D, monkeypatch):
-    # the lattice sum's first eight d = -4 windows, s <= 2^15, where both
-    # branches of _hyp2f1_vec run
+    # w = D/(D + s^2) over the d = -4 lattice sum's first eight windows,
+    # s <= 2^15; c = a + b + 1/2 takes the quadratic series, and
+    # c = a + b + 1/4 both branches of the other path
     windows = [(0, 1 << 8)] + [(1 << j, 1 << (j + 1)) for j in range(8, 15)]
-    for k in range(1, 13):
-        a, c = k / 2, k + 0.5
+    for k, dc in product(range(1, 13), (0.5, 0.25)):
+        a, c = k / 2, k + dc
         for lo, hi in windows:
             s = np.arange(lo + 1, hi + 1, dtype=float)
             w = D / (D + s * s)
@@ -104,7 +142,7 @@ def test_hyp2f1_early_stop_is_bit_identical(D, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(analytic, "_hyp_series", _full_series)
                 full = _hyp2f1_vec(a, a, c, w)
-            assert np.array_equal(fast, full), (k, lo, hi)
+            assert np.array_equal(fast, full), (k, c, lo, hi)
 
 
 def test_hyp_series_early_stop_waits_for_growing_terms():
@@ -766,9 +804,7 @@ def _latticesum_by_windows(k, D, d, tol):
 
     def window(lo, hi):
         t = 2 * np.arange(lo + 1, hi + 1) - e
-        p2 = t * t / (-d)
-        F = _hyp2f1_vec(k / 2, k / 2, k + 0.5, D / (D + p2))
-        return float(np.sum(2.0 * counts(lo, hi) * (D + p2) ** (-k / 2.0) * F))
+        return float(np.sum(2.0 * counts(lo, hi) * _latticesum_terms(k, D, d, t)))
 
     pref = ((-1) ** k * 2**k * math.sqrt(-d) * D ** (k - 0.5)
             / (stabilizer_order(d) * math.comb(2 * k - 2, k - 1) * math.pi * (2 * k - 1)))
@@ -806,14 +842,35 @@ def test_latticesum_first_pass_keeps_every_window(k, D, d, tol, cutoff):
 def test_latticesum_sieves_its_first_span_once(monkeypatch):
     # the stop test needs four extrapolates, so a sum stopping at the
     # least s_cutoff 4096 sieves and evaluates 2F1 over j <= 4096 once
-    calls = {"_form_counts": 0, "_hyp2f1_vec": 0}
+    calls = {"_form_counts": 0, "_hyp2f1_quadratic": 0}
     for name in calls:
         def counted(*args, _fn=getattr(analytic, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(analytic, name, counted)
     assert lhs_latticesum(4, 12, -4, tol=1e-4).cutoff == {"s_cutoff": 4096}
-    assert calls == {"_form_counts": 1, "_hyp2f1_vec": 1}
+    assert calls == {"_form_counts": 1, "_hyp2f1_quadratic": 1}
+
+
+@pytest.mark.parametrize("k, D, d", [(8, 21, -4), (10, 13, -7), (6, 13, -3)])
+def test_latticesum_covers_the_mpmath_2f1_reference(k, D, d, monkeypatch):
+    # the same sum with mpmath's 2F1 on every term with w = 4z(1 - z) > 1/2;
+    # through the transformation in 1 - w these sums were off by up to
+    # 30 times their estimates
+    mp = pytest.importorskip("mpmath")
+    rep = lhs_latticesum(k, D, d, tol=1e-13)
+
+    def reference(a, b, z):
+        out = _hyp2f1_quadratic(a, b, z)
+        with mp.workdps(30):
+            for i in np.flatnonzero(4 * z * (1 - z) > 0.5):
+                zi = mp.mpf(float(z[i]))
+                out[i] = float(mp.hyp2f1(a, b, a + b + 0.5, 4 * zi * (1 - zi)))
+        return out
+
+    monkeypatch.setattr(analytic, "_hyp2f1_quadratic", reference)
+    ref = lhs_latticesum(k, D, d, tol=1e-13)
+    assert abs(rep.value - ref.value) <= rep.error_estimate
 
 
 @pytest.mark.parametrize("D, tol", [(21, None), (57, None), (44, 1e-11), (384, 1e-12)])

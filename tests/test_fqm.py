@@ -484,6 +484,80 @@ def test_targeted_bracket_matches_full():
                               if (k[0], Fraction(k[1], full.den)) in few}
 
 
+def test_integer_view_equals_the_fraction_terms():
+    from cyclotrace.special_forms import build_fD, hurwitz_gen
+
+    f = VVSeries(module=module_P(), weight=Fraction(1, 2), den=4,
+                 terms={(1, -3): Fraction(-1, 3), (0, 4): Fraction(5), (0, -8): Fraction(2),
+                        (1, 1): Fraction(7, 2)}, prec=Fraction(3))
+    empty = VVSeries(module=module_P(), weight=Fraction(1), den=4, terms={}, prec=Fraction(3))
+    fK = restrict(build_fD(4, 21), embedding_PN_in_L())
+    for series in (hurwitz_gen(Fraction(52)), theta_N_minus(Fraction(52)), fK, f, empty):
+        L, by_key, by_comp = series.integers()
+        assert series.integers() is series.integers()
+        assert {key: Fraction(v, L) for key, v in by_key.items()} == series.terms
+        assert math.lcm(*(Fraction(v, L).denominator for v in by_key.values())) == L
+        assert by_comp == {c: sorted((n, v) for (cc, n), v in by_key.items() if cc == c)
+                           for c in {c for (c, _) in by_key}}
+        floor = min((n for (_, n) in series.terms), default=0)
+        assert series.exponent_floor() == Fraction(floor, series.den)
+
+
+def _bracket_by_fractions(f, g, n):
+    """[f, g]_n straight from its definition in Fractions, over every pair."""
+    kappa, ell = f.weight, g.weight
+
+    def binom(x, s):
+        return math.prod((x + n - i for i in range(1, s + 1)), start=Fraction(1)) / math.factorial(s)
+
+    ng, den = len(g.module.elements), math.lcm(f.den, g.den)
+    prec = min(f.prec + g.exponent_floor(), g.prec + f.exponent_floor())
+    out = {}
+    for (cf, nf), vf in f.terms.items():
+        for (cg, m), vg in g.terms.items():
+            ef, eg = Fraction(nf, f.den), Fraction(m, g.den)
+            if ef + eg < prec:
+                w = sum((-1) ** r * binom(kappa, n - r) * binom(ell, r) * ef**r * eg ** (n - r)
+                        for r in range(n + 1))
+                key = (cf * ng + cg, int((ef + eg) * den))
+                out[key] = out.get(key, 0) + w * vf * vg
+    return {key: v for key, v in out.items() if v}
+
+
+def test_bracket_matches_its_fraction_definition():
+    from cyclotrace.special_forms import hurwitz_gen, module_K_minus
+
+    h, th = hurwitz_gen(Fraction(13)), theta_N_minus(Fraction(13))
+    f = VVSeries(module=module_P(), weight=Fraction(1, 2), den=4,
+                 terms={(0, -8): Fraction(2), (1, -3): Fraction(-1, 3), (0, 4): Fraction(5),
+                        (1, 1): Fraction(7, 2)}, prec=Fraction(3))
+    g = VVSeries(module=module_N_minus(), weight=Fraction(1), den=2,
+                 terms={(0, -2): Fraction(1), (3, -1): Fraction(4), (0, 0): Fraction(-2),
+                        (2, 3): Fraction(1, 5), (3, 1): Fraction(3)}, prec=Fraction(2))
+    for n in (0, 1, 2, 3):
+        assert rankin_cohen(h, th, n, module=module_K_minus()).terms == _bracket_by_fractions(h, th, n)
+        assert rankin_cohen(f, g, n).terms == _bracket_by_fractions(f, g, n)
+
+
+def test_targeted_bracket_matches_full_for_every_trace():
+    # the keys rhs_trace reads, for k in {2, 4} and every D <= 200, off one
+    # pair of series
+    from cyclotrace.special_forms import ExactSeries, build_fD, module_K_minus
+
+    series = ExactSeries(200)
+    E = embedding_PN_in_L()
+    for k in (2, 4):
+        full = rankin_cohen(series.hurwitz, series.theta, k // 2 - 1, module=module_K_minus())
+        for D in range(5, 201):
+            if D % 4 not in (0, 1) or math.isqrt(D) ** 2 == D:
+                continue
+            wanted = [(c, -e) for (c, e) in _targets_of(restrict(build_fD(k, D), E))]
+            part = rankin_cohen(series.hurwitz, series.theta, k // 2 - 1, module=module_K_minus(),
+                                targets=wanted)
+            for c, e in wanted:
+                assert part.coefficient(c, e) == full.coefficient(c, e), (k, D, c, e)
+
+
 def test_targeted_bracket_integer_weights_at_higher_degree():
     # degrees 2 and 3 scale the pair weights by den^deg and a coefficient
     # lcm L > 1, which the traces (n = 0, 1) barely exercise
