@@ -96,107 +96,60 @@ class TraceReport:
 # Gauss hypergeometric function
 
 
-def _hyp_series(a: float, b: float, c: float, w, terms: int = 90):
-    """Direct series, scalar or numpy array w with |w| <= 0.55.
+def _hyp2f1_quadratic(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """2F1(a, b; a + b + 1/2; 4z(1 - z)) on an array with 0 <= z <= 1/2, a, b > 0.
 
-    It stops early once no term left can change any entry of the sum, so
-    it returns the `terms`-term sum bit for bit: the last term is below
-    half the float gap under its sum (a quarter of `np.spacing`, as the gap
+    It sums the series of 2F1(2a, 2b; c; z), c = a + b + 1/2, equal by the
+    quadratic transformation DLMF 15.8.18.  Every term is positive, so
+    nothing cancels, and z <= 1/2 keeps the series short: its terms fall
+    like j^(a+b-3/2) 2^-j at z = 1/2.
+
+    It stops once no term left can change any entry of the sum, so it
+    returns the sum of all terms up to its cap bit for bit: the last term
+    is below half the float gap under its sum (a quarter ulp, as the gap
     halves below a power of two), and no later term is larger.  Term m is
-    term m-1 times w rho_m, rho_m = (a + m)(b + m)/((c + m)(1 + m)), and
-    rho_m - 1 = ((a + b - c - 1) m + ab - c)/((c + m)(1 + m)) bounds every
-    |rho_m|, m >= n > -c, by 1 + |a + b - c - 1|/(c + n) + |ab - c|/((c + n)(1 + n)).
-    The next ratio alone bounds none of them: at a = b = k/2 it rises
-    toward 1 for small k, and exceeds 1 at small m for k >= 5.
-
-    For a, b, c > 0 and w >= 0 every term and sum is positive, and as
-    rounding is monotone none is smaller than at a smaller w: the largest
-    term is the one at max w and the smallest sum the one at min w.  Those
+    term m-1 times z rho_m, rho_m = (2a + m)(2b + m)/((c + m)(1 + m)), and
+    rho_m - 1 = ((2a + 2b - c - 1) m + 4ab - c)/((c + m)(1 + m)) bounds
+    every rho_m, m >= n, by
+    1 + |2a + 2b - c - 1|/(c + n) + |4ab - c|/((c + n)(1 + n)), so the
+    stop waits until that bound times max z is at most 1.  At a = b = k/2,
+    k >= 3, the terms near z = 1/2 grow before they fall.  As rounding is
+    monotone, no term or sum is smaller than at a smaller z: the largest
+    term is the one at max z and the smallest sum the one at min z.  Those
     two are carried as floats through the same recurrence, in place of
-    reductions over the arrays, and give the same stop.
+    reductions over the arrays, and give the same stop.  The stop needs
+    the most terms on an array that holds both z = 0 and z near 1/2: 57
+    at a + b = 2, 93 at 10 and 116 at 16 (measured), against the cap
+    64 + 4 (a + b).
     """
-    w = np.asarray(w, dtype=float)
-    t = np.ones_like(w)
+    A, B, c = 2 * a, 2 * b, a + b + 0.5
+    z = np.asarray(z, dtype=float)
+    t = np.ones_like(z)
     acc = t.copy()
-    wmax = float(np.max(np.abs(w), initial=0.0))
-    slope, offset = abs(a + b - c - 1), abs(a * b - c)
-    wmin = float(np.min(w, initial=np.inf))
-    positive = a > 0 and b > 0 and c > 0 and 0 <= wmin < np.inf
+    zmax, zmin = float(np.max(z, initial=0.0)), float(np.min(z, initial=np.inf))
+    slope, offset = abs(A + B - c - 1), abs(A * B - c)
     t_hi = t_lo = acc_lo = 1.0
-    for j in range(terms):
-        num, den = (a + j) * (b + j), (c + j) * (1.0 + j)
-        t = t * num / den * w
+    for j in range(64 + 4 * math.ceil(a + b)):
+        num, den = (A + j) * (B + j), (c + j) * (1.0 + j)
+        t = t * num / den * z
         acc = acc + t
-        if positive:
-            t_hi, t_lo = t_hi * num / den * wmax, t_lo * num / den * wmin
-            acc_lo = acc_lo + t_lo
+        t_hi, t_lo = t_hi * num / den * zmax, t_lo * num / den * zmin
+        acc_lo = acc_lo + t_lo
         n = j + 1  # the next ratio is rho_n
-        if c + n > 0 and (1 + slope / (c + n) + offset / ((c + n) * (1 + n))) * wmax <= 1:
-            if positive:
-                if t_hi < math.ulp(acc_lo) / 4:
-                    break
-            elif np.max(np.abs(t), initial=0.0) < np.spacing(np.min(np.abs(acc), initial=np.inf)) / 4:
-                break
+        if (1 + slope / (c + n) + offset / ((c + n) * (1 + n))) * zmax <= 1 and t_hi < math.ulp(acc_lo) / 4:
+            break
     return acc
 
 
-def _hyp2f1_quadratic(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """2F1(a, b; a + b + 1/2; 4z(1 - z)) on an array with 0 <= z <= 1/2.
-
-    It sums the series of 2F1(2a, 2b; a + b + 1/2; z), equal by the
-    quadratic transformation DLMF 15.8.18.  For a, b > 0 every term is
-    positive, so nothing cancels, and z <= 1/2 keeps the series short:
-    its terms fall like j^(a+b-3/2) 2^-j at z = 1/2.  The early stop
-    needs the most terms on an array that holds both z = 0 and z near
-    1/2: 57 at a + b = 2, 93 at 10 and 116 at 16 (measured), against the
-    cap 64 + 4 (a + b).
-    """
-    return _hyp_series(2 * a, 2 * b, a + b + 0.5, z, terms=64 + 4 * max(math.ceil(a + b), 0))
-
-
-def _hyp2f1_vec(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
-    """2F1(a, b; c; w) on an array with 0 <= w < 1.
-
-    With c = a + b + 1/2, which holds for every in-scope call, it is the
-    positive series of `_hyp2f1_quadratic` at z = (1 - sqrt(1 - w))/2;
-    at a = b = k/2, c = k + 1/2, k = 1..12, it is within 2e-15 relative
-    of mpmath at 1,000 points of w in [0, 0.999].  Otherwise the direct
-    series covers w <= 1/2, and for w > 1/2 the standard linear
-    transformation in 1 - w is applied.  That needs c - a - b
-    non-integral, and its two terms cancel more as a + b grows: at
-    a = b = k/2, c = k + 1/2 it is off by up to 4e-13 relative at k = 4,
-    9e-12 at 6 and 3e-7 at 12, which is why those take the quadratic
-    series.
-    """
-    if c == a + b + 0.5:
-        # z = (1 - sqrt(1 - w))/2, written without the cancellation
-        return _hyp2f1_quadratic(a, b, w / (2 * (1 + np.sqrt(1 - w))))
-    out = np.empty_like(w)
-    lo = w <= 0.5
-    if lo.any():
-        out[lo] = _hyp_series(a, b, c, w[lo])
-    hi = ~lo
-    if hi.any():
-        s = c - a - b
-        if float(s).is_integer():
-            raise DivergentParameters(f"c - a - b = {s} is an integer and some w > 1/2")
-        u = 1.0 - w[hi]
-        g = math.gamma
-        c1 = g(c) * g(s) / (g(c - a) * g(c - b))
-        c2 = g(c) * g(-s) / (g(a) * g(b))
-        out[hi] = c1 * _hyp_series(a, b, 1 - s, u) + c2 * u**s * _hyp_series(
-            c - a, c - b, 1 + s, u
-        )
-    return out
-
-
 def hyp2f1(a: float, b: float, c: float, w: float) -> float:
-    """2F1(a, b; c; w) for 0 <= w < 1; see _hyp2f1_vec for its accuracy."""
-    if not (0 <= w < 1):
-        raise DivergentParameters(f"w = {w} outside [0, 1)")
-    if c <= 0 and float(c).is_integer():
-        raise DivergentParameters(f"c = {c} is a non-positive integer")
-    return float(_hyp2f1_vec(a, b, c, np.array([w], dtype=float))[0])
+    """2F1(a, b; c; w) for a, b > 0, c = a + b + 1/2 and 0 <= w < 1, the
+    only 2F1 the lattice sum takes: `_hyp2f1_quadratic` at
+    z = (1 - sqrt(1 - w))/2.  At a = b = k/2, k = 1..12, it is within
+    2e-15 relative of mpmath at 1,000 points of w in [0, 0.999]."""
+    if not (a > 0 and b > 0 and c == a + b + 0.5 and 0 <= w < 1):
+        raise DivergentParameters(f"2F1({a}, {b}; {c}; {w}) needs a, b > 0, c = a + b + 1/2 and 0 <= w < 1")
+    # z = (1 - sqrt(1 - w))/2, written without the cancellation
+    return float(_hyp2f1_quadratic(a, b, np.array([w / (2 * (1 + math.sqrt(1 - w)))]))[0])
 
 
 # ----------------------------------------------------------------------
@@ -1012,7 +965,8 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     the changes, plus the sum's rounding, ROUNDING_FLOOR eps times
     |pref total|.  The loop stops once the window fits in what the
     rounding leaves of tol, or in half of tol, or, marked noise_floor,
-    once the window is at most the rounding.  The estimate needs four
+    once the window is at most the rounding; the cutoff's met_tol says
+    whether the estimate is within tol.  The estimate needs four
     extrapolates, so no sum stops before S = 16 first: one pass counts
     the groups and evaluates 2F1 over j <= 16 first, and the first
     window's sum and the next four increments are read off it; each
@@ -1046,7 +1000,7 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         # sgn(t)^k is odd while N(t) is even in t: exact cancellation
         return TraceReport(
             k=k, D=D, d=d, method="latticesum", value=0.0, error_estimate=0.0,
-            hypothesis_ok=True, seconds=time.perf_counter() - t0, cutoff={key: 0},
+            hypothesis_ok=True, seconds=time.perf_counter() - t0, cutoff={key: 0, "met_tol": True},
         )
     if sieved:
         roots = _PrimeRoots(M)
@@ -1100,7 +1054,8 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
             if est <= rest:
                 noise_floor = True
                 break
-    cutoff = {key: S if d == -4 else 2 * S}
+    error_estimate = max(est + rest, 1e-15)
+    cutoff = {key: S if d == -4 else 2 * S, "met_tol": error_estimate <= tol}
     if noise_floor:
         cutoff["noise_floor"] = True
     return TraceReport(
@@ -1109,7 +1064,7 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
         d=d,
         method="latticesum",
         value=R[-1],
-        error_estimate=max(est + rest, 1e-15),
+        error_estimate=error_estimate,
         hypothesis_ok=True,
         seconds=time.perf_counter() - t0,
         cutoff=cutoff,

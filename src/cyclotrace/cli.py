@@ -194,7 +194,7 @@ def cmd_table(cfg: RunConfig) -> int:
     return EXIT_NO_CONVERGENCE if stalled else EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest() -> int:
     from . import selftest
 
     passed, failed = selftest.run()
@@ -202,8 +202,17 @@ def cmd_selftest(cfg: RunConfig) -> int:
     return EXIT_OK if failed == 0 else EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input: it exits 3, not argparse's 2, which
+    is the code for a violated hypothesis.  Subparsers take this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cyclotrace",
         description=(
             "Traces of geodesic cycle integrals of meromorphic modular forms, "
@@ -239,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
 
-    sp = sub.add_parser("selftest", help="run the built-in invariant suite")
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sub.add_parser("selftest", help="run the built-in invariant suite")
 
     return p
 
@@ -262,7 +269,7 @@ def main(argv=None) -> int:
                             tol=args.tol, out=args.out, as_json=args.json)
             return cmd_table(cfg)
         if args.command == "selftest":
-            return cmd_selftest(RunConfig(k=args.k, tol=args.tol))
+            return cmd_selftest()
         return EXIT_INPUT
     except HypothesisViolated as e:
         print(f"hypothesis violated: {e}", file=sys.stderr)

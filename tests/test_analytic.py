@@ -23,9 +23,7 @@ from cyclotrace.analytic import (
     _PrimeRoots,
     _class_pairs,
     _form_counts,
-    _hyp_series,
     _hyp2f1_quadratic,
-    _hyp2f1_vec,
     _latticesum_terms,
     _least_non_residues,
     _primes_between,
@@ -51,11 +49,14 @@ from cyclotrace.special_forms import rhs_trace
 
 
 def test_hyp2f1_oracles():
-    assert hyp2f1(1.5, 2.0, 3.0, 0.0) == 1.0
-    # 2F1(1,1;2;w) = -log(1-w)/w
-    assert abs(hyp2f1(1, 1, 2, 0.5) - 2 * math.log(2)) < 1e-12
-    # 2F1(1/2,1/2;3/2;z^2) = asin(z)/z
-    assert abs(hyp2f1(0.5, 0.5, 1.5, 0.25) - math.pi / 3) < 1e-12
+    assert hyp2f1(1.5, 2.0, 4.0, 0.0) == 1.0
+    for w in np.linspace(0.001, 0.999, 37).tolist():
+        # 2F1(1/2, 1/2; 3/2; w) = asin(sqrt w)/sqrt w
+        want = math.asin(math.sqrt(w)) / math.sqrt(w)
+        assert abs(hyp2f1(0.5, 0.5, 1.5, w) - want) <= 1e-14 * want, w
+        # 2F1(1, 1/2; 2; w) = 2/(1 + sqrt(1 - w))
+        want = 2 / (1 + math.sqrt(1 - w))
+        assert abs(hyp2f1(1, 0.5, 2, w) - want) <= 1e-14 * want, w
 
 
 def test_hyp2f1_against_scipy():
@@ -67,30 +68,30 @@ def test_hyp2f1_against_scipy():
             assert abs(a - b) <= 1e-11 * max(1.0, abs(b)), (k, w)
 
 
-def test_hyp2f1_branch_continuity():
-    # the direct series and the quadratic transformation at the same
-    # point just past w = 1/2
-    for k in (2, 3, 4):
-        w = 0.5 + 1e-13
-        direct = float(_hyp_series(k / 2, k / 2, k + 0.5, w))
-        assert abs(direct - hyp2f1(k / 2, k / 2, k + 0.5, w)) < 1e-11 * direct
+def _full_series(a, b, c, w, terms):
+    """The direct series summed to all of its terms, as it was before it
+    learned to stop early: the oracle of the early stop."""
+    t = np.ones_like(np.asarray(w, dtype=float))
+    acc = t.copy()
+    for j in range(terms):
+        t = t * ((a + j) * (b + j)) / ((c + j) * (1.0 + j)) * w
+        acc = acc + t
+    return acc
+
+
+def _full_quadratic(a, z, terms):
+    """`_hyp2f1_quadratic(a, a, z)` as the full series of its terms."""
+    return _full_series(2 * a, 2 * a, 2 * a + 0.5, z, terms)
 
 
 @pytest.mark.parametrize("k", range(2, 17, 2))
-def test_hyp2f1_quadratic_stops_before_its_cap(k, monkeypatch):
+def test_hyp2f1_quadratic_stops_before_its_cap(k):
     # at z just below 1/2 the terms fall slowest, and an array that also
-    # holds z = 0 waits longest for its stop; a ten times larger cap
-    # changes no bit only if the stop fired before the cap
-    caps = []
-
-    def recorded(a, b, c, w, terms):
-        caps.append(terms)
-        return _hyp_series(a, b, c, w, terms)
-
-    monkeypatch.setattr(analytic, "_hyp_series", recorded)
+    # holds z = 0 waits longest for its stop; ten times the cap
+    # 64 + 4 (a + b) changes no bit only if the stop fired before the cap
     for z in (np.array([0.5 - 1e-9]), np.array([0.0, 0.5 - 1e-9])):
         value = _hyp2f1_quadratic(k / 2, k / 2, z)
-        assert np.array_equal(value, _hyp_series(k, k, k + 0.5, z, terms=10 * caps[-1])), (k, z)
+        assert np.array_equal(value, _full_quadratic(k / 2, z, 10 * (64 + 4 * k))), (k, z)
 
 
 def test_latticesum_terms_against_mpmath():
@@ -109,73 +110,41 @@ def test_latticesum_terms_against_mpmath():
                         assert abs(v - want) <= 1e-14 * want, (k, d, D, ti)
 
 
-def test_hyp2f1_vectorized():
-    w = np.linspace(0.0, 0.995, 200)
-    v = _hyp2f1_vec(1, 1, 2.5, w)
-    for i in (0, 50, 100, 150, 199):
-        assert abs(v[i] - hyp2f1(1, 1, 2.5, float(w[i]))) < 1e-12 * max(1, v[i])
-
-
-def _full_series(a, b, c, w, terms=90):
-    """The direct series summed to all of its terms, as it was before it
-    learned to stop early: the oracle of the early stop."""
-    t = np.ones_like(np.asarray(w, dtype=float))
-    acc = t.copy()
-    for j in range(terms):
-        t = t * ((a + j) * (b + j)) / ((c + j) * (1.0 + j)) * w
-        acc = acc + t
-    return acc
-
-
-@pytest.mark.parametrize("D", [5, 12, 44, 97, 805])
-def test_hyp2f1_early_stop_is_bit_identical(D, monkeypatch):
-    # w = D/(D + s^2) over the d = -4 lattice sum's first eight windows,
-    # s <= 2^15; c = a + b + 1/2 takes the quadratic series, and
-    # c = a + b + 1/4 both branches of the other path
+def _bit_identity_inputs(case):
+    """(a, z) for `_hyp2f1_quadratic(a, a, z)`: the lattice sum's z at D = case
+    over the d = -4 first eight windows, or one of two fixed arrays."""
+    if case == "growing":
+        # k = 16: the first term ratio is k^2/(k + 1/2) z ~ 7.8 at z -> 1/2, so
+        # the terms grow to ~3e3 before they fall, while z = 0 keeps the
+        # smallest sum at 1 and its terms at 0: the stop must read the
+        # largest term, the one at max z
+        return [(8.0, np.array([0.0, 0.5 - 1e-9]))]
+    if case == "vectorized":
+        w = np.linspace(0.0, 0.995, 200)
+        return [(1.0, w / (2 * (1 + np.sqrt(1 - w))))]
+    # s <= 2^15, w = D/(D + s^2) and z = (1 - sqrt(1 - w))/2
     windows = [(0, 1 << 8)] + [(1 << j, 1 << (j + 1)) for j in range(8, 15)]
-    for k, dc in product(range(1, 13), (0.5, 0.25)):
-        a, c = k / 2, k + dc
-        for lo, hi in windows:
-            s = np.arange(lo + 1, hi + 1, dtype=float)
-            w = D / (D + s * s)
-            fast = _hyp2f1_vec(a, a, c, w)
-            with monkeypatch.context() as m:
-                m.setattr(analytic, "_hyp_series", _full_series)
-                full = _hyp2f1_vec(a, a, c, w)
-            assert np.array_equal(fast, full), (k, c, lo, hi)
+    inputs = []
+    for k, (lo, hi) in product(range(1, 13), windows):
+        s = np.arange(lo + 1, hi + 1, dtype=float)
+        w = case / (case + s * s)
+        inputs.append((k / 2, w / (2 * (1 + np.sqrt(1 - w)))))
+    return inputs
 
 
-def test_hyp_series_early_stop_waits_for_growing_terms():
-    # the first term after 1 is ~3e-19, far below the float gap at 1, but
-    # the next term ratio is ~10 and the terms then grow to ~1e6, so the
-    # series may not stop there
-    w = np.array([0.5])
-    assert np.array_equal(_hyp_series(1e-20, 100.0, 1.5, w), _full_series(1e-20, 100.0, 1.5, w))
-
-
-@pytest.mark.parametrize("a, b, c, sign", [(-0.5, 1.0, 1.5, 1), (1.0, -2.5, 3.5, 1), (2.0, 2.0, -0.5, 1),
-                                           (1.0, 1.0, 2.5, -1), (3.0, 3.0, 6.5, -1)])
-def test_hyp_series_early_stop_off_the_positive_parameters(a, b, c, sign):
-    # a negative parameter, or w < 0, takes the stop check over the arrays
-    w = sign * np.linspace(0.0, 0.5, 101)
-    assert np.array_equal(_hyp_series(a, b, c, w), _full_series(a, b, c, w))
+@pytest.mark.parametrize("case", [5, 12, 44, 97, 805, "growing", "vectorized"])
+def test_hyp2f1_early_stop_is_bit_identical(case):
+    for a, z in _bit_identity_inputs(case):
+        full = _full_quadratic(a, z, 64 + 4 * math.ceil(2 * a))
+        assert np.array_equal(_hyp2f1_quadratic(a, a, z), full), (a, z.min(), z.max())
 
 
 def test_hyp2f1_errors():
-    with pytest.raises(DivergentParameters):
-        hyp2f1(1, 1, 2.5, 1.0)
-    with pytest.raises(DivergentParameters):
-        hyp2f1(1, 1, 2.5, -0.1)
-    with pytest.raises(DivergentParameters):
-        hyp2f1(1, 1, -2.0, 0.3)
-
-
-def test_hyp2f1_integral_c_minus_a_minus_b():
-    # the transformation in 1 - w needs c - a - b non-integral; the
-    # direct series still covers w <= 1/2
-    assert abs(hyp2f1(1, 1, 2, 0.5) - 2 * math.log(2)) < 1e-12
-    with pytest.raises(DivergentParameters):
-        hyp2f1(1, 1, 2, 0.7)
+    # only a, b > 0, c = a + b + 1/2 and 0 <= w < 1
+    for args in [(1, 1, 2.5, 1.0), (1, 1, 2.5, -0.1), (1, 1, 2.5, math.nan), (1, 1, 2, 0.3),
+                 (1, 1, -2.0, 0.3), (-0.5, 1, 1.0, 0.3), (1, 0, 1.5, 0.3), (0, 0, 0.5, 0.0)]:
+        with pytest.raises(DivergentParameters):
+            hyp2f1(*args)
 
 
 # -------------------------------------------------- the fundamental domain
@@ -739,8 +708,8 @@ def test_lhs_latticesum():
     rep3 = lhs_latticesum(3, 12, -4)
     assert rep3.value == 0.0
     # the exact zero of odd k names the cutoff of its path
-    assert rep3.cutoff == {"s_cutoff": 0}
-    assert lhs_latticesum(3, 21, -3).cutoff == {"t_cutoff": 0}
+    assert rep3.cutoff == {"s_cutoff": 0, "met_tol": True}
+    assert lhs_latticesum(3, 21, -3).cutoff == {"t_cutoff": 0, "met_tol": True}
     with pytest.raises(HypothesisViolated):
         lhs_latticesum(2, 8, -4)
 
@@ -817,7 +786,7 @@ def _latticesum_by_windows(k, D, d, tol):
         if len(R) == 4:
             est = max(abs(R[3 - i] - R[2 - i]) * 2.0 ** (-(k - 2) * i) for i in range(3))
             rest = analytic.ROUNDING_FLOOR * analytic.EPS * abs(pref * total)
-            cutoff = {key: S if d == -4 else 2 * S}
+            cutoff = {key: S if d == -4 else 2 * S, "met_tol": max(est + rest, 1e-15) <= tol}
             if est < max(tol - rest, tol / 2):
                 return R[-1], cutoff
             if est <= rest:
@@ -827,11 +796,11 @@ def _latticesum_by_windows(k, D, d, tol):
 # (4, 12, -4) stops at the least s_cutoff 16 * 2^8, (2, 24, -4) runs on
 # past the first pass, and (6, 5, -23) counts with PairingSolver
 @pytest.mark.parametrize("k, D, d, tol, cutoff", [
-    (4, 12, -4, 1e-4, {"s_cutoff": 4096}),
-    (2, 24, -4, 2e-3, {"s_cutoff": 32768}),
-    (4, 33, -7, 1e-6, {"t_cutoff": 16384}),
-    (4, 13, -8, 1e-6, {"t_cutoff": 4096}),
-    (6, 5, -23, 1e-6, {"t_cutoff": 512}),
+    (4, 12, -4, 1e-4, {"s_cutoff": 4096, "met_tol": True}),
+    (2, 24, -4, 2e-3, {"s_cutoff": 32768, "met_tol": True}),
+    (4, 33, -7, 1e-6, {"t_cutoff": 16384, "met_tol": True}),
+    (4, 13, -8, 1e-6, {"t_cutoff": 4096, "met_tol": True}),
+    (6, 5, -23, 1e-6, {"t_cutoff": 512, "met_tol": True}),
 ])
 def test_latticesum_first_pass_keeps_every_window(k, D, d, tol, cutoff):
     rep = lhs_latticesum(k, D, d, tol=tol)
@@ -848,7 +817,7 @@ def test_latticesum_sieves_its_first_span_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(analytic, name, counted)
-    assert lhs_latticesum(4, 12, -4, tol=1e-4).cutoff == {"s_cutoff": 4096}
+    assert lhs_latticesum(4, 12, -4, tol=1e-4).cutoff == {"s_cutoff": 4096, "met_tol": True}
     assert calls == {"_form_counts": 1, "_hyp2f1_quadratic": 1}
 
 
@@ -879,14 +848,16 @@ def test_latticesum_estimate_covers_its_rounding(D, tol):
     # bound its error: without the rounding term D = 21 and 57 at
     # 1e-13 (1 + |trace|) were off by 58 and 53 eps relative, beside
     # estimates of 40 and 45, D = 44 at 1e-11 absolute was under-covered,
-    # and D = 384 at 1e-12 absolute ran to the ceiling; the absolute ones
-    # now stop at the noise floor
+    # and D = 384 at 1e-12 absolute ran to the ceiling; the absolute ones,
+    # below the sum's rounding, now stop at the noise floor and report
+    # that they missed tol
     from cyclotrace.special_forms import closed_formula
 
     exact = float(closed_formula(4, D))
     rep = lhs_latticesum(4, D, -4, tol=tol or 1e-13 * (1 + exact))
     assert abs(rep.value - exact) <= rep.error_estimate
     assert rep.cutoff.get("noise_floor", False) == (tol is not None)
+    assert rep.cutoff["met_tol"] == (tol is None)
 
 
 def test_pairing_solver_counts_match_sieve():

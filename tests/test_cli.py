@@ -72,6 +72,23 @@ def test_trace_square_exit_3():
     assert proc.returncode == 3  # 14 ≡ 2 (mod 4)
 
 
+@pytest.mark.parametrize("args, code", [
+    (["trace", "--k", "2"], 3),
+    (["trace", "--k", "x", "--D", "12"], 3),
+    (["selftest", "--k", "2"], 3),
+    (["bogus"], 3),
+    (["--help"], 0),
+    (["trace", "--help"], 0),
+])
+def test_usage_errors_exit_3(args, code, capsys):
+    # argparse's own code 2 would read as a violated hypothesis
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert "usage: cyclotrace" in (err if code else out)
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
 def test_invalid_tol_exit_3(tol):
     # the lattice sum would double its cutoff to the ceiling (exit 4)
