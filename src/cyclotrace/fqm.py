@@ -288,15 +288,17 @@ def milgram_defect(M: FQModule) -> float:
 class VVSeries:
     """Sparse vector-valued q-series.
 
-    terms maps (component index, scaled exponent) -> Fraction where the
-    true exponent is scaled/den.  The series represents
-    pi^pi_power * sum c(mu, n) q^n e_mu, complete for exponents < prec.
+    terms maps (component index, scaled exponent) -> coefficient, a
+    Fraction or an int, where the true exponent is scaled/den.  The
+    series represents pi^pi_power * sum c(mu, n) q^n e_mu, complete for
+    exponents < prec.
     sigma in {+1, -1, None} tags which of n ≡ ±q(mu) (mod 1) the
     exponents satisfy (None when mixed, e.g. after tensor products).
 
     terms is never changed after construction: the integer view that
-    `integers` fills on first use is kept with the series and read again
-    by every later product, pairing or exponent_floor.
+    `integers` fills on first use, or that a product fills as it sums, is
+    kept with the series and read again by every later product, pairing
+    or scaled_floor.
     """
 
     module: FQModule
@@ -314,12 +316,15 @@ class VVSeries:
         component's (scaled exponent, L c) pairs by rising exponent."""
         if self._integers is None:
             L = math.lcm(*(v.denominator for v in self.terms.values()))
-            by_key = {key: v.numerator * (L // v.denominator) for key, v in self.terms.items()}
-            by_comp = {}
-            for (c, n), v in sorted(by_key.items()):
-                by_comp.setdefault(c, []).append((n, v))
-            self._integers = (L, by_key, by_comp)
+            self._keep_integers(L, {key: v.numerator * (L // v.denominator)
+                                    for key, v in self.terms.items()})
         return self._integers
+
+    def _keep_integers(self, L: int, by_key: dict) -> None:
+        by_comp = {}
+        for (c, n), v in sorted(by_key.items()):
+            by_comp.setdefault(c, []).append((n, v))
+        self._integers = (L, by_key, by_comp)
 
     def coefficient(self, comp: int, exponent: Fraction) -> Fraction:
         n = Fraction(exponent) * self.den
@@ -327,21 +332,21 @@ class VVSeries:
             return Fraction(0)
         return self.terms.get((comp, int(n)), Fraction(0))
 
-    def exponent_floor(self) -> Fraction:
-        """The least exponent of a term, 0 without terms."""
-        by_comp = self.integers()[2]
-        return Fraction(min((pairs[0][0] for pairs in by_comp.values()), default=0), self.den)
+    def scaled_floor(self) -> int:
+        """The least scaled exponent of a term (the exponent times den), 0
+        without terms."""
+        return min((pairs[0][0] for pairs in self.integers()[2].values()), default=0)
 
     def validate_support(self) -> None:
         """Check the sigma-congruence n ≡ sigma q(mu) (mod 1) for all terms."""
         if self.sigma is None:
             return
         for (c, n) in self.terms:
-            want = self.sigma * self.module._q[c] % 1
-            got = Fraction(n, self.den) % 1
-            if got != want:
+            q = self.module._q[c]
+            # n / den - sigma q is an integer when den q.denominator divides its numerator
+            if (n * q.denominator - self.sigma * q.numerator * self.den) % (self.den * q.denominator):
                 raise ValueError(f"exponent {Fraction(n, self.den)} on component {c} is not "
-                                 f"congruent to {want} (mod 1)")
+                                 f"congruent to {self.sigma * q % 1} (mod 1)")
 
 
 def theta_series(K: IntLattice, prec, module: FQModule | None = None) -> VVSeries:
@@ -402,35 +407,41 @@ def _exponent_denominator(M: FQModule) -> int:
     return math.lcm(*(q.denominator for q in M._q))
 
 
-def _convolve(f: VVSeries, g: VVSeries, C, L: int, module: FQModule | None, targets) -> VVSeries:
+def _convolve(f: VVSeries, g: VVSeries, C, L: int, weight: Fraction, module: FQModule | None,
+              targets) -> VVSeries:
     """The product series sum P(e_f, e_g) f(mu, e_f) g(nu, e_g) q^(e_f+e_g) e_(mu,nu).
 
     The sum runs over pairs of terms, with the pair weight
     P(e_f, e_g) = sum_r C[r] e_f^r e_g^(n-r) / L, n = len(C) - 1, for
     integers C[r] and L, over the direct-sum module, whose component
-    (mu, nu) has index mu |g| + nu.  Without targets every pair below the
-    product's precision is summed.  With targets, an iterable of
-    (component, exponent) pairs, only those coefficients are computed:
-    for each, the g-terms on its g-component are walked and their f
-    partners looked up.
+    (mu, nu) has index mu |g| + nu; the product has the given weight.
+    Without targets every pair below the product's precision is summed.
+    With targets, an iterable of (component, exponent) pairs with int or
+    Fraction exponents, only those coefficients are computed: for each,
+    the g-terms on its g-component are walked and their f partners
+    looked up.
     A requested coefficient that is zero is absent, as in the full sum;
     a target at or beyond the precision raises InsufficientPrecision.
 
     Both sums run in integers.  With the exponents x_f, x_g in units of
     1/den and the integer views L_f f, L_g g of the series, a pair adds
     W(x_f, x_g) (L_f f) (L_g g), W(x, y) = sum_r C[r] x^r y^(n-r), to its
-    coefficient, which is divided once by L den^n L_f L_g.
+    coefficient, which is divided once by L den^n L_f L_g.  The sums
+    reduced by their common factor with that divisor are the product's
+    integer view, so a pairing with it converts nothing.
     """
     M = module if module is not None else FQModule.direct_sum(f.module, g.module)
     den = math.lcm(f.den, g.den)
     fs, gs = den // f.den, den // g.den
     ng = len(g.module.elements)
-    prec = min(f.prec + g.exponent_floor(), g.prec + f.exponent_floor())
     Lf, fi, _ = f.integers()
     Lg, _, g_comp = g.integers()
+    # the least exponents in units of 1/den
+    xf_min, xg_min = f.scaled_floor() * fs, g.scaled_floor() * gs
+    prec = min(f.prec + Fraction(xg_min, den), g.prec + Fraction(xf_min, den))
     scale = L * den ** (len(C) - 1) * Lf * Lg
 
-    def weight(x, y):
+    def pair_weight(x, y):
         # Horner's rule in x over the falling powers of y
         acc, ypow = C[-1], 1
         for c in C[-2::-1]:
@@ -451,19 +462,18 @@ def _convolve(f: VVSeries, g: VVSeries, C, L: int, module: FQModule | None, targ
                     if xf + xg >= top:
                         break
                     key = (cf * ng + cg, xf + xg)
-                    sums[key] = sums.get(key, 0) + weight(xf, xg) * vf * vg
+                    sums[key] = sums.get(key, 0) + pair_weight(xf, xg) * vf * vg
     else:
-        xf_min = int(f.exponent_floor() * den)
         for c, e in targets:
-            e = Fraction(e)
             if not 0 <= c < len(M.elements):
                 raise ValueError(f"target component {c} is not in the module")
-            if e >= prec:
+            p, q = e.numerator, e.denominator
+            if p * prec.denominator >= prec.numerator * q:
                 raise InsufficientPrecision(
                     f"product complete only below {prec}, target exponent {e}", required=e)
-            if (e * den).denominator != 1:
+            N, rem = divmod(p * den, q)
+            if rem:
                 continue
-            N = int(e * den)
             cf, cg = divmod(c, ng)
             acc, xg_max = 0, N - xf_min
             for m, vg in g_comp.get(cg, ()):
@@ -473,22 +483,26 @@ def _convolve(f: VVSeries, g: VVSeries, C, L: int, module: FQModule | None, targ
                 nf, rem = divmod(N - xg, fs)
                 vf = None if rem else fi.get((cf, nf))
                 if vf:
-                    acc += weight(N - xg, xg) * vg * vf
+                    acc += pair_weight(N - xg, xg) * vg * vf
             sums[(c, N)] = acc
-    return VVSeries(
+    sums = {key: v for key, v in sums.items() if v}
+    out = VVSeries(
         module=M,
-        weight=f.weight + g.weight,
+        weight=weight,
         den=den,
-        terms={key: Fraction(v, scale) for key, v in sums.items() if v},
+        terms={key: Fraction(v, scale) for key, v in sums.items()},
         prec=prec,
         pi_power=f.pi_power + g.pi_power,
         sigma=f.sigma if f.sigma == g.sigma else None,
     )
+    common = math.gcd(scale, *sums.values())
+    out._keep_integers(scale // common, {key: v // common for key, v in sums.items()})
+    return out
 
 
 def tensor(f: VVSeries, g: VVSeries, module: FQModule | None = None) -> VVSeries:
     """Componentwise tensor product over the direct-sum module."""
-    return _convolve(f, g, (1,), 1, module, None)
+    return _convolve(f, g, (1,), 1, f.weight + g.weight, module, None)
 
 
 @dataclass(frozen=True)
@@ -623,18 +637,16 @@ def rankin_cohen(f: VVSeries, g: VVSeries, n: int, module: FQModule | None = Non
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    kappa, ell = Fraction(f.weight), Fraction(g.weight)
-    for w in (kappa + n, ell + n):
-        if w.denominator == 1 and w <= 0:
-            raise GammaPole(f"Gamma ratio undefined for weight {w - n} with n={n}")
-    a, b, c, e = kappa.numerator, kappa.denominator, ell.numerator, ell.denominator
+    a, b, c, e = f.weight.numerator, f.weight.denominator, g.weight.numerator, g.weight.denominator
+    for num, den in ((a, b), (c, e)):
+        if den == 1 and num + n <= 0:
+            raise GammaPole(f"Gamma ratio undefined for weight {num} with n={n}")
     C = [(-1) ** r * math.comb(n, r) * b**r * e ** (n - r)
          * math.prod(a + b * (n - i) for i in range(1, n - r + 1))
          * math.prod(c + e * (n - j) for j in range(1, r + 1))
          for r in range(n + 1)]
-    out = _convolve(f, g, C, b**n * e**n * math.factorial(n), module, targets)
-    out.weight = kappa + ell + 2 * n
-    return out
+    return _convolve(f, g, C, b**n * e**n * math.factorial(n),
+                     Fraction(a * e + c * b + 2 * n * b * e, b * e), module, targets)
 
 
 def ct_pairing(f: VVSeries, g: VVSeries) -> tuple[Fraction, int]:
@@ -647,18 +659,13 @@ def ct_pairing(f: VVSeries, g: VVSeries) -> tuple[Fraction, int]:
     """
     if f.module.orders != g.module.orders:
         raise ValueError("component groups differ")
-    need_g = -f.exponent_floor()
-    need_f = -g.exponent_floor()
-    if g.prec <= need_g:
-        raise InsufficientPrecision(
-            f"second series complete only below {g.prec}, need > {need_g}",
-            required=need_g,
-        )
-    if f.prec <= need_f:
-        raise InsufficientPrecision(
-            f"first series complete only below {f.prec}, need > {need_f}",
-            required=need_f,
-        )
+    # each series must be complete above minus the other's least exponent
+    for name, series, other in (("second", g, f), ("first", f, g)):
+        floor = other.scaled_floor()
+        if series.prec.numerator * other.den <= -floor * series.prec.denominator:
+            need = Fraction(-floor, other.den)
+            raise InsufficientPrecision(
+                f"{name} series complete only below {series.prec}, need > {need}", required=need)
     # summed over the integer views, divided once
     Lf, fi, _ = f.integers()
     Lg, gi, _ = g.integers()

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .arith import check_discriminant, cohen_H, dirichlet_L_value
+from .arith import check_discriminant, dirichlet_L_value, sigma
 from .bqf import definite_class_reps, hypothesis_check
 from .errors import HypothesisViolated, UnsupportedK
 from .fqm import (
@@ -257,16 +257,26 @@ class ExactSeries:
 # input forms f_D
 
 
-def fD_const_term(k: int, D: int) -> Fraction:
+def fD_const_term(k: int, D: int) -> int:
     """Constant term of the weight 3/2 - k plus-space form with q^{-D} pole.
 
-    Pairing against the weight k + 1/2 Eisenstein series gives
-    c(0) = -H(k, D)/H(k, 0); for k = 2 this is -120 L_D(-1).
+    Pairing against the weight k + 1/2 Cohen--Eisenstein series gives
+    c(0) = -H(k, D)/H(k, 0).  For k in {2, 4}, the only k with such a form
+    (see build_fD), Kohnen's plus space of weight k + 1/2 is
+    one-dimensional, and Cohen (Math. Ann. 217, 1975) writes its
+    coefficients as divisor sums: H(2, N) = -S_1(N)/5 and H(4, N) = S_3(N)
+    for non-square N, with S_m(N) the sum of sigma_m((N - b^2)/4) over
+    the integers b ≡ N (mod 2), b^2 < N.  As H(2, 0) = 1/120 and
+    H(4, 0) = 1/240, c(0) is 24 S_1(D) at k = 2 and -240 S_3(D) at k = 4,
+    an integer.  arith.cohen_H, through generalized Bernoulli numbers, is
+    the independent route to the same values.
     """
-    if k < 2 or k % 2:
-        raise UnsupportedK("the exact side needs even k >= 2")
+    _check_exact_k(k)
     check_discriminant(D)
-    return -cohen_H(k, D) / cohen_H(k, 0)
+    # b and -b give one term; b = 0 only for even D, which is not a square
+    S = sum((2 if b else 1) * sigma(k - 1, (D - b * b) // 4)
+            for b in range(D % 2, isqrt(D) + 1, 2))
+    return 24 * S if k == 2 else -240 * S
 
 
 def _check_exact_k(k: int) -> None:
@@ -281,9 +291,10 @@ def build_fD(k: int, D: int) -> VVSeries:
     """The unique plus-space form e(-D tau) + O(1) of weight 3/2 - k.
 
     Vector-valued over L'/L: coefficient 1 at exponent -D/4 on the
-    component determined by D mod 2, constant term on the zero component.
-    It stops at prec 1/4: the pairing against a holomorphic bracket reads
-    no positive exponent.
+    component determined by D mod 2, the constant term fD_const_term(k, D)
+    on the zero component.  Both coefficients are Python ints.  It stops
+    at prec 1/4: the pairing against a holomorphic bracket reads no
+    positive exponent.
 
     Only k = 2 and k = 4 are admitted: for even k >= 6 the dual space of
     cusp forms of weight k + 1/2 is nonzero, so no weakly holomorphic
@@ -297,10 +308,10 @@ def build_fD(k: int, D: int) -> VVSeries:
     comp = zero if D % 2 == 0 else M.index[_L_NONTRIVIAL]
     f = VVSeries(
         module=M,
-        weight=Fraction(3, 2) - k,
+        weight=Fraction(3 - 2 * k, 2),
         den=4,
         # D is not 0, so the pole and the constant term are two keys
-        terms={(comp, -D): Fraction(1), (zero, 0): fD_const_term(k, D)},
+        terms={(comp, -D): 1, (zero, 0): fD_const_term(k, D)},
         prec=Fraction(1, 4),
         pi_power=0,
         sigma=+1,
@@ -318,8 +329,7 @@ def build_fD(k: int, D: int) -> VVSeries:
 # scalar plus-space forms and vector-valued forms halves the xi-image,
 # so the bracket input normalised as above has shadow 2 Theta_P.  The
 # trace formula wants shadow exactly Theta_P; compensate by 1/2.  This
-# constant is pinned by the agreement with closed_formula (k = 2 and 4).
-_SHADOW_SCALE = Fraction(1, 2)
+# factor is pinned by the agreement with closed_formula (k = 2 and 4).
 
 
 def rhs_trace(k: int, D: int, series: ExactSeries | None = None) -> Fraction:
@@ -330,6 +340,11 @@ def rhs_trace(k: int, D: int, series: ExactSeries | None = None) -> Fraction:
     of N^-, and scales by 2^(k-3) |d|^(1/2) / (pi |stab|) (the pi cancels
     the bracket's pi-power).  Covers k in {2, 4} with d = -4; see
     build_fD for why even k >= 6 has no two-term input form.
+
+    f_D's constant term is a divisor sum (fD_const_term), and the bracket
+    is computed only at the two exponents the pairing reads, in integers;
+    the one division is the pairing's, and the prefactor scales its
+    numerator and denominator.
 
     series, shared by the traces of a table, holds the bracket's inputs;
     without it they are built for this D.  A series too short for D
@@ -344,7 +359,7 @@ def rhs_trace(k: int, D: int, series: ExactSeries | None = None) -> Fraction:
         )
     fK = restrict(build_fD(k, D), embedding_PN_in_L())
     # the pairing reads the bracket only opposite fK's terms (exponents D/4 and 0)
-    targets = [(c, -Fraction(n, fK.den)) for (c, n) in fK.terms]
+    targets = [(c, Fraction(-n, fK.den)) for (c, n) in fK.terms]
     if series is None:
         series = ExactSeries(D)
     bracket = rankin_cohen(series.hurwitz, series.theta, k // 2 - 1,
@@ -352,10 +367,9 @@ def rhs_trace(k: int, D: int, series: ExactSeries | None = None) -> Fraction:
     ct, pi_power = ct_pairing(fK, bracket)
     if pi_power != 1:
         raise RuntimeError(f"the pairing carries pi^{pi_power}, not the pi^1 the prefactor cancels")
-    # 2^(k-3) * |d|^(1/2) / (pi * |stab(z_A)|) with |d|^(1/2) = 2, |stab| = 2;
-    # the 1/pi cancels pi_power = 1
-    prefactor = Fraction(2) ** (k - 3) * _SHADOW_SCALE
-    return prefactor * ct
+    # 2^(k-3) * |d|^(1/2) / (pi * |stab(z_A)|) with |d|^(1/2) = 2, |stab| = 2,
+    # where the 1/pi cancels pi_power = 1, times the shadow's 1/2: 2^k / 16
+    return Fraction(ct.numerator << k, ct.denominator << 4)
 
 
 def closed_formula(k: int, D: int) -> Fraction:

@@ -144,6 +144,18 @@ def test_table_csv(tmp_path):
     assert 9 not in rows and 16 not in rows and 36 not in rows and 14 not in rows
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_table_exact_matches_golden(tmp_path, k):
+    # columns 1-7 (all but seconds) of `table --k k --Dmax 150 --method exact`,
+    # byte for byte: the hypothesis_ok=false rows and the value format included
+    out = tmp_path / "t.csv"
+    assert main(["table", "--k", str(k), "--Dmax", "150", "--method", "exact",
+                 "--out", str(out)]) == 0
+    got = "".join(ln.rsplit(",", 1)[0] + "\n" for ln in out.read_text().splitlines())
+    golden = Path(__file__).parent / "golden" / f"table_k{k}_Dmax150_exact.csv"
+    assert got == golden.read_text()
+
+
 def test_table_json_round_trip(tmp_path):
     csv_path = tmp_path / "t.csv"
     json_path = tmp_path / "t.json"

@@ -326,6 +326,32 @@ def test_ct_pairing():
         ct_pairing(a, VVSeries(module=MP, weight=Fraction(1), den=4,
                                terms={}, prec=Fraction(1, 2)))
     assert err.value.required == 1
+    # a series must be complete strictly above minus the other's least
+    # exponent, on either side of the pairing
+    for prec, raises in ((Fraction(1), True), (Fraction(9, 8), False)):
+        other = VVSeries(module=MP, weight=Fraction(1), den=8, terms={}, prec=prec)
+        for f, g in ((a, other), (other, a)):
+            if raises:
+                with pytest.raises(InsufficientPrecision) as err:
+                    ct_pairing(f, g)
+                assert err.value.required == 1
+            else:
+                assert ct_pairing(f, g) == (0, 0)
+
+
+def test_validate_support_is_the_congruence():
+    # the integer check against n/den ≡ sigma q(mu) (mod 1) in Fractions
+    for M in (module_P(), module_L(), module_N_minus(), module_K_minus()):
+        for den, sigma in product((4, 8), (1, -1)):
+            for c in range(M.order):
+                for n in range(-9, 10):
+                    f = VVSeries(module=M, weight=Fraction(1), den=den,
+                                 terms={(c, n): Fraction(1)}, prec=Fraction(3), sigma=sigma)
+                    if Fraction(n, den) % 1 == sigma * M._q[c] % 1:
+                        f.validate_support()
+                    else:
+                        with pytest.raises(ValueError):
+                            f.validate_support()
 
 
 def test_weil_matrices():
@@ -492,7 +518,16 @@ def test_integer_view_equals_the_fraction_terms():
                         (1, 1): Fraction(7, 2)}, prec=Fraction(3))
     empty = VVSeries(module=module_P(), weight=Fraction(1), den=4, terms={}, prec=Fraction(3))
     fK = restrict(build_fD(4, 21), embedding_PN_in_L())
-    for series in (hurwitz_gen(Fraction(52)), theta_N_minus(Fraction(52)), fK, f, empty):
+    g = VVSeries(module=module_N_minus(), weight=Fraction(1), den=2,
+                 terms={(0, -2): Fraction(1), (3, -1): Fraction(4), (0, 0): Fraction(-2),
+                        (2, 3): Fraction(1, 5), (3, 1): Fraction(3)}, prec=Fraction(2))
+    # a product keeps the integer view it summed, reduced to the least denominator
+    products = [rankin_cohen(f, g, n) for n in (0, 1, 2)]
+    products += [rankin_cohen(f, g, 2, targets=_targets_of(products[2])[::2]),
+                 rankin_cohen(f, g, 1, targets=[(5, Fraction(-1, 2))]), tensor(f, g)]
+    assert all(p._integers is not None for p in products)
+    for series in (hurwitz_gen(Fraction(52)), theta_N_minus(Fraction(52)), fK, f, empty,
+                   *products):
         L, by_key, by_comp = series.integers()
         assert series.integers() is series.integers()
         assert {key: Fraction(v, L) for key, v in by_key.items()} == series.terms
@@ -500,7 +535,7 @@ def test_integer_view_equals_the_fraction_terms():
         assert by_comp == {c: sorted((n, v) for (cc, n), v in by_key.items() if cc == c)
                            for c in {c for (c, _) in by_key}}
         floor = min((n for (_, n) in series.terms), default=0)
-        assert series.exponent_floor() == Fraction(floor, series.den)
+        assert series.scaled_floor() == floor
 
 
 def _bracket_by_fractions(f, g, n):
@@ -511,7 +546,8 @@ def _bracket_by_fractions(f, g, n):
         return math.prod((x + n - i for i in range(1, s + 1)), start=Fraction(1)) / math.factorial(s)
 
     ng, den = len(g.module.elements), math.lcm(f.den, g.den)
-    prec = min(f.prec + g.exponent_floor(), g.prec + f.exponent_floor())
+    prec = min(f.prec + Fraction(min(n for (_, n) in g.terms), g.den),
+               g.prec + Fraction(min(n for (_, n) in f.terms), f.den))
     out = {}
     for (cf, nf), vf in f.terms.items():
         for (cg, m), vg in g.terms.items():

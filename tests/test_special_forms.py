@@ -3,7 +3,7 @@ from math import isqrt
 
 import pytest
 
-from cyclotrace.arith import dirichlet_L_value, is_square
+from cyclotrace.arith import cohen_H, dirichlet_L_value, is_square
 from cyclotrace.bqf import hypothesis_check
 from cyclotrace.errors import (
     HypothesisViolated,
@@ -94,6 +94,20 @@ def test_fD_const_term():
     assert fD_const_term(2, 5) == 48
     for D in admissible(200, require_hypothesis=False):
         assert fD_const_term(2, D) == -120 * dirichlet_L_value(D, -1)
+
+
+def test_fD_const_term_is_cohens_divisor_sum():
+    # the divisor sums against -H(k, D)/H(k, 0) from generalized Bernoulli
+    # numbers, fundamental D or not, on either side of the hypothesis
+    for k in (2, 4):
+        for D in admissible(1000, require_hypothesis=False):
+            assert fD_const_term(k, D) == -cohen_H(k, D) / cohen_H(k, 0), (k, D)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6, 8])
+def test_fD_const_term_rejects_k_without_an_input_form(k):
+    with pytest.raises(UnsupportedK):
+        fD_const_term(k, 13)
 
 
 def test_build_fD():
