@@ -16,7 +16,8 @@ test reads.  The
 hypergeometric lattice sum counts the forms of each group; its value is
 the tail extrapolate of its last doubling, and its estimate the largest
 of the extrapolate's last three changes, scaled down by the decay of
-those changes, plus a rounding floor.  Only the t of the parity of
+those changes, plus a rounding floor.  Both doublings stop by one rule,
+`_stop_rule`, and report it.  Only the t of the parity of
 |d| D hold forms, so the groups are indexed by j with
 t = 2j - (|d| D mod 2).  At the nine d of
 class number one the counts are divisor sums of a quadratic character
@@ -476,6 +477,38 @@ def eval_fkA(z: complex, k: int, d: int, rep: BQF | None = None) -> complex:
 ROUNDING_FLOOR = 256
 
 
+def _stop_rule(change: float, rest: float, tol: float) -> str | None:
+    """Why a doubling loop stops, or None to double again.  change is the
+    part of the estimate change + rest that a larger cutoff lowers: "tol"
+    once it fits in what rest leaves of tol, "rest" once it fits in half
+    of tol as rest takes more, "noise_floor" once it is at most rest.  Only
+    "tol" keeps the estimate below tol."""
+    if change < tol - rest:
+        return "tol"
+    if change < tol / 2:
+        return "rest"
+    if change <= rest:
+        return "noise_floor"
+    return None
+
+
+def _check_trace(k: int, D: int, d: int, tol: float) -> None:
+    """The argument checks of a numeric trace, the hypothesis last."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    check_tol(tol)
+    if not hypothesis_check(D, d):
+        raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
+
+
+def _numeric_report(method: str, k: int, D: int, d: int, tol: float, t0: float,
+                    value: float, error_estimate: float, cutoff: dict) -> TraceReport:
+    """The report of a numeric trace started at t0; its cutoff gains met_tol."""
+    return TraceReport(k=k, D=D, d=d, method=method, value=value, error_estimate=error_estimate,
+                       hypothesis_ok=True, seconds=time.perf_counter() - t0,
+                       cutoff={**cutoff, "met_tol": error_estimate <= tol})
+
+
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
     p0, p1 = np.ones_like(x), x
@@ -553,13 +586,10 @@ class _CycleRule:
 def _quadratures(ev: FkAEvaluator, levels: list[tuple[_CycleRule, int]]) -> list[tuple[complex, float, float]]:
     """Per level (rule, mult): the rule's value at mult * base panels per
     piece, the sum of its terms' sizes and the sum of |P(z,1)^(k-1) dz| over
-    its nodes.  A level above PANEL_CEILING panels raises NoConvergence
-    before any is evaluated.  The levels share evaluator calls in order, as
-    many in each as PANEL_CEILING panels hold; a node's value does not
-    depend on its batch, so neither do the sums."""
+    its nodes.  No level may pass PANEL_CEILING panels.  The levels share
+    evaluator calls in order, as many in each as PANEL_CEILING panels hold;
+    a node's value does not depend on its batch, so neither do the sums."""
     panels = [rule.panels(mult) for rule, mult in levels]
-    if max(panels, default=0) > PANEL_CEILING:
-        raise NoConvergence("quadrature panels above ceiling")
     out = []
     while levels:
         # the longest run of levels within PANEL_CEILING panels
@@ -583,14 +613,20 @@ def _cycle_integrals(forms: list[BQF], k: int, d: int, tol: float) -> list[tuple
     its first stop test reads; each later round doubles the rules of the
     forms whose test has not fired.  Each round shares its evaluator calls
     across the forms (`_quadratures`), and each form keeps its own rule,
-    estimate, stop and cutoff metadata.
+    estimate, stop and cutoff metadata.  A round with a level above
+    PANEL_CEILING panels raises NoConvergence before it is evaluated.
     """
     ev = get_evaluator(k, d)
     rules = [_CycleRule(Q, k) for Q in forms]
     results = [None] * len(rules)
     last = [0j] * len(rules)  # each rule's value at its last level
+    estimates = [None] * len(rules)  # and its last estimate
     levels = [(i, mult) for i in range(len(rules)) for mult in (1, 2)]
     while levels:
+        i, mult = max(levels, key=lambda level: rules[level[0]].panels(level[1]))
+        if (panels := rules[i].panels(mult)) > PANEL_CEILING:
+            reached = "none" if estimates[i] is None else f"{panels // 2} panels, estimate {estimates[i]:.3e}"
+            raise NoConvergence(f"geodesic: {panels} panels would pass the ceiling {PANEL_CEILING}; last cutoff {reached}")
         sums = _quadratures(ev, [(rules[i], mult) for i, mult in levels])
         for (i, mult), (cur, size, weight_sum) in zip(levels, sums):
             prev, last[i] = last[i], cur
@@ -600,14 +636,10 @@ def _cycle_integrals(forms: list[BQF], k: int, d: int, tol: float) -> list[tuple
             # what more panels cannot lower: the evaluator's residual over
             # the rule's weights, and ROUNDING_FLOOR eps per unit of sum |term|
             rest = ev.residual * weight_sum + ROUNDING_FLOOR * EPS * size
-            meta = {"panels": rules[i].panels(mult), "layer_cutoff": ev.cutoff}
-            # stop once delta fits in what the other terms leave of tol, or
-            # in half of tol when they take more
-            if delta < max(tol - rest, tol / 2):
-                results[i] = cur, delta + rest, meta
-            # delta at or below rest: more panels cannot lower the estimate
-            elif delta <= rest:
-                results[i] = cur, delta + rest, {**meta, "noise_floor": True}
+            estimates[i] = delta + rest
+            if rule := _stop_rule(delta, rest, tol):
+                results[i] = cur, delta + rest, {"panels": rules[i].panels(mult), "layer_cutoff": ev.cutoff,
+                                                 "stop_rule": rule}
         levels = [(i, 2 * mult) for i, mult in levels if mult > 1 and results[i] is None]
     return results
 
@@ -617,7 +649,6 @@ def cycle_integral(
     k: int,
     d: int = -4,
     tol: float = 1e-9,
-    check_pole: bool = True,
 ) -> tuple[complex, float, dict]:
     """One geodesic cycle integral of f_{k, class} against Q(z,1)^{k-1} dz.
 
@@ -629,19 +660,18 @@ def cycle_integral(
     matching stretch of Q's own period, taken against P(z,1)^{k-1} dz.
     Composite Gauss--Legendre quadrature in the hyperbolic arclength u,
     with each piece given max(1, round(its length)) panels times a common
-    multiplier, doubled until the change fits in tol beside the estimate's
-    other terms, up to PANEL_CEILING panels.  Returns (value,
-    error_estimate, cutoff_metadata).  The estimate is the last doubling's
+    multiplier, doubled until `_stop_rule` stops it, up to PANEL_CEILING
+    panels.  Returns (value, error_estimate, cutoff_metadata), the
+    metadata naming the rule in stop_rule.  The estimate is the last doubling's
     change, plus the evaluator's residual times the rule's sum of
     |P(z,1)^(k-1) dz|, plus ROUNDING_FLOOR eps times the sum of the sizes
     of the rule's terms.  This is the one-form case of `_cycle_integrals`,
     through which `lhs_geodesic` integrates all its classes at once.
     """
     check_tol(tol)
-    if check_pole:
-        for X in on_geodesic_forms(Q.disc, d):
-            if equivalent_indefinite(X, Q):
-                raise PoleOnGeodesic(f"a pole lies on the geodesic of {Q}")
+    for X in on_geodesic_forms(Q.disc, d):
+        if equivalent_indefinite(X, Q):
+            raise PoleOnGeodesic(f"a pole lies on the geodesic of {Q}")
     return _cycle_integrals([Q], k, d, tol)[0]
 
 
@@ -652,13 +682,10 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
     in lockstep (`_cycle_integrals`), so each doubling makes one evaluator
     call for every class still short of its tolerance.  The cutoff's
     `panels` is the largest over the classes of a class's panels, summed
-    over the pieces of its reduced cycle."""
+    over the pieces of its reduced cycle, and its `stop_rule` the loosest
+    of the classes' rules."""
     t0 = time.perf_counter()
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    check_tol(tol)
-    if not hypothesis_check(D, d):
-        raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
+    _check_trace(k, D, d, tol)
     total = 0j
     err = 0.0
     metas = []
@@ -667,22 +694,11 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
         total += val
         err += e
         metas.append(meta)
-    error_estimate = max(err, abs(total.imag))
-    # the largest cutoffs over the classes, and any class's noise floor
+    # the largest cutoffs over the classes, and the loosest stop rule
     cutoff = {key: max(m[key] for m in metas) for key in ("panels", "layer_cutoff")}
-    if any(m.get("noise_floor") for m in metas):
-        cutoff["noise_floor"] = True
-    return TraceReport(
-        k=k,
-        D=D,
-        d=d,
-        method="geodesic",
-        value=total.real,
-        error_estimate=error_estimate,
-        hypothesis_ok=True,
-        seconds=time.perf_counter() - t0,
-        cutoff={**cutoff, "classes": len(reps), "met_tol": error_estimate <= tol},
-    )
+    cutoff["stop_rule"] = max((m["stop_rule"] for m in metas), key=("tol", "rest", "noise_floor").index)
+    return _numeric_report("geodesic", k, D, d, tol, t0, total.real, max(err, abs(total.imag)),
+                           {**cutoff, "classes": len(reps)})
 
 
 # ----------------------------------------------------------------------
@@ -963,10 +979,9 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     max(|dR_n|, |dR_(n-1)| 2^-(k-2), |dR_(n-2)| 2^-2(k-2)) of the last
     three changes of R, the older ones discounted by the S^(2-k) decay of
     the changes, plus the sum's rounding, ROUNDING_FLOOR eps times
-    |pref total|.  The loop stops once the window fits in what the
-    rounding leaves of tol, or in half of tol, or, marked noise_floor,
-    once the window is at most the rounding; the cutoff's met_tol says
-    whether the estimate is within tol.  The estimate needs four
+    |pref total|.  The loop stops by `_stop_rule` on the window and the
+    rounding, and the cutoff names the rule in stop_rule; its met_tol
+    says whether the estimate is within tol.  The estimate needs four
     extrapolates, so no sum stops before S = 16 first: one pass counts
     the groups and evaluates 2F1 over j <= 16 first, and the first
     window's sum and the next four increments are read off it; each
@@ -976,18 +991,14 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     check.
     """
     t0 = time.perf_counter()
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    check_tol(tol)
-    first, key = (1 << 8, "s_cutoff") if d == -4 else (8, "t_cutoff")
+    first, key, unit = (1 << 8, "s_cutoff", 1) if d == -4 else (8, "t_cutoff", 2)
     sieved = d in CLASS_NUMBER_ONE
     ceiling = S_CEILING if sieved else 1 << 15
     M = -d * D
     e = M % 2  # t = 2j - e
     if sieved and _n_of_j(M, ceiling) > np.iinfo(np.int64).max:
         raise ValueError(f"D = {D}: n(j) = ({M} + t^2)/4 overflows int64 below the j ceiling {ceiling}")
-    if not hypothesis_check(D, d):
-        raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
+    _check_trace(k, D, d, tol)
     w_stab = stabilizer_order(d)
     pref = (
         (-1) ** k
@@ -998,10 +1009,7 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     )
     if k % 2 == 1:
         # sgn(t)^k is odd while N(t) is even in t: exact cancellation
-        return TraceReport(
-            k=k, D=D, d=d, method="latticesum", value=0.0, error_estimate=0.0,
-            hypothesis_ok=True, seconds=time.perf_counter() - t0, cutoff={key: 0, "met_tol": True},
-        )
+        return _numeric_report("latticesum", k, D, d, tol, t0, 0.0, 0.0, {key: 0, "stop_rule": "tol"})
     if sieved:
         roots = _PrimeRoots(M)
 
@@ -1029,12 +1037,13 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
 
     # the stop test reads four extrapolates, so no sum stops before j =
     # 16 first: one pass sums the first window and the next four
-    S, R, noise_floor = first, [], False  # R: the last four extrapolates
+    S, R = first, []  # R: the last four extrapolates
     total, *incs = window_sums([0] + [first << i for i in range(5)])
     while True:
         if not incs:
             if 2 * S > ceiling:
-                raise NoConvergence("lattice-sum cutoff above ceiling")
+                raise NoConvergence(f"latticesum: {key} {unit * 2 * S} would pass the ceiling {unit * ceiling}; "
+                                    f"last cutoff {unit * S}, estimate {est + rest:.3e}")
             incs = window_sums([S, 2 * S])
         inc = incs.pop(0)
         total += inc
@@ -1046,26 +1055,7 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
             # what more terms cannot lower: the sum's rounding, ROUNDING_FLOOR
             # eps per unit of the sum, whose terms are all positive at even k
             rest = ROUNDING_FLOOR * EPS * abs(pref * total)
-            # stop once est fits in what rest leaves of tol, or in half of
-            # tol when rest takes more, as _cycle_integrals does
-            if est < max(tol - rest, tol / 2):
+            if rule := _stop_rule(est, rest, tol):
                 break
-            # est at or below rest: more terms cannot lower the estimate
-            if est <= rest:
-                noise_floor = True
-                break
-    error_estimate = max(est + rest, 1e-15)
-    cutoff = {key: S if d == -4 else 2 * S, "met_tol": error_estimate <= tol}
-    if noise_floor:
-        cutoff["noise_floor"] = True
-    return TraceReport(
-        k=k,
-        D=D,
-        d=d,
-        method="latticesum",
-        value=R[-1],
-        error_estimate=error_estimate,
-        hypothesis_ok=True,
-        seconds=time.perf_counter() - t0,
-        cutoff=cutoff,
-    )
+    return _numeric_report("latticesum", k, D, d, tol, t0, R[-1], max(est + rest, 1e-15),
+                           {key: unit * S, "stop_rule": rule})

@@ -472,7 +472,7 @@ def test_cycle_integral_pole_detection():
 def test_imaginary_parts_cancel():
     total = 0j
     for Q in indefinite_class_reps(12):
-        v, _, _ = cycle_integral(Q, 2, -4, tol=1e-8, check_pole=False)
+        v, _, _ = cycle_integral(Q, 2, -4, tol=1e-8)
         total += v
     assert abs(total.imag) < 1e-8
     assert abs(total.real - 24) < 1e-6
@@ -507,7 +507,7 @@ def test_lhs_geodesic():
 def test_lhs_geodesic_keeps_every_class(k, D, d, tol):
     rep = lhs_geodesic(k, D, d, tol=tol)
     reps = indefinite_class_reps(D)
-    integrals = [cycle_integral(Q, k, d, tol=tol / len(reps), check_pole=False) for Q in reps]
+    integrals = [cycle_integral(Q, k, d, tol=tol / len(reps)) for Q in reps]
     metas = [meta for _, _, meta in integrals]
     total = 0j
     for value, _, _ in integrals:
@@ -516,8 +516,38 @@ def test_lhs_geodesic_keeps_every_class(k, D, d, tol):
     assert rep.cutoff["classes"] == len(reps)
     assert rep.cutoff["panels"] == max(m["panels"] for m in metas)
     assert rep.cutoff["layer_cutoff"] == max(m["layer_cutoff"] for m in metas)
-    assert rep.cutoff.get("noise_floor", False) == any(m.get("noise_floor") for m in metas)
+    # the trace names the loosest of its classes' stop rules
+    rules = {m["stop_rule"] for m in metas}
+    assert rep.cutoff["stop_rule"] == next(r for r in ("noise_floor", "rest", "tol") if r in rules)
     assert rep.cutoff["met_tol"] == (rep.error_estimate <= tol)
+
+
+def test_stop_rule_tries_tol_then_rest_then_the_noise_floor():
+    assert analytic._stop_rule(0.5, 0.4, 1.0) == "tol"
+    assert analytic._stop_rule(0.45, 0.6, 1.0) == "rest"
+    assert analytic._stop_rule(0.55, 0.6, 1.0) == "noise_floor"
+    assert analytic._stop_rule(0.7, 0.6, 1.0) is None
+
+
+# each stop rule by name: (2, 12, -4) at 1e-6 fits tol beside the rest;
+# (4, 12, -4) at 1e-10 fits only half of tol, as the rest takes more, and
+# misses tol; (4, 48, -4) at 1e-9 and the k = 4 lattice sums at 1e-11 and
+# 1e-12 absolute reach the noise floor; odd k sums to an exact zero
+@pytest.mark.parametrize("method, k, D, d, tol, rule", [
+    (lhs_geodesic, 2, 12, -4, 1e-6, "tol"),
+    (lhs_geodesic, 4, 12, -4, 1e-10, "rest"),
+    (lhs_geodesic, 4, 48, -4, 1e-9, "noise_floor"),
+    (lhs_latticesum, 4, 44, -4, 1e-11, "noise_floor"),
+    (lhs_latticesum, 4, 384, -4, 1e-12, "noise_floor"),
+    (lhs_latticesum, 3, 12, -4, 1e-6, "tol"),
+    (lhs_latticesum, 3, 21, -3, 1e-6, "tol"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_numeric_traces_name_their_stop_rule(method, k, D, d, tol, rule):
+    rep = method(k, D, d, tol=tol)
+    assert rep.cutoff["stop_rule"] == rule
+    assert rep.cutoff["met_tol"] == (rep.error_estimate <= tol)
+    if rule != "noise_floor":
+        assert rep.cutoff["met_tol"] == (rule == "tol")
 
 
 def _count_eval_calls(monkeypatch) -> list[int]:
@@ -558,9 +588,18 @@ def test_panel_ceiling_raises_before_the_level_is_evaluated(monkeypatch):
     get_evaluator(2, -4)
     sizes = _count_eval_calls(monkeypatch)
     monkeypatch.setattr(analytic, "PANEL_CEILING", 3)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match="geodesic: 4 panels would pass the ceiling 3; last cutoff none"):
         lhs_geodesic(2, 12, -4, tol=1e-5)
     assert sizes == []
+
+
+def test_panel_ceiling_names_the_last_cutoff_and_estimate(monkeypatch):
+    # D = 48 at 1e-9 doubles its largest class to 24 panels; under a
+    # ceiling of 16 the doubling past 8 panels raises
+    monkeypatch.setattr(analytic, "PANEL_CEILING", 16)
+    with pytest.raises(NoConvergence, match=r"geodesic: \d+ panels would pass the ceiling 16; "
+                                            r"last cutoff \d+ panels, estimate \d\.\d{3}e-\d+$"):
+        lhs_geodesic(4, 48, -4, tol=1e-9)
 
 
 # ------------------------------------------------------- lattice sum
@@ -708,8 +747,8 @@ def test_lhs_latticesum():
     rep3 = lhs_latticesum(3, 12, -4)
     assert rep3.value == 0.0
     # the exact zero of odd k names the cutoff of its path
-    assert rep3.cutoff == {"s_cutoff": 0, "met_tol": True}
-    assert lhs_latticesum(3, 21, -3).cutoff == {"t_cutoff": 0, "met_tol": True}
+    assert rep3.cutoff == {"s_cutoff": 0, "stop_rule": "tol", "met_tol": True}
+    assert lhs_latticesum(3, 21, -3).cutoff == {"t_cutoff": 0, "stop_rule": "tol", "met_tol": True}
     with pytest.raises(HypothesisViolated):
         lhs_latticesum(2, 8, -4)
 
@@ -746,6 +785,18 @@ def test_sieved_latticesums_reject_int64_overflow(d):
     assert -d * (D - 4) // 4 + S * S <= big < -d * D // 4 + S * S
     with pytest.raises(ValueError, match=f"D = {D}"):
         lhs_latticesum(2, D, d)
+
+
+# under a j ceiling of 2^13 at d = -4 and 2^10 at d = -7 (t <= 2^11),
+# neither k = 2 sum reaches 1e-9: each names its last cutoff and estimate
+@pytest.mark.parametrize("d, ceiling, message", [
+    (-4, 1 << 13, "latticesum: s_cutoff 16384 would pass the ceiling 8192; last cutoff 8192, estimate "),
+    (-7, 1 << 10, "latticesum: t_cutoff 4096 would pass the ceiling 2048; last cutoff 2048, estimate "),
+])
+def test_latticesum_ceiling_names_the_last_cutoff_and_estimate(monkeypatch, d, ceiling, message):
+    monkeypatch.setattr(analytic, "S_CEILING", ceiling)
+    with pytest.raises(NoConvergence, match=message + r"\d\.\d{3}e-\d+$"):
+        lhs_latticesum(2, 12, d, tol=1e-9)
 
 
 @pytest.mark.parametrize("d, tol", [(-4, 1e-6), (-7, 1e-3)])
@@ -787,20 +838,22 @@ def _latticesum_by_windows(k, D, d, tol):
             est = max(abs(R[3 - i] - R[2 - i]) * 2.0 ** (-(k - 2) * i) for i in range(3))
             rest = analytic.ROUNDING_FLOOR * analytic.EPS * abs(pref * total)
             cutoff = {key: S if d == -4 else 2 * S, "met_tol": max(est + rest, 1e-15) <= tol}
-            if est < max(tol - rest, tol / 2):
-                return R[-1], cutoff
+            if est < tol - rest:
+                return R[-1], {**cutoff, "stop_rule": "tol"}
+            if est < tol / 2:
+                return R[-1], {**cutoff, "stop_rule": "rest"}
             if est <= rest:
-                return R[-1], {**cutoff, "noise_floor": True}
+                return R[-1], {**cutoff, "stop_rule": "noise_floor"}
 
 
 # (4, 12, -4) stops at the least s_cutoff 16 * 2^8, (2, 24, -4) runs on
 # past the first pass, and (6, 5, -23) counts with PairingSolver
 @pytest.mark.parametrize("k, D, d, tol, cutoff", [
-    (4, 12, -4, 1e-4, {"s_cutoff": 4096, "met_tol": True}),
-    (2, 24, -4, 2e-3, {"s_cutoff": 32768, "met_tol": True}),
-    (4, 33, -7, 1e-6, {"t_cutoff": 16384, "met_tol": True}),
-    (4, 13, -8, 1e-6, {"t_cutoff": 4096, "met_tol": True}),
-    (6, 5, -23, 1e-6, {"t_cutoff": 512, "met_tol": True}),
+    (4, 12, -4, 1e-4, {"s_cutoff": 4096, "stop_rule": "tol", "met_tol": True}),
+    (2, 24, -4, 2e-3, {"s_cutoff": 32768, "stop_rule": "tol", "met_tol": True}),
+    (4, 33, -7, 1e-6, {"t_cutoff": 16384, "stop_rule": "tol", "met_tol": True}),
+    (4, 13, -8, 1e-6, {"t_cutoff": 4096, "stop_rule": "tol", "met_tol": True}),
+    (6, 5, -23, 1e-6, {"t_cutoff": 512, "stop_rule": "tol", "met_tol": True}),
 ])
 def test_latticesum_first_pass_keeps_every_window(k, D, d, tol, cutoff):
     rep = lhs_latticesum(k, D, d, tol=tol)
@@ -817,7 +870,7 @@ def test_latticesum_sieves_its_first_span_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(analytic, name, counted)
-    assert lhs_latticesum(4, 12, -4, tol=1e-4).cutoff == {"s_cutoff": 4096, "met_tol": True}
+    assert lhs_latticesum(4, 12, -4, tol=1e-4).cutoff == {"s_cutoff": 4096, "stop_rule": "tol", "met_tol": True}
     assert calls == {"_form_counts": 1, "_hyp2f1_quadratic": 1}
 
 
@@ -856,7 +909,7 @@ def test_latticesum_estimate_covers_its_rounding(D, tol):
     exact = float(closed_formula(4, D))
     rep = lhs_latticesum(4, D, -4, tol=tol or 1e-13 * (1 + exact))
     assert abs(rep.value - exact) <= rep.error_estimate
-    assert rep.cutoff.get("noise_floor", False) == (tol is not None)
+    assert rep.cutoff["stop_rule"] == ("tol" if tol is None else "noise_floor")
     assert rep.cutoff["met_tol"] == (tol is None)
 
 
