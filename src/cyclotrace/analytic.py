@@ -21,12 +21,12 @@ those changes, plus a rounding floor.  Both doublings stop by one rule,
 |d| D hold forms, so the groups are indexed by j with
 t = 2j - (|d| D mod 2).  At the nine d of
 class number one the counts are divisor sums of a quadratic character
-(Dirichlet), from one factorization sieve in numpy array work: the
-square roots of -|d| D modulo every new prime come from one batched
-Tonelli--Shanks as the cutoff grows, with least non-residues by
-reciprocity, and the int64 values n(j) = (|d| D + t^2)/4 are divided by
-their prime powers in chunks of a bounded number of hits.  Other d
-count with `PairingSolver`.
+(Dirichlet), from one factorization sieve per sum, `_DirichletSieve`,
+in numpy array work: the square roots of -|d| D modulo every new prime
+come from one batched Tonelli--Shanks as the cutoff grows, with least
+non-residues by reciprocity, and the int64 values n(j) = (|d| D + t^2)/4
+are divided by their prime powers in chunks of a bounded number of
+hits.  Other d count with `PairingSolver`.
 2F1 is summed as the positive series of its quadratic transformation,
 which stops once no term left can change its sum.
 """
@@ -820,25 +820,53 @@ def _n_of_j(M: int, j):
     return j * (j - e) + (M + e) // 4
 
 
-class _PrimeRoots:
-    """The pairs (p, r) of a prime p and a residue 0 <= r < p with p | n(r),
-    for n(j) = (M + (2j - e)^2)/4 and e = M mod 2, as int64 arrays sorted by
-    p, then r.
+class _DirichletSieve:
+    """N(t), the number of forms of disc D > 0 with doubled pairing t with
+    the CM form of disc d, for t = 2j - e and e = |d| D mod 2, via a
+    quadratic-progression sieve.  A sieved lattice sum builds one and
+    keeps it across its doublings.
 
-    `upto(bound)` extends them to every p <= bound.  It sieves only the
-    primes above the bound it reached before, up to 4 times that bound
-    but at most the root bound isqrt(n(S_CEILING)) + 1 of the j ceiling,
-    keeps the odd p mod which -M is a square by Euler's criterion, and
-    finds the square roots x of -M mod all of them in one batched
-    Tonelli--Shanks, whose cost hardly depends on its size;
-    2j - e ≡ x (mod p) holds at j ≡ (x + e)(p + 1)/2.  A prime dividing M
-    has the single root x = 0, and 2 has the residues r in {0, 1} where
-    n(r) is even.  A lattice sum keeps one of these across its doublings,
-    so each prime's roots are found once, not once per window.
+    d is one of CLASS_NUMBER_ONE.  By Dirichlet's formula,
+    N(t) = w (1 + [p_d | n]) sum_{m | n} chi_d(m), with n = n(j) =
+    (|d| D + t^2)/4, w the stabilizer order of the CM point, p_d the prime
+    dividing d and chi_d(m) the Kronecker symbol (d/m), periodic mod |d|.
+    The sum is the product over p^e || n of e + 1 where chi_d(p) = 1, of
+    1 or 0 as e is even or odd where chi_d(p) = -1, and of 1 where p | d.
+    The constructor takes chi_d, p_d and w once.  The values n(j) are
+    int64, so it raises ValueError when n(S_CEILING) does not fit.
+
+    `upto(bound)` holds the pairs (p, r) of a prime p <= bound and a
+    residue 0 <= r < p with p | n(r), as int64 arrays sorted by p, then r.
+    It sieves only the primes above the bound it reached before, up to 4
+    times that bound but at most the root bound isqrt(n(S_CEILING)) + 1
+    of the j ceiling, keeps the odd p mod which -M, M = |d| D, is a square
+    by Euler's criterion, and finds the square roots x of -M mod all of
+    them in one batched Tonelli--Shanks, whose cost hardly depends on its
+    size; 2j - e ≡ x (mod p) holds at j ≡ (x + e)(p + 1)/2.  A prime
+    dividing M has the single root x = 0, and 2 has the residues r in
+    {0, 1} where n(r) is even.  So each prime's roots are found once, not
+    once per window.
+
+    `counts(lo, hi)` is N(t) at j = lo+1..hi; entry i belongs to
+    j = lo+1+i.  A pair (p, r) hits the entries with j ≡ r (mod p), all of
+    which p divides.  The hits are taken in chunks of at most
+    SIEVE_CHUNK; each chunk finds the p-adic valuations of its hits as
+    arrays, and folds them into the product of local factors, the zero
+    flags and the product of the prime powers found with np.multiply.at:
+    an entry repeats across the primes of a chunk, and a fancy-index
+    write-back would keep only one of its updates.  The sieve takes the
+    primes up to isqrt(n) + 1, so what their powers leave of n is 1 or
+    one prime.
     """
 
-    def __init__(self, M: int):
+    def __init__(self, d: int, D: int):
+        M = -d * D
+        if _n_of_j(M, S_CEILING) > np.iinfo(np.int64).max:
+            raise ValueError(f"D = {D}: n(j) = ({M} + t^2)/4 overflows int64 below the j ceiling {S_CEILING}")
         self.M = M
+        self.chi = np.array([kronecker(d, m) for m in range(-d)], dtype=np.int8)
+        self.p_d = 2 if d % 4 == 0 else -d
+        self.w = stabilizer_order(d)
         self.bound = 1
         self.p = self.r = np.zeros(0, dtype=np.int64)
 
@@ -871,71 +899,45 @@ class _PrimeRoots:
         n = np.searchsorted(self.p, bound, side="right")
         return self.p[:n], self.r[:n]
 
-
-def _form_counts(d: int, D: int, lo: int, hi: int, roots: _PrimeRoots | None = None) -> np.ndarray:
-    """N(t), the number of forms of disc D > 0 with doubled pairing t with
-    the CM form of disc d, for t = 2j - e, j = lo+1..hi and e = |d| D mod 2,
-    via a quadratic-progression sieve; entry i belongs to j = lo+1+i.
-
-    d is one of CLASS_NUMBER_ONE.  By Dirichlet's formula,
-    N(t) = w (1 + [p_d | n]) sum_{m | n} chi_d(m), with n = n(j) =
-    (|d| D + t^2)/4, w the stabilizer order of the CM point, p_d the prime
-    dividing d and chi_d(m) the Kronecker symbol (d/m), periodic mod |d|.
-    The sum is the product over p^e || n of e + 1 where chi_d(p) = 1, of
-    1 or 0 as e is even or odd where chi_d(p) = -1, and of 1 where p | d.
-    The primes and their roots j come from `roots`, kept for M = |d| D,
-    when given.
-
-    The values n(j) are int64.  A pair (p, r) hits the entries with
-    j ≡ r (mod p), all of which p divides.  The hits are taken in chunks
-    of at most SIEVE_CHUNK; each chunk finds the p-adic valuations of its
-    hits as arrays, and folds them into the product of local factors, the
-    zero flags and the product of the prime powers found with
-    np.multiply.at: an entry repeats across the primes of a chunk, and a
-    fancy-index write-back would keep only one of its updates.  The sieve
-    takes the primes up to isqrt(n) + 1, so what their powers leave of n
-    is 1 or one prime.
-    """
-    q, M = -d, -d * D
-    chi = np.array([kronecker(d, m) for m in range(q)], dtype=np.int8)
-    size = hi - lo
-    vals = _n_of_j(M, np.arange(lo + 1, hi + 1, dtype=np.int64))
-    mult = np.ones(size, dtype=np.int64)
-    found = np.ones(size, dtype=np.int64)
-    zero = np.zeros(size, dtype=bool)
-    p, r = (roots or _PrimeRoots(M)).upto(isqrt(_n_of_j(M, hi)) + 1)
-    # the first index whose j = lo+1+i is ≡ r (mod p), and the hits per pair
-    first = (r - (lo + 1)) % p
-    ends = np.cumsum((size - first + p - 1) // p)
-    starts = np.concatenate([[0], ends[:-1]])
-    total = int(ends[-1]) if ends.size else 0
-    for h0 in range(0, total, SIEVE_CHUNK):
-        h1 = min(h0 + SIEVE_CHUNK, total)
-        # the pairs a..b hold hits h0..h1-1
-        a, b = np.searchsorted(ends, [h0, h1 - 1], side="right")
-        taken = np.minimum(ends[a : b + 1], h1) - np.maximum(starts[a : b + 1], h0)
-        pair = np.repeat(np.arange(a, b + 1), taken)
-        pp = p[pair]
-        idx = first[pair] + (np.arange(h0, h1) - starts[pair]) * pp
-        v, power, e = vals[idx] // pp, pp.copy(), np.ones_like(pp)
-        more = np.flatnonzero(v % pp == 0)
-        while more.size:
-            v[more] //= pp[more]
-            power[more] *= pp[more]
-            e[more] += 1
-            more = more[v[more] % pp[more] == 0]
-        np.multiply.at(found, idx, power)
-        c = chi[pp % q]
-        np.multiply.at(mult, idx[c == 1], e[c == 1] + 1)
-        zero[idx[(c == -1) & (e & 1 == 1)]] = True
-    # the leftover prime (exponent 1)
-    left = vals // found
-    c = chi[left % q]
-    mult[(left > 1) & (c == 1)] *= 2
-    zero |= c == -1
-    mult[zero] = 0
-    p_d = 2 if q % 4 == 0 else q
-    return stabilizer_order(d) * (1 + (vals % p_d == 0)) * mult
+    def counts(self, lo: int, hi: int) -> np.ndarray:
+        chi, q = self.chi, self.chi.size
+        size = hi - lo
+        vals = _n_of_j(self.M, np.arange(lo + 1, hi + 1, dtype=np.int64))
+        mult = np.ones(size, dtype=np.int64)
+        found = np.ones(size, dtype=np.int64)
+        zero = np.zeros(size, dtype=bool)
+        p, r = self.upto(isqrt(_n_of_j(self.M, hi)) + 1)
+        # the first index whose j = lo+1+i is ≡ r (mod p), and the hits per pair
+        first = (r - (lo + 1)) % p
+        ends = np.cumsum((size - first + p - 1) // p)
+        starts = np.concatenate([[0], ends[:-1]])
+        total = int(ends[-1]) if ends.size else 0
+        for h0 in range(0, total, SIEVE_CHUNK):
+            h1 = min(h0 + SIEVE_CHUNK, total)
+            # the pairs a..b hold hits h0..h1-1
+            a, b = np.searchsorted(ends, [h0, h1 - 1], side="right")
+            taken = np.minimum(ends[a : b + 1], h1) - np.maximum(starts[a : b + 1], h0)
+            pair = np.repeat(np.arange(a, b + 1), taken)
+            pp = p[pair]
+            idx = first[pair] + (np.arange(h0, h1) - starts[pair]) * pp
+            v, power, e = vals[idx] // pp, pp.copy(), np.ones_like(pp)
+            more = np.flatnonzero(v % pp == 0)
+            while more.size:
+                v[more] //= pp[more]
+                power[more] *= pp[more]
+                e[more] += 1
+                more = more[v[more] % pp[more] == 0]
+            np.multiply.at(found, idx, power)
+            c = chi[pp % q]
+            np.multiply.at(mult, idx[c == 1], e[c == 1] + 1)
+            zero[idx[(c == -1) & (e & 1 == 1)]] = True
+        # the leftover prime (exponent 1)
+        left = vals // found
+        c = chi[left % q]
+        mult[(left > 1) & (c == 1)] *= 2
+        zero |= c == -1
+        mult[zero] = 0
+        return self.w * (1 + (vals % self.p_d == 0)) * mult
 
 
 def _latticesum_terms(k: int, D: int, d: int, t: np.ndarray) -> np.ndarray:
@@ -964,7 +966,7 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     with t = 2j - (|d| D mod 2), and N(t) = N(-t).  For the d of
     CLASS_NUMBER_ONE a factorization sieve counts
     N(t) = w (1 + [p_d divides n]) sum_{m | n} chi_d(m), n = (|d| D + t^2)/4
-    (`_form_counts`, Dirichlet's formula).  For other d `PairingSolver`
+    (`_DirichletSieve`, Dirichlet's formula).  For other d `PairingSolver`
     counts each group exactly, stepping the leading coefficient a of the
     forms through the integer window where
     q(a) = a0^2 D + 2 a0 t a + disc(Q0) a^2 >= 0; its j ceiling is 2^15
@@ -986,19 +988,17 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     the groups and evaluates 2F1 over j <= 16 first, and the first
     window's sum and the next four increments are read off it; each
     later doubling is one pass over its new half.  Every pass runs in
-    slices of at most TAIL_SLICE terms.  The sieve works in int64, so a sieved d and D with
-    n(S_CEILING) beyond int64 raise ValueError, before the hypothesis
-    check.
+    slices of at most TAIL_SLICE terms.  A sieved sum builds one
+    `_DirichletSieve` and keeps it across its doublings; the sieve works
+    in int64, so a sieved d and D with n(S_CEILING) beyond int64 raise
+    ValueError, before the hypothesis check.
     """
     t0 = time.perf_counter()
     first, key, unit = (1 << 8, "s_cutoff", 1) if d == -4 else (8, "t_cutoff", 2)
-    sieved = d in CLASS_NUMBER_ONE
-    ceiling = S_CEILING if sieved else 1 << 15
-    M = -d * D
-    e = M % 2  # t = 2j - e
-    if sieved and _n_of_j(M, ceiling) > np.iinfo(np.int64).max:
-        raise ValueError(f"D = {D}: n(j) = ({M} + t^2)/4 overflows int64 below the j ceiling {ceiling}")
+    sieve = _DirichletSieve(d, D) if d in CLASS_NUMBER_ONE else None
     _check_trace(k, D, d, tol)
+    ceiling = S_CEILING if sieve else 1 << 15
+    e = -d * D % 2  # t = 2j - e
     w_stab = stabilizer_order(d)
     pref = (
         (-1) ** k
@@ -1010,11 +1010,8 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     if k % 2 == 1:
         # sgn(t)^k is odd while N(t) is even in t: exact cancellation
         return _numeric_report("latticesum", k, D, d, tol, t0, 0.0, 0.0, {key: 0, "stop_rule": "tol"})
-    if sieved:
-        roots = _PrimeRoots(M)
-
-        def counts(lo: int, hi: int) -> np.ndarray:
-            return _form_counts(d, D, lo, hi, roots)
+    if sieve:
+        counts = sieve.counts
     else:
         solver = PairingSolver(definite_class_reps(d)[0])
 

@@ -21,7 +21,7 @@ from .errors import (
     SquareDiscriminant,
     UnsupportedK,
 )
-from .special_forms import ExactSeries, rhs_trace
+from .special_forms import EXACT_K, ExactSeries, rhs_trace
 from .analytic import TraceReport, check_tol, lhs_geodesic, lhs_latticesum
 
 EXIT_OK = 0
@@ -31,6 +31,9 @@ EXIT_INPUT = 3
 EXIT_NO_CONVERGENCE = 4
 
 CSV_HEADER = "k,D,d,method,value,error_estimate,hypothesis_ok,seconds"
+
+# the (k, d) the exact method covers, as its error messages name them
+_EXACT_SCOPE = "k in {%s} and d = -4" % ", ".join(map(str, EXACT_K))
 
 
 @dataclass
@@ -54,7 +57,7 @@ class RunConfig:
 
 
 def _exact_applies(k: int, d: int) -> bool:
-    return k in (2, 4) and d == -4
+    return k in EXACT_K and d == -4
 
 
 def _applicable(methods: tuple[str, ...], k: int, d: int) -> list[str]:
@@ -66,7 +69,7 @@ def compute_trace(method: str, k: int, D: int, d: int, tol: float,
     """One trace by one method; series, if given, is shared by exact traces."""
     if method == "exact":
         if not _exact_applies(k, d):
-            raise ValueError("exact method requires k in {2, 4} and d = -4")
+            raise ValueError(f"exact method requires {_EXACT_SCOPE}")
         t0 = time.perf_counter()
         value = rhs_trace(k, D, series)
         return TraceReport(
@@ -100,9 +103,8 @@ def _row_fields(r: TraceReport) -> dict:
 
 
 def cmd_trace(cfg: RunConfig) -> int:
-    method = cfg.methods[0]
-    report = compute_trace(method, cfg.k, cfg.D, cfg.d, cfg.tol)
-    print(_fmt_value(report.value) if method == "exact" else "%.12e" % report.value)
+    report = compute_trace(cfg.methods[0], cfg.k, cfg.D, cfg.d, cfg.tol)
+    print(_fmt_value(report.value))
     print(
         f"method={report.method} error_estimate={report.error_estimate:.3e} "
         f"hypothesis_ok={'true' if report.hypothesis_ok else 'false'} "
@@ -150,7 +152,7 @@ def cmd_table(cfg: RunConfig) -> int:
         raise ValueError("table needs --Dmax")
     methods = _applicable(cfg.methods, cfg.k, cfg.d)
     if not methods:
-        raise ValueError("no applicable method (exact needs even k and d = -4)")
+        raise ValueError(f"no applicable method (exact needs {_EXACT_SCOPE})")
 
     Ds = [D for D in range(5, cfg.Dmax + 1) if D % 4 in (0, 1) and not is_square(D)]
     # every exact row reads one prefix of the series for the largest D

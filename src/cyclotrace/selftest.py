@@ -44,6 +44,7 @@ def _check_L_values() -> bool:
 
 
 def _check_hurwitz() -> bool:
+    from .arith import divisors
     from .special_forms import hurwitz, hurwitz_table, hurwitz_table_recursive
 
     if hurwitz_table(120) != hurwitz_table_recursive(120):
@@ -51,7 +52,7 @@ def _check_hurwitz() -> bool:
     for n in range(1, 51):
         lhs = sum(hurwitz(4 * n - s * s) for s in range(-isqrt(4 * n), isqrt(4 * n) + 1)
                   if s * s <= 4 * n)
-        rhs = sum(max(d, n // d) for d in range(1, n + 1) if n % d == 0)
+        rhs = sum(max(d, n // d) for d in divisors(n))
         if lhs != rhs:
             return False
     return hurwitz(0) == Fraction(-1, 12)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .arith import check_discriminant, dirichlet_L_value, sigma
+from .arith import check_discriminant, dirichlet_L_value, divisors, sigma
 from .bqf import definite_class_reps, hypothesis_check
 from .errors import HypothesisViolated, UnsupportedK
 from .fqm import (
@@ -27,6 +27,7 @@ from .fqm import (
 )
 
 __all__ = [
+    "EXACT_K",
     "hurwitz",
     "hurwitz_table",
     "hurwitz_table_recursive",
@@ -47,6 +48,10 @@ __all__ = [
     "module_N_minus",
     "embedding_PN_in_L",
 ]
+
+# The k of the exact trace, whose d is -4: only for these does the
+# principal part q^(-D) + O(1) define a form (see build_fD).
+EXACT_K = (2, 4)
 
 
 # ----------------------------------------------------------------------
@@ -97,34 +102,14 @@ def hurwitz_table_recursive(nmax: int) -> list[Fraction]:
     for n in range(1, nmax + 1):
         if n % 4 in (1, 2):
             continue
+        # 2 sum_{s>=1} H(n - s^2), the terms below the top entry
+        acc = 2 * sum(H[n - s * s] for s in range(1, isqrt(n) + 1))
         if n % 4 == 3:
-            lam = Fraction(0)
-            sig = 0
-            for d in range(1, isqrt(n) + 1):
-                if n % d == 0:
-                    e = n // d
-                    sig += d + (e if e != d else 0)
-                    lam += min(d, e) + (min(e, d) if e != d else 0)
-            lam /= 2
-            acc = Fraction(0)
-            s = 1
-            while s * s <= n:
-                acc += H[n - s * s]
-                s += 1
-            H[n] = Fraction(sig, 3) - lam - 2 * acc
+            divs = divisors(n)
+            H[n] = Fraction(sum(divs), 3) - Fraction(sum(min(d, n // d) for d in divs), 2) - acc
         else:
             m = n // 4
-            rhs = 0
-            for d in range(1, isqrt(m) + 1):
-                if m % d == 0:
-                    e = m // d
-                    rhs += max(d, e) + (max(e, d) if e != d else 0)
-            acc = Fraction(0)
-            s = 1
-            while s * s <= n:
-                acc += H[n - s * s]
-                s += 1
-            H[n] = Fraction(rhs) - 2 * acc
+            H[n] = sum(max(d, m // d) for d in divisors(m)) - acc
     return H
 
 
@@ -280,10 +265,10 @@ def fD_const_term(k: int, D: int) -> int:
 
 
 def _check_exact_k(k: int) -> None:
-    if k not in (2, 4):
+    if k not in EXACT_K:
         raise UnsupportedK(
-            "the exact side covers k in {2, 4}; for even k >= 6 the principal "
-            "part q^(-D) + O(1) does not define a modular form"
+            "the exact side covers k in {%s}; for even k >= 6 the principal "
+            "part q^(-D) + O(1) does not define a modular form" % ", ".join(map(str, EXACT_K))
         )
 
 
@@ -381,7 +366,7 @@ def closed_formula(k: int, D: int) -> Fraction:
     No bracket machinery is involved.
     """
     check_discriminant(D)
-    if k not in (2, 4):
+    if k not in EXACT_K:
         raise UnsupportedK(f"no closed formula for k = {k}")
     s = isqrt(D)
     total = 0  # 12 times the sum: 12 H(n) is an integer

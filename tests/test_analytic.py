@@ -20,9 +20,8 @@ from cyclotrace.analytic import (
 from cyclotrace import analytic
 from cyclotrace.analytic import (
     CLASS_NUMBER_ONE,
-    _PrimeRoots,
+    _DirichletSieve,
     _class_pairs,
-    _form_counts,
     _hyp2f1_quadratic,
     _latticesum_terms,
     _least_non_residues,
@@ -638,15 +637,16 @@ def test_r2_table_vs_brute():
     for D, lo, hi in ((12, 0, 60), (21, 0, 60), (5, 0, 60), (12, 23, 60), (5, 37, 160),
                       (21, 37, 160), (45, 37, 160), (76, 500, 560), (588, 37, 160), (588, 500, 560),
                       (17, 37, 160)):
-        assert _form_counts(-4, D, lo, hi).tolist() == _d4_counts(_r2_brute, D, lo, hi), (D, lo)
+        assert _DirichletSieve(-4, D).counts(lo, hi).tolist() == _d4_counts(_r2_brute, D, lo, hi), (D, lo)
 
 
 def test_r2_table_with_shared_prime_roots():
-    # one _PrimeRoots across growing windows, as the lattice sum keeps it
+    # one sieve across growing windows, as the lattice sum keeps it, against
+    # a fresh sieve for each window
     for d in CLASS_NUMBER_ONE:
-        roots = _PrimeRoots(-d * 21)
+        sieve = _DirichletSieve(d, 21)
         for lo, hi in ((0, 64), (64, 128), (128, 512)):
-            assert np.array_equal(_form_counts(d, 21, lo, hi, roots), _form_counts(d, 21, lo, hi)), d
+            assert np.array_equal(sieve.counts(lo, hi), _DirichletSieve(d, 21).counts(lo, hi)), d
 
 
 def test_least_non_residues_by_reciprocity():
@@ -670,14 +670,14 @@ def test_prime_roots_reach_ahead_up_to_the_ceiling(monkeypatch):
     for d in CLASS_NUMBER_ONE:
         M = -d * D
         cap = math.isqrt(_n_of_j(M, 1 << 10)) + 1
-        roots = _PrimeRoots(M)
+        sieve = _DirichletSieve(d, D)
         reached_ahead = False
         for lo, hi in ((0, 256), (256, 512), (512, 1024)):
-            table = _form_counts(d, D, lo, hi, roots)
-            assert roots.bound <= cap
-            reached_ahead |= roots.bound > math.isqrt(_n_of_j(M, hi)) + 1
-            assert np.array_equal(table, _form_counts(d, D, lo, hi)), d
-        assert reached_ahead and roots.bound == cap, d
+            table = sieve.counts(lo, hi)
+            assert sieve.bound <= cap
+            reached_ahead |= sieve.bound > math.isqrt(_n_of_j(M, hi)) + 1
+            assert np.array_equal(table, _DirichletSieve(d, D).counts(lo, hi)), d
+        assert reached_ahead and sieve.bound == cap, d
 
 
 PRIMES_BELOW_20000 = [p for p in range(2, 20000) if factor(p) == [(p, 1)]]
@@ -689,13 +689,14 @@ def test_prime_roots_match_direct_search(D):
     # is an integer; grown in three steps, as the doublings of a lattice sum
     # grow it.  The M include primes dividing M, which have one root, and
     # both parities; 2 has no root, one or two
-    for M in (4 * D, 3 * D, 7 * D):
+    for d in (-4, -3, -7):
+        M = -d * D
         if M % 4 not in (0, 3):
             continue
-        roots = _PrimeRoots(M)
-        roots.upto(100)
-        roots.upto(5000)
-        p, r = roots.upto(19999)
+        sieve = _DirichletSieve(d, D)
+        sieve.upto(100)
+        sieve.upto(5000)
+        p, r = sieve.upto(19999)
         assert np.all(np.diff(p) >= 0)
         got = {}
         for q, x in zip(p.tolist(), r.tolist()):
@@ -708,7 +709,7 @@ def test_r2_table_near_the_s_ceiling():
     # D + j^2 near 2^48, where an int64 product in the sieve could overflow;
     # arith.factor works in Python ints
     D, hi = 45, 1 << 24
-    assert _form_counts(-4, D, hi - 16, hi).tolist() == _d4_counts(_r2_of_factors, D, hi - 16, hi)
+    assert _DirichletSieve(-4, D).counts(hi - 16, hi).tolist() == _d4_counts(_r2_of_factors, D, hi - 16, hi)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -716,9 +717,9 @@ def test_r2_table_chunks_do_not_change_counts(chunk, monkeypatch):
     # chunks of 1 and 7 hits split every prime's hits across chunks, and 7
     # repeats indices within a chunk
     cases = ((-4, 12, 0, 300), (-4, 588, 200, 500), (-3, 21, 0, 300), (-8, 12, 200, 500))
-    want = [_form_counts(d, D, lo, hi) for d, D, lo, hi in cases]
+    want = [_DirichletSieve(d, D).counts(lo, hi) for d, D, lo, hi in cases]
     monkeypatch.setattr(analytic, "SIEVE_CHUNK", chunk)
-    got = [_form_counts(d, D, lo, hi) for d, D, lo, hi in cases]
+    got = [_DirichletSieve(d, D).counts(lo, hi) for d, D, lo, hi in cases]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -727,7 +728,7 @@ def test_parity_counts_vs_brute():
     # e ≡ j and b ≡ D (mod 2)
     for D, lo in ((12, 0), (21, 0), (24, 0), (21, 17)):
         S = 40
-        N = _form_counts(-4, D, lo, S)
+        N = _DirichletSieve(-4, D).counts(lo, S)
         for s in range(lo + 1, S + 1):
             n = D + s * s
             brute = sum(
@@ -816,8 +817,7 @@ def _latticesum_by_windows(k, D, d, tol):
     first, key = (256, "s_cutoff") if d == -4 else (8, "t_cutoff")
     e = -d * D % 2
     if d in CLASS_NUMBER_ONE:
-        roots = _PrimeRoots(-d * D)
-        counts = lambda lo, hi: _form_counts(d, D, lo, hi, roots)
+        counts = _DirichletSieve(d, D).counts
     else:
         solver = PairingSolver(definite_class_reps(d)[0])
         counts = lambda lo, hi: np.array([len(solver.forms(D, 2 * j - e)) for j in range(lo + 1, hi + 1)])
@@ -864,14 +864,34 @@ def test_latticesum_first_pass_keeps_every_window(k, D, d, tol, cutoff):
 def test_latticesum_sieves_its_first_span_once(monkeypatch):
     # the stop test needs four extrapolates, so a sum stopping at the
     # least s_cutoff 4096 sieves and evaluates 2F1 over j <= 4096 once
-    calls = {"_form_counts": 0, "_hyp2f1_quadratic": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(analytic, name), _name=name):
+    calls = {"counts": 0, "_hyp2f1_quadratic": 0}
+    for owner, name in ((analytic._DirichletSieve, "counts"), (analytic, "_hyp2f1_quadratic")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(analytic, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     assert lhs_latticesum(4, 12, -4, tol=1e-4).cutoff == {"s_cutoff": 4096, "stop_rule": "tol", "met_tol": True}
-    assert calls == {"_form_counts": 1, "_hyp2f1_quadratic": 1}
+    assert calls == {"counts": 1, "_hyp2f1_quadratic": 1}
+
+
+def test_latticesum_builds_one_sieve_and_one_character_table(monkeypatch):
+    # (2, 24, -4) runs past its first pass to s_cutoff 32768, so it sieves
+    # four windows; the one sieve takes chi_(-4) once, in 4 kronecker calls
+    calls = {"sieves": 0, "kronecker": 0}
+    init, kronecker = analytic._DirichletSieve.__init__, analytic.kronecker
+
+    def counted_init(*args):
+        calls["sieves"] += 1
+        init(*args)
+
+    def counted_kronecker(*args):
+        calls["kronecker"] += 1
+        return kronecker(*args)
+
+    monkeypatch.setattr(analytic._DirichletSieve, "__init__", counted_init)
+    monkeypatch.setattr(analytic, "kronecker", counted_kronecker)
+    assert lhs_latticesum(2, 24, -4, tol=2e-3).cutoff == {"s_cutoff": 32768, "stop_rule": "tol", "met_tol": True}
+    assert calls == {"sieves": 1, "kronecker": 4}
 
 
 @pytest.mark.parametrize("k, D, d", [(8, 21, -4), (10, 13, -7), (6, 13, -3)])
@@ -918,7 +938,7 @@ def test_pairing_solver_counts_match_sieve():
     for d in CLASS_NUMBER_ONE:
         solver = PairingSolver(definite_class_reps(d)[0])
         for D, lo, hi in ((12, 0, 40), (21, 0, 40), (24, 0, 40), (21, 17, 60), (60, 100, 130)):
-            N = _form_counts(d, D, lo, hi)
+            N = _DirichletSieve(d, D).counts(lo, hi)
             for j in range(lo + 1, hi + 1):
                 t = 2 * j - (-d * D) % 2
                 count = len(solver.forms(D, t)) + len(solver.forms(D, -t))
@@ -931,17 +951,17 @@ def test_pairing_solver_counts_match_sieve():
 def test_divisor_sums_count_as_the_pairing_solver(d):
     # N(t) = w (1 + [p_d divides n]) sum_{m | n} chi_d(m), n = (|d| D + t^2)/4,
     # at t = 2j - e, e = |d| D mod 2, over growing windows with one
-    # _PrimeRoots, the last one holding multiples of |d| near t = 4096;
+    # sieve, the last one holding multiples of |d| near t = 4096;
     # the t of the other parity hold no form
     solver, w = PairingSolver(definite_class_reps(d)[0]), stabilizer_order(d)
     windows = ((0, 32), (32, 150), (2048 + d, 2048))
     for D in range(5, 61):
         if D % 4 not in (0, 1) or math.isqrt(D) ** 2 == D:
             continue
-        roots = _PrimeRoots(-d * D)
+        sieve = _DirichletSieve(d, D)
         for lo, hi in windows:
             t = [2 * j - (-d * D) % 2 for j in range(lo + 1, hi + 1)]
-            N = _form_counts(d, D, lo, hi, roots)
+            N = sieve.counts(lo, hi)
             assert N.tolist() == [len(solver.forms(D, u)) for u in t], (D, lo)
             assert not any(solver.forms(D, u + 1) or solver.forms(D, -u - 1) for u in t), (D, lo)
 

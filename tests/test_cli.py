@@ -72,6 +72,13 @@ def test_trace_square_exit_3():
     assert proc.returncode == 3  # 14 ≡ 2 (mod 4)
 
 
+def test_table_exact_at_k6_names_the_exact_scope():
+    # k = 6 is even, but the exact method covers only k = 2 and 4
+    proc = run_cli("table", "--k", "6", "--Dmax", "20")
+    assert proc.returncode == 3
+    assert "k in {2, 4} and d = -4" in proc.stderr
+
+
 @pytest.mark.parametrize("args, code", [
     (["trace", "--k", "2"], 3),
     (["trace", "--k", "x", "--D", "12"], 3),
