@@ -5,14 +5,15 @@ a modular form with poles on one CM orbit, so it is evaluated from
 E4, E6 and Delta (one vectorized q-series routine): a fit of partial
 fractions E/(j - j_A)^m to its principal part at the CM point, plus the
 cusp forms of weight 2k, pinned by the class sum where there are any
-(`FkAEvaluator`).  Cycle integrals use Gauss--Legendre nodes along the
-pieces of each geodesic's reduced cycle, the arcs of its reduced forms;
+(`FkAEvaluator`).  Cycle integrals use the 48-point Gauss--Legendre
+rule, a table of module data, along the pieces of each geodesic's
+reduced cycle, the arcs of its reduced forms;
 their error estimate is the last panel doubling's change, plus the
 evaluator's residual over the nodes, plus a rounding floor.  A trace
 doubles the panels of all its classes in lockstep, so each doubling
 makes one evaluator call for every class not yet within its tolerance,
 the first holding the two levels of every class that the first stop
-test reads.  The
+test reads, and builds that call's nodes in one pass.  The
 hypergeometric lattice sum counts the forms of each group; its value is
 the tail extrapolate of its last doubling, and its estimate the largest
 of the extrapolate's last three changes, scaled down by the decay of
@@ -37,6 +38,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import pairwise
 from math import comb, isqrt
 
 import numpy as np
@@ -509,30 +511,30 @@ def _numeric_report(method: str, k: int, D: int, d: int, tol: float, t0: float,
                        cutoff={**cutoff, "met_tol": error_estimate <= tol})
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
-    p0, p1 = np.ones_like(x), x
-    for m in range(1, n):
-        p0, p1 = p1, ((2 * m + 1) * x * p1 - m * p0) / (m + 1)
-    return p1, n * (x * p1 - p0) / (x * x - 1)
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss--Legendre nodes and weights on [-1, 1], n >= 2.
-
-    Golub--Welsch: the nodes are the eigenvalues of the Jacobi matrix of
-    the Legendre recurrence, off-diagonal m/sqrt(4m^2 - 1), polished by one
-    Newton step; the weights are 2/((1 - x^2) P_n'(x)^2).  Both are then
-    made symmetric about 0.
-    """
-    m = np.arange(1.0, n)
-    x = np.linalg.eigvalsh(np.diag(m / np.sqrt(4 * m * m - 1), -1))  # reads the lower triangle
-    p, dp = _legendre(n, x)
-    x = x - p / dp
-    dp = _legendre(n, x)[1]
-    w = 2 / ((1 - x * x) * dp * dp)
-    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
+# The 48-point Gauss--Legendre rule on [-1, 1]: its 24 positive nodes,
+# increasing, and their weights, the rule being symmetric about 0.  They
+# are the Golub--Welsch eigenvalues of the Jacobi matrix, polished by one
+# Newton step and made symmetric; tests/test_analytic.py derives them
+# again and checks every bit.
+_GL48_NODES = (
+    0.03238017096286936, 0.0970046992094627, 0.1612223560688917, 0.22476379039468905,
+    0.28736248735545555, 0.34875588629216075, 0.4086864819907167, 0.4669029047509584,
+    0.523160974722233, 0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+    0.7240341309238146, 0.7671590325157404, 0.8070662040294426, 0.8435882616243935,
+    0.8765720202742479, 0.9058791367155696, 0.9313866907065543, 0.9529877031604308,
+    0.9705915925462473, 0.9841245837228269, 0.9935301722663508, 0.9987710072524262,
+)
+_GL48_WEIGHTS = (
+    0.0647376968126839, 0.0644661644359501, 0.06392423858464817, 0.06311419228625405,
+    0.06203942315989268, 0.06070443916589386, 0.059114839698395566, 0.05727729210040315,
+    0.05519950369998417, 0.05289018948519366, 0.05035903555385447, 0.04761665849249055,
+    0.044674560856694294, 0.041545082943464776, 0.03824135106583072, 0.03477722256477045,
+    0.0311672278327981, 0.027426509708356934, 0.023570760839324342, 0.019616160457355532,
+    0.015579315722943856, 0.01147723457923459, 0.007327553901276208, 0.003153346052305687,
+)
+# all 48 nodes, increasing, and their weights
+_GL_X = np.array([-x for x in reversed(_GL48_NODES)] + list(_GL48_NODES))
+_GL_W = np.array(list(reversed(_GL48_WEIGHTS)) + list(_GL48_WEIGHTS))
 
 
 # The most panels a cycle integral's rule may reach.  One evaluator call
@@ -546,18 +548,19 @@ class _CycleRule:
 
     Per form P of the cycle: P's coefficients, the center C and radius R of
     its semicircle, and u = log tan(theta/2) = -atanh((x - C)/R) at its
-    crossings of x = 0 and x = n; `base` holds each piece's
-    max(1, round(its length)) panels.
+    crossings of x = 0 and x = n, one column per piece in `pieces`; `base`
+    holds each piece's max(1, round(its length)) panels.  A level of the
+    rule is a multiplier mult, at mult * base panels per piece, each panel
+    holding the 48 Gauss--Legendre nodes; `_quadratures` builds the nodes.
     """
 
-    def __init__(self, Q: BQF, k: int):
+    def __init__(self, Q: BQF):
         cycle, _ = reduced_cycle(Q)
         pieces = []
         for prev, P in zip(cycle[-1:] + cycle[:-1], cycle):
             n = -(prev.b + P.b) // (2 * prev.c)
             C, R = -P.b / (2 * P.a), math.sqrt(P.disc) / (2 * abs(P.a))
             pieces.append((P.a, P.b, P.c, C, R, -math.atanh(-C / R), -math.atanh((n - C) / R)))
-        self.k = k
         self.pieces = np.array(pieces).T
         u0, u1 = self.pieces[-2:]
         self.base = np.maximum(1, np.round(np.abs(u1 - u0))).astype(int)
@@ -565,42 +568,40 @@ class _CycleRule:
     def panels(self, mult: int) -> int:
         return int(self.base.sum()) * mult
 
-    def nodes(self, mult: int) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes z and the weights P(z,1)^(k-1) dz at mult * base panels per piece."""
-        a, b, c, C, R, u0, u1 = self.pieces
-        x0, w0 = _gauss_legendre(48)
-        panels = self.base * mult
-        piece = np.repeat(np.arange(len(panels)), panels)
-        # each panel's index within its piece, and its half-width in u
-        j = np.arange(piece.size) - np.repeat(np.cumsum(panels) - panels, panels)
-        half = ((u1 - u0) / (2 * panels))[piece]
-        u = ((u0[piece] + (2 * j + 1) * half)[:, None] + half[:, None] * x0).ravel()
-        node = np.repeat(piece, len(x0))
-        # z = C + R e^(i theta), with cos theta = -tanh u and sin theta = sech u
-        sech, tanh = 1 / np.cosh(u), np.tanh(u)
-        z = C[node] + R[node] * (1j * sech - tanh)
-        dz = (half[:, None] * w0).ravel() * -R[node] * sech * (sech + 1j * tanh)
-        return z, (a[node] * z * z + b[node] * z + c[node]) ** (self.k - 1) * dz
-
 
 def _quadratures(ev: FkAEvaluator, levels: list[tuple[_CycleRule, int]]) -> list[tuple[complex, float, float]]:
     """Per level (rule, mult): the rule's value at mult * base panels per
     piece, the sum of its terms' sizes and the sum of |P(z,1)^(k-1) dz| over
     its nodes.  No level may pass PANEL_CEILING panels.  The levels share
-    evaluator calls in order, as many in each as PANEL_CEILING panels hold;
-    a node's value does not depend on its batch, so neither do the sums."""
+    evaluator calls in order, as many in each as PANEL_CEILING panels hold.
+
+    The nodes z and weights P(z,1)^(k-1) dz of a call's levels come from
+    one pass over their pieces, stacked.  Every step is elementwise, and
+    no complex product has a temporary right factor (see `_eisenstein`),
+    so a node's bits do not depend on its batch; the evaluator's values do
+    not either, and so neither do the sums."""
     panels = [rule.panels(mult) for rule, mult in levels]
     out = []
     while levels:
         # the longest run of levels within PANEL_CEILING panels
         n = int(np.searchsorted(np.cumsum(panels), PANEL_CEILING, side="right"))
-        nodes = [rule.nodes(mult) for rule, mult in levels[:n]]
-        values = ev.eval(np.concatenate([z for z, _ in nodes]))
-        start = 0
-        for z, weight in nodes:
-            terms = values[start : start + z.size] * weight
-            start += z.size
-            out.append((complex(np.sum(terms)), float(np.sum(np.abs(terms))), float(np.sum(np.abs(weight)))))
+        a, b, c, C, R, u0, u1 = np.concatenate([rule.pieces for rule, _ in levels[:n]], axis=1)
+        per_piece = np.concatenate([rule.base * mult for rule, mult in levels[:n]])
+        piece = np.repeat(np.arange(per_piece.size), per_piece)
+        # each panel's index within its piece, and its half-width in u
+        j = np.arange(piece.size) - np.repeat(np.cumsum(per_piece) - per_piece, per_piece)
+        half = ((u1 - u0) / (2 * per_piece))[piece]
+        u = ((u0[piece] + (2 * j + 1) * half)[:, None] + half[:, None] * _GL_X).ravel()
+        node = np.repeat(piece, _GL_X.size)
+        # z = C + R e^(i theta), with cos theta = -tanh u and sin theta = sech u
+        sech, tanh = 1 / np.cosh(u), np.tanh(u)
+        z = C[node] + np.multiply(R[node], 1j * sech - tanh)
+        dz = np.multiply((half[:, None] * _GL_W).ravel() * -R[node] * sech, sech + 1j * tanh)
+        weights = (a[node] * z * z + b[node] * z + c[node]) ** (ev.k - 1) * dz
+        terms = ev.eval(z) * weights
+        for lo, hi in pairwise(np.cumsum([0] + panels[:n]) * _GL_X.size):
+            part = terms[lo:hi]
+            out.append((complex(np.sum(part)), float(np.sum(np.abs(part))), float(np.sum(np.abs(weights[lo:hi])))))
         levels, panels = levels[n:], panels[n:]
     return out
 
@@ -617,7 +618,7 @@ def _cycle_integrals(forms: list[BQF], k: int, d: int, tol: float) -> list[tuple
     PANEL_CEILING panels raises NoConvergence before it is evaluated.
     """
     ev = get_evaluator(k, d)
-    rules = [_CycleRule(Q, k) for Q in forms]
+    rules = [_CycleRule(Q) for Q in forms]
     results = [None] * len(rules)
     last = [0j] * len(rules)  # each rule's value at its last level
     estimates = [None] * len(rules)  # and its last estimate
@@ -994,6 +995,9 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     ValueError, before the hypothesis check.
     """
     t0 = time.perf_counter()
+    # the sieve takes D and d as integers before _check_trace runs
+    check_discriminant(D)
+    check_discriminant(d, positive=False)
     first, key, unit = (1 << 8, "s_cutoff", 1) if d == -4 else (8, "t_cutoff", 2)
     sieve = _DirichletSieve(d, D) if d in CLASS_NUMBER_ONE else None
     _check_trace(k, D, d, tol)

@@ -100,10 +100,14 @@ def fundamental_decomposition(D: int) -> tuple[int, int]:
 def check_discriminant(D: int, positive: bool = True) -> None:
     """Reject D unless it is a discriminant of the required sign.
 
-    A discriminant is D ≡ 0, 1 (mod 4), D ≠ 0; a positive one must also
-    be a non-square.  A positive square raises SquareDiscriminant, every
-    other bad D raises ValueError.
+    A discriminant is an integer D ≡ 0, 1 (mod 4), D ≠ 0; a positive one
+    must also be a non-square.  A positive square raises
+    SquareDiscriminant, every other bad D raises ValueError, among them a
+    bool and anything that is not an integer (`operator.index` rejects it).
     """
+    # an int-like type has __index__, which is what operator.index takes
+    if isinstance(D, bool) or not hasattr(type(D), "__index__"):
+        raise ValueError(f"{D!r} is not an integer discriminant")
     if D == 0 or (D > 0) != positive or D % 4 not in (0, 1):
         sign = "positive" if positive else "negative"
         raise ValueError(f"{D} is not a {sign} discriminant")

@@ -439,8 +439,33 @@ def test_eisenstein_oracle():
 # ------------------------------------------------------- cycle integrals
 
 
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for m in range(1, n):
+        p0, p1 = p1, ((2 * m + 1) * x * p1 - m * p0) / (m + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+def _golub_welsch(n):
+    """The n-point Gauss--Legendre rule: the nodes are the eigenvalues of
+    the Jacobi matrix of the Legendre recurrence, off-diagonal
+    m/sqrt(4m^2 - 1), polished by one Newton step; the weights are
+    2/((1 - x^2) P_n'(x)^2).  Both are then made symmetric about 0."""
+    m = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(m / np.sqrt(4 * m * m - 1), -1))  # reads the lower triangle
+    p, dp = _legendre(n, x)
+    x = x - p / dp
+    dp = _legendre(n, x)[1]
+    w = 2 / ((1 - x * x) * dp * dp)
+    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
+
+
 def test_gauss_legendre_rule():
-    x, w = analytic._gauss_legendre(48)
+    x, w = analytic._GL_X, analytic._GL_W
+    # the table is the Golub--Welsch rule, bit for bit
+    ref_x, ref_w = _golub_welsch(48)
+    assert x.tolist() == ref_x.tolist() and w.tolist() == ref_w.tolist()
     # exact on every polynomial of degree <= 95
     for j in range(0, 95, 2):
         assert abs(np.sum(w * x**j) - 2 / (j + 1)) <= 1e-15
@@ -448,6 +473,18 @@ def test_gauss_legendre_rule():
     assert np.all(x == -x[::-1]) and np.all(w == w[::-1])
     ref = np.polynomial.legendre.leggauss(48)[0]
     assert np.all(np.abs(x - ref) <= 2 * np.spacing(np.abs(ref)))
+
+
+def test_cold_geodesic_trace_needs_no_eigensolver(monkeypatch):
+    # dim S_8 = 0: neither the rule nor the evaluator solves an eigenproblem
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    for name in ("eigvalsh", "eigh", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    analytic._shared_evaluator.cache_clear()
+    rep = lhs_geodesic(4, 12, -7, tol=1e-9)
+    assert rep.value.hex() == "0x1.adb6db6db83bep+7"
 
 
 def test_cycle_integral_invariance():
@@ -519,6 +556,38 @@ def test_lhs_geodesic_keeps_every_class(k, D, d, tol):
     rules = {m["stop_rule"] for m in metas}
     assert rep.cutoff["stop_rule"] == next(r for r in ("noise_floor", "rest", "tol") if r in rules)
     assert rep.cutoff["met_tol"] == (rep.error_estimate <= tol)
+
+
+# float.hex of value and error_estimate, and the cutoff, of the five
+# geodesic-cold traces of the benchmark and one pinned k = 6 trace: any
+# change to the rule, the nodes or their batching shows here
+GEODESIC_PINS = [
+    ((2, 12, -4, 1e-6), "0x1.8000000000006p+4", "0x1.d6e2a7898e9e1p-39",
+     {"panels": 4, "layer_cutoff": 0, "stop_rule": "tol", "classes": 2, "met_tol": True}),
+    ((3, 12, -7, 1e-7), "-0x1.0000000000000p-42", "0x1.680166ca92962p-33",
+     {"panels": 4, "layer_cutoff": 0, "stop_rule": "tol", "classes": 2, "met_tol": True}),
+    ((3, 12, -20, 1e-6), "0x1.0000000000000p-44", "0x1.c76401ae6ca1cp-31",
+     {"panels": 4, "layer_cutoff": 0, "stop_rule": "tol", "classes": 2, "met_tol": True}),
+    ((4, 12, -4, 1e-10), "0x1.2000000000214p+6", "0x1.99eb7a9fbf300p-32",
+     {"panels": 4, "layer_cutoff": 0, "stop_rule": "rest", "classes": 2, "met_tol": False}),
+    ((4, 12, -7, 1e-9), "0x1.adb6db6db83bep+7", "0x1.34be0e106d71cp-29",
+     {"panels": 8, "layer_cutoff": 0, "stop_rule": "rest", "classes": 2, "met_tol": False}),
+    ((6, 5, -23, 1e-6), "0x1.3379b4b9fdee8p+2", "0x1.a6c44df9b8449p-22",
+     {"panels": 4, "layer_cutoff": 1024, "stop_rule": "tol", "classes": 1, "met_tol": True}),
+]
+
+
+@pytest.mark.parametrize("args, value, estimate, cutoff", GEODESIC_PINS, ids=lambda x: None)
+def test_geodesic_reports_are_pinned_bit_for_bit(args, value, estimate, cutoff):
+    rep = lhs_geodesic(*args)
+    assert (rep.value.hex(), rep.error_estimate.hex(), rep.cutoff) == (value, estimate, cutoff)
+
+
+def test_cycle_integral_is_pinned_bit_for_bit():
+    v, e, meta = cycle_integral(BQF(1, 2, -2), 4, -7, tol=1e-9)
+    assert (v.real.hex(), v.imag.hex(), e.hex()) == ("0x1.adb6db6db83b8p+6", "-0x1.1400000000000p-37",
+                                                     "0x1.347e83f6b80e3p-30")
+    assert meta == {"panels": 8, "layer_cutoff": 0, "stop_rule": "rest"}
 
 
 def test_stop_rule_tries_tol_then_rest_then_the_noise_floor():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cyclotrace
+from cyclotrace.arith import check_discriminant
 from cyclotrace.analytic import FkAEvaluator, cycle_integral, lhs_geodesic, lhs_latticesum
 from cyclotrace.bqf import (
     BQF,
@@ -25,6 +26,9 @@ SRC = Path(cyclotrace.__file__).parent
 
 # every public entry point that takes a positive discriminant D ...
 TAKES_D = {
+    "check_discriminant": check_discriminant,
+    "lhs_geodesic": lambda D: lhs_geodesic(2, D),
+    "lhs_latticesum": lambda D: lhs_latticesum(2, D),
     "indefinite_class_reps": indefinite_class_reps,
     "pell_fundamental": pell_fundamental,
     "on_geodesic_forms": lambda D: on_geodesic_forms(D, -4),
@@ -38,6 +42,9 @@ TAKES_D = {
 
 # ... or a negative discriminant d
 TAKES_d = {
+    "check_discriminant": lambda d: check_discriminant(d, positive=False),
+    "lhs_geodesic": lambda d: lhs_geodesic(2, 12, d),
+    "lhs_latticesum": lambda d: lhs_latticesum(2, 12, d),
     "on_geodesic_forms": lambda d: on_geodesic_forms(12, d),
     "hypothesis_check": lambda d: hypothesis_check(12, d),
     "definite_class_reps": definite_class_reps,
@@ -63,8 +70,14 @@ TAKES_tol = {
 }
 
 
+# a bool or a value that is not an integer is no discriminant, even where
+# it equals one: 13.0, -3.0 and True == 1 got past the checks or raised
+# TypeError or SquareDiscriminant
+NOT_INTEGERS = [13.0, -3.0, True, "13"]
+
+
 @pytest.mark.parametrize("D, error", [(7, ValueError), (0, ValueError), (-8, ValueError),
-                                      (9, SquareDiscriminant)])
+                                      (9, SquareDiscriminant)] + [(D, ValueError) for D in NOT_INTEGERS])
 @pytest.mark.parametrize("name", sorted(TAKES_D))
 def test_invalid_D_raises_documented_error(name, D, error):
     # only a positive square is a SquareDiscriminant; 7 is not a square
@@ -72,7 +85,7 @@ def test_invalid_D_raises_documented_error(name, D, error):
         TAKES_D[name](D)
 
 
-@pytest.mark.parametrize("d", [-5, 4])
+@pytest.mark.parametrize("d", [-5, 4] + NOT_INTEGERS)
 @pytest.mark.parametrize("name", sorted(TAKES_d))
 def test_invalid_d_raises_value_error(name, d):
     with pytest.raises(ValueError):
