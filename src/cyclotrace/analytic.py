@@ -18,16 +18,17 @@ hypergeometric lattice sum counts the forms of each group; its value is
 the tail extrapolate of its last doubling, and its estimate the largest
 of the extrapolate's last three changes, scaled down by the decay of
 those changes, plus a rounding floor.  Both doublings stop by one rule,
-`_stop_rule`, and report it.  Only the t of the parity of
-|d| D hold forms, so the groups are indexed by j with
-t = 2j - (|d| D mod 2).  At the nine d of
-class number one the counts are divisor sums of a quadratic character
-(Dirichlet), from one factorization sieve per sum, `_DirichletSieve`,
-in numpy array work: the square roots of -|d| D modulo every new prime
-come from one batched Tonelli--Shanks as the cutoff grows, with least
-non-residues by reciprocity, and the int64 values n(j) = (|d| D + t^2)/4
-are divided by their prime powers in chunks of a bounded number of
-hits.  Other d count with `PairingSolver`.
+`_stop_rule`, and report it.  Only the t of the parity of |d| D hold
+forms, so the groups are indexed by j with t = 2j - (|d| D mod 2); the
+cutoff S on j doubles from 2^8 at k = 2, whose 1/S tail runs every sum
+to thousands of terms, and from 8 at k >= 4, and the report names
+t_cutoff = 2S.  At the nine d of class number one the counts are divisor
+sums of a quadratic character (Dirichlet), from one factorization sieve
+per sum, `_DirichletSieve`, in numpy array work: the square roots of
+-|d| D modulo every new prime come from one batched Tonelli--Shanks as
+the cutoff grows, with least non-residues by reciprocity, and the int64
+values n(j) = (|d| D + t^2)/4 are divided by their prime powers in
+chunks of a bounded number of hits.  Other d count with `PairingSolver`.
 2F1 is summed as the positive series of its quadratic transformation,
 which stops once no term left can change its sum.
 """
@@ -318,7 +319,10 @@ class FkAEvaluator:
         reps = definite_class_reps(d)
         self.rep = reduce_definite(rep)[0] if rep is not None else reps[0]
         self.filter_class = len(reps) > 1
-        self.prefactor = (-d) ** ((k + 1) / 2) / math.pi
+        try:
+            self.prefactor = (-d) ** ((k + 1) / 2) / math.pi
+        except OverflowError:
+            raise ValueError(f"the prefactor |d|^((k+1)/2) at k = {k}, d = {d} overflows a float") from None
         a, b, c = self.rep.a, self.rep.b, self.rep.c
         tau = complex(-b, math.sqrt(-d)) / (2 * a)
         # E = E4^p E6^r; its order at tau and the ramification e of j there
@@ -639,8 +643,7 @@ def _cycle_integrals(forms: list[BQF], k: int, d: int, tol: float) -> list[tuple
             rest = ev.residual * weight_sum + ROUNDING_FLOOR * EPS * size
             estimates[i] = delta + rest
             if rule := _stop_rule(delta, rest, tol):
-                results[i] = cur, delta + rest, {"panels": rules[i].panels(mult), "layer_cutoff": ev.cutoff,
-                                                 "stop_rule": rule}
+                results[i] = cur, delta + rest, {"panels": rules[i].panels(mult), "stop_rule": rule}
         levels = [(i, 2 * mult) for i, mult in levels if mult > 1 and results[i] is None]
     return results
 
@@ -695,11 +698,11 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
         total += val
         err += e
         metas.append(meta)
-    # the largest cutoffs over the classes, and the loosest stop rule
-    cutoff = {key: max(m[key] for m in metas) for key in ("panels", "layer_cutoff")}
-    cutoff["stop_rule"] = max((m["stop_rule"] for m in metas), key=("tol", "rest", "noise_floor").index)
-    return _numeric_report("geodesic", k, D, d, tol, t0, total.real, max(err, abs(total.imag)),
-                           {**cutoff, "classes": len(reps)})
+    # the largest panels over the classes, and the loosest stop rule
+    cutoff = {"panels": max(m["panels"] for m in metas),
+              "stop_rule": max((m["stop_rule"] for m in metas), key=("tol", "rest", "noise_floor").index),
+              "classes": len(reps)}
+    return _numeric_report("geodesic", k, D, d, tol, t0, total.real, max(err, abs(total.imag)), cutoff)
 
 
 # ----------------------------------------------------------------------
@@ -973,9 +976,9 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     q(a) = a0^2 D + 2 a0 t a + disc(Q0) a^2 >= 0; its j ceiling is 2^15
     (t <= 2^16), and the sieve's S_CEILING.
 
-    The cutoff S on j doubles from first = 2^8 at d = -4 (where
-    j = t/2 = a + c) or 8 elsewhere; the report names it s_cutoff = S at
-    d = -4 and t_cutoff = 2S elsewhere.  After each doubling the terms
+    The cutoff S on j doubles from a first window of 2^8 at k = 2, whose
+    1/S tail runs every sum to thousands of terms, and 8 at k >= 4; the
+    report names it t_cutoff = 2S.  After each doubling the terms
     past the cutoff, which fall like S^(-k), are extrapolated from its
     increment: R = pref (total + inc/(2^(k-1) - 1)).  The value is the
     last R.  The estimate is the window
@@ -998,22 +1001,26 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     # the sieve takes D and d as integers before _check_trace runs
     check_discriminant(D)
     check_discriminant(d, positive=False)
-    first, key, unit = (1 << 8, "s_cutoff", 1) if d == -4 else (8, "t_cutoff", 2)
     sieve = _DirichletSieve(d, D) if d in CLASS_NUMBER_ONE else None
     _check_trace(k, D, d, tol)
     ceiling = S_CEILING if sieve else 1 << 15
     e = -d * D % 2  # t = 2j - e
     w_stab = stabilizer_order(d)
-    pref = (
-        (-1) ** k
-        * 2**k
-        * math.sqrt(-d)
-        * D ** (k - 0.5)
-        / (w_stab * comb(2 * k - 2, k - 1) * math.pi * (2 * k - 1))
-    )
+    try:
+        pref = (
+            (-1) ** k
+            * 2**k
+            * math.sqrt(-d)
+            * D ** (k - 0.5)
+            / (w_stab * comb(2 * k - 2, k - 1) * math.pi * (2 * k - 1))
+        )
+    except OverflowError:
+        pref = math.inf
+    if not math.isfinite(pref):
+        raise ValueError(f"latticesum: the prefactor at k = {k}, D = {D} overflows a float")
     if k % 2 == 1:
         # sgn(t)^k is odd while N(t) is even in t: exact cancellation
-        return _numeric_report("latticesum", k, D, d, tol, t0, 0.0, 0.0, {key: 0, "stop_rule": "tol"})
+        return _numeric_report("latticesum", k, D, d, tol, t0, 0.0, 0.0, {"t_cutoff": 0, "stop_rule": "tol"})
     if sieve:
         counts = sieve.counts
     else:
@@ -1038,13 +1045,13 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
 
     # the stop test reads four extrapolates, so no sum stops before j =
     # 16 first: one pass sums the first window and the next four
-    S, R = first, []  # R: the last four extrapolates
-    total, *incs = window_sums([0] + [first << i for i in range(5)])
+    S, R = (1 << 8 if k == 2 else 8), []  # R: the last four extrapolates
+    total, *incs = window_sums([0] + [S << i for i in range(5)])
     while True:
         if not incs:
             if 2 * S > ceiling:
-                raise NoConvergence(f"latticesum: {key} {unit * 2 * S} would pass the ceiling {unit * ceiling}; "
-                                    f"last cutoff {unit * S}, estimate {est + rest:.3e}")
+                raise NoConvergence(f"latticesum: t_cutoff {4 * S} would pass the ceiling {2 * ceiling}; "
+                                    f"last cutoff {2 * S}, estimate {est + rest:.3e}")
             incs = window_sums([S, 2 * S])
         inc = incs.pop(0)
         total += inc
@@ -1059,4 +1066,4 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
             if rule := _stop_rule(est, rest, tol):
                 break
     return _numeric_report("latticesum", k, D, d, tol, t0, R[-1], max(est + rest, 1e-15),
-                           {key: unit * S, "stop_rule": rule})
+                           {"t_cutoff": 2 * S, "stop_rule": rule})

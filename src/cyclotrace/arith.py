@@ -275,19 +275,17 @@ def dirichlet_L_value(D: int, one_minus_r: int) -> Fraction:
 
     For fundamental D this is -B_{r,chi_D}/r; a non-fundamental D ≡ 0, 1
     (mod 4) is handled through the conductor convolution shared with
-    cohen_H, and D = 1 degenerates to zeta(1-r).
+    cohen_H, and D = 1 (the int) degenerates to zeta(1-r).  Every other D
+    is checked by `check_discriminant`.
     """
     if one_minus_r > 0:
         raise ValueError("only non-positive arguments are supported")
     r = 1 - one_minus_r
-    if D == 1:
+    if type(D) is int and D == 1:
         return zeta_negative(r - 1)
+    check_discriminant(D, positive=D > 0)
     if is_fundamental_discriminant(D):
         return -gen_bernoulli(r, D) / r
-    if D == 0 or D % 4 not in (0, 1):
-        raise NonFundamental(f"{D} is not a discriminant")
-    if D > 0 and is_square(D):
-        raise NonFundamental("square discriminants have no associated L-function here")
     if (D > 0) == (r % 2 == 0):
         # single source of truth for the conductor convolution
         return cohen_H(r, abs(D))

@@ -348,6 +348,22 @@ def test_evaluator_rejects_overflowing_j():
     assert np.isfinite(ev._jA) and np.all(np.isfinite(ev._c))
 
 
+def test_evaluator_rejects_an_overflowing_prefactor():
+    # |d|^((k+1)/2) passes the float range at k = 300, d = -163
+    with pytest.raises(ValueError, match="k = 300, d = -163"):
+        FkAEvaluator(300, -163)
+    with pytest.raises(ValueError, match="k = 300, d = -163"):
+        lhs_geodesic(300, 12, -163)
+
+
+@pytest.mark.parametrize("k, D", [(400, 12), (40, 10**15 + 1), (2000, 12), (200, 33)])
+def test_latticesum_rejects_an_overflowing_prefactor(k, D):
+    # D^(k - 1/2) and 2^k raise OverflowError past the float range, and
+    # at (200, 33) their product is inf without one
+    with pytest.raises(ValueError, match=f"k = {k}, D = {D} overflows"):
+        lhs_latticesum(k, D)
+
+
 def test_evaluator_rejects_rep_of_another_discriminant():
     # [1, 0, 1] has discriminant -4: its root is no pole of a d = -23 form
     for build in (lambda: FkAEvaluator(4, -23, BQF(1, 0, 1)),
@@ -551,7 +567,6 @@ def test_lhs_geodesic_keeps_every_class(k, D, d, tol):
     assert rep.value == total.real
     assert rep.cutoff["classes"] == len(reps)
     assert rep.cutoff["panels"] == max(m["panels"] for m in metas)
-    assert rep.cutoff["layer_cutoff"] == max(m["layer_cutoff"] for m in metas)
     # the trace names the loosest of its classes' stop rules
     rules = {m["stop_rule"] for m in metas}
     assert rep.cutoff["stop_rule"] == next(r for r in ("noise_floor", "rest", "tol") if r in rules)
@@ -563,17 +578,17 @@ def test_lhs_geodesic_keeps_every_class(k, D, d, tol):
 # change to the rule, the nodes or their batching shows here
 GEODESIC_PINS = [
     ((2, 12, -4, 1e-6), "0x1.8000000000006p+4", "0x1.d6e2a7898e9e1p-39",
-     {"panels": 4, "layer_cutoff": 0, "stop_rule": "tol", "classes": 2, "met_tol": True}),
+     {"panels": 4, "stop_rule": "tol", "classes": 2, "met_tol": True}),
     ((3, 12, -7, 1e-7), "-0x1.0000000000000p-42", "0x1.680166ca92962p-33",
-     {"panels": 4, "layer_cutoff": 0, "stop_rule": "tol", "classes": 2, "met_tol": True}),
+     {"panels": 4, "stop_rule": "tol", "classes": 2, "met_tol": True}),
     ((3, 12, -20, 1e-6), "0x1.0000000000000p-44", "0x1.c76401ae6ca1cp-31",
-     {"panels": 4, "layer_cutoff": 0, "stop_rule": "tol", "classes": 2, "met_tol": True}),
+     {"panels": 4, "stop_rule": "tol", "classes": 2, "met_tol": True}),
     ((4, 12, -4, 1e-10), "0x1.2000000000214p+6", "0x1.99eb7a9fbf300p-32",
-     {"panels": 4, "layer_cutoff": 0, "stop_rule": "rest", "classes": 2, "met_tol": False}),
+     {"panels": 4, "stop_rule": "rest", "classes": 2, "met_tol": False}),
     ((4, 12, -7, 1e-9), "0x1.adb6db6db83bep+7", "0x1.34be0e106d71cp-29",
-     {"panels": 8, "layer_cutoff": 0, "stop_rule": "rest", "classes": 2, "met_tol": False}),
+     {"panels": 8, "stop_rule": "rest", "classes": 2, "met_tol": False}),
     ((6, 5, -23, 1e-6), "0x1.3379b4b9fdee8p+2", "0x1.a6c44df9b8449p-22",
-     {"panels": 4, "layer_cutoff": 1024, "stop_rule": "tol", "classes": 1, "met_tol": True}),
+     {"panels": 4, "stop_rule": "tol", "classes": 1, "met_tol": True}),
 ]
 
 
@@ -587,7 +602,7 @@ def test_cycle_integral_is_pinned_bit_for_bit():
     v, e, meta = cycle_integral(BQF(1, 2, -2), 4, -7, tol=1e-9)
     assert (v.real.hex(), v.imag.hex(), e.hex()) == ("0x1.adb6db6db83b8p+6", "-0x1.1400000000000p-37",
                                                      "0x1.347e83f6b80e3p-30")
-    assert meta == {"panels": 8, "layer_cutoff": 0, "stop_rule": "rest"}
+    assert meta == {"panels": 8, "stop_rule": "rest"}
 
 
 def test_stop_rule_tries_tol_then_rest_then_the_noise_floor():
@@ -816,8 +831,8 @@ def test_lhs_latticesum():
     assert abs(rep4.value - 72) < 1e-4 * 73
     rep3 = lhs_latticesum(3, 12, -4)
     assert rep3.value == 0.0
-    # the exact zero of odd k names the cutoff of its path
-    assert rep3.cutoff == {"s_cutoff": 0, "stop_rule": "tol", "met_tol": True}
+    # the exact zero of odd k names t_cutoff 0, at d = -4 as elsewhere
+    assert rep3.cutoff == {"t_cutoff": 0, "stop_rule": "tol", "met_tol": True}
     assert lhs_latticesum(3, 21, -3).cutoff == {"t_cutoff": 0, "stop_rule": "tol", "met_tol": True}
     with pytest.raises(HypothesisViolated):
         lhs_latticesum(2, 8, -4)
@@ -857,11 +872,12 @@ def test_sieved_latticesums_reject_int64_overflow(d):
         lhs_latticesum(2, D, d)
 
 
-# under a j ceiling of 2^13 at d = -4 and 2^10 at d = -7 (t <= 2^11),
-# neither k = 2 sum reaches 1e-9: each names its last cutoff and estimate
+# under a j ceiling of 2^13 (t <= 2^14), above the k = 2 first pass over
+# j <= 4096, neither k = 2 sum reaches 1e-9: each names its last cutoff
+# and estimate in t, at d = -4 as elsewhere
 @pytest.mark.parametrize("d, ceiling, message", [
-    (-4, 1 << 13, "latticesum: s_cutoff 16384 would pass the ceiling 8192; last cutoff 8192, estimate "),
-    (-7, 1 << 10, "latticesum: t_cutoff 4096 would pass the ceiling 2048; last cutoff 2048, estimate "),
+    (-4, 1 << 13, "latticesum: t_cutoff 32768 would pass the ceiling 16384; last cutoff 16384, estimate "),
+    (-7, 1 << 13, "latticesum: t_cutoff 32768 would pass the ceiling 16384; last cutoff 16384, estimate "),
 ])
 def test_latticesum_ceiling_names_the_last_cutoff_and_estimate(monkeypatch, d, ceiling, message):
     monkeypatch.setattr(analytic, "S_CEILING", ceiling)
@@ -869,13 +885,13 @@ def test_latticesum_ceiling_names_the_last_cutoff_and_estimate(monkeypatch, d, c
         lhs_latticesum(2, 12, d, tol=1e-9)
 
 
-@pytest.mark.parametrize("d, tol", [(-4, 1e-6), (-7, 1e-3)])
-def test_latticesum_slices_keep_the_sum(monkeypatch, d, tol):
+@pytest.mark.parametrize("k, d, tol", [(2, -4, 1e-2), (4, -4, 1e-6), (4, -7, 1e-3)])
+def test_latticesum_slices_keep_the_sum(monkeypatch, k, d, tol):
     # slices of 5 cut every window, and the first pass over j <= 16 first
-    # (128 terms at d = -7, 4096 at d = -4) mid-window too
-    whole = lhs_latticesum(4, 21, d, tol=tol)
+    # (128 terms at k = 4, 4096 at k = 2) mid-window too
+    whole = lhs_latticesum(k, 21, d, tol=tol)
     monkeypatch.setattr(analytic, "TAIL_SLICE", 5)
-    sliced = lhs_latticesum(4, 21, d, tol=tol)
+    sliced = lhs_latticesum(k, 21, d, tol=tol)
     assert sliced.cutoff == whole.cutoff
     assert abs(sliced.value - whole.value) <= 1e-13 * abs(whole.value)
 
@@ -883,7 +899,7 @@ def test_latticesum_slices_keep_the_sum(monkeypatch, d, tol):
 def _latticesum_by_windows(k, D, d, tol):
     """lhs_latticesum's value and cutoff from a loop that sieves and sums one
     window per doubling, with the same terms, extrapolates and stop."""
-    first, key = (256, "s_cutoff") if d == -4 else (8, "t_cutoff")
+    first = 256 if k == 2 else 8
     e = -d * D % 2
     if d in CLASS_NUMBER_ONE:
         counts = _DirichletSieve(d, D).counts
@@ -906,7 +922,7 @@ def _latticesum_by_windows(k, D, d, tol):
         if len(R) == 4:
             est = max(abs(R[3 - i] - R[2 - i]) * 2.0 ** (-(k - 2) * i) for i in range(3))
             rest = analytic.ROUNDING_FLOOR * analytic.EPS * abs(pref * total)
-            cutoff = {key: S if d == -4 else 2 * S, "met_tol": max(est + rest, 1e-15) <= tol}
+            cutoff = {"t_cutoff": 2 * S, "met_tol": max(est + rest, 1e-15) <= tol}
             if est < tol - rest:
                 return R[-1], {**cutoff, "stop_rule": "tol"}
             if est < tol / 2:
@@ -915,14 +931,17 @@ def _latticesum_by_windows(k, D, d, tol):
                 return R[-1], {**cutoff, "stop_rule": "noise_floor"}
 
 
-# (4, 12, -4) stops at the least s_cutoff 16 * 2^8, (2, 24, -4) runs on
-# past the first pass, and (6, 5, -23) counts with PairingSolver
+# (4, 12, -4) starts at j = 8 as k >= 4 does at every d, (2, 24, -4) runs
+# on past the first pass, (6, 5, -23) counts with PairingSolver, and
+# (2, 12, -4) and (2, 12, -7) stop at the least k = 2 cutoff, t = 2 * 16 * 2^8
 @pytest.mark.parametrize("k, D, d, tol, cutoff", [
-    (4, 12, -4, 1e-4, {"s_cutoff": 4096, "stop_rule": "tol", "met_tol": True}),
-    (2, 24, -4, 2e-3, {"s_cutoff": 32768, "stop_rule": "tol", "met_tol": True}),
+    (4, 12, -4, 1e-4, {"t_cutoff": 1024, "stop_rule": "tol", "met_tol": True}),
+    (2, 24, -4, 2e-3, {"t_cutoff": 65536, "stop_rule": "tol", "met_tol": True}),
     (4, 33, -7, 1e-6, {"t_cutoff": 16384, "stop_rule": "tol", "met_tol": True}),
     (4, 13, -8, 1e-6, {"t_cutoff": 4096, "stop_rule": "tol", "met_tol": True}),
     (6, 5, -23, 1e-6, {"t_cutoff": 512, "stop_rule": "tol", "met_tol": True}),
+    (2, 12, -4, 1e-2, {"t_cutoff": 8192, "stop_rule": "tol", "met_tol": True}),
+    (2, 12, -7, 1e-2, {"t_cutoff": 8192, "stop_rule": "tol", "met_tol": True}),
 ])
 def test_latticesum_first_pass_keeps_every_window(k, D, d, tol, cutoff):
     rep = lhs_latticesum(k, D, d, tol=tol)
@@ -930,21 +949,41 @@ def test_latticesum_first_pass_keeps_every_window(k, D, d, tol, cutoff):
     assert (rep.value, rep.cutoff) == _latticesum_by_windows(k, D, d, tol)
 
 
+# float.hex of value and error_estimate, and the stop rule, of lattice sums
+# at k = 2 on d = -4, at k >= 4 off d = -4 and at odd k: the first window
+# follows k alone, so none of these may move
+LATTICESUM_PINS = [
+    ((2, 24, -4, 2e-3), "0x1.c000019329af0p+5", "0x1.31a76b7df7d37p-10", "tol"),
+    ((2, 12, -4, 1e-4), "0x1.7fffffaecb3b9p+4", "0x1.bb178509fe65fp-16", "tol"),
+    ((4, 33, -7, 1e-6), "0x1.5536db6db7627p+11", "0x1.6b56b6db6d6b3p-25", "tol"),
+    ((4, 13, -8, 1e-6), "0x1.effffffff1cd1p+7", "0x1.2370183ffff89p-21", "tol"),
+    ((6, 5, -23, 1e-6), "0x1.3379b4f46e115p+2", "0x1.d745230d5b4f0p-22", "tol"),
+    ((4, 12, -20, 1e-4), "0x1.6fffffeab764ap+7", "0x1.8e25feac9ffd6p-14", "tol"),
+    ((3, 21, -3, 1e-3), "0x0.0p+0", "0x0.0p+0", "tol"),
+]
+
+
+@pytest.mark.parametrize("args, value, estimate, rule", LATTICESUM_PINS, ids=lambda x: None)
+def test_latticesum_reports_are_pinned_bit_for_bit(args, value, estimate, rule):
+    rep = lhs_latticesum(*args)
+    assert (rep.value.hex(), rep.error_estimate.hex(), rep.cutoff["stop_rule"]) == (value, estimate, rule)
+
+
 def test_latticesum_sieves_its_first_span_once(monkeypatch):
-    # the stop test needs four extrapolates, so a sum stopping at the
-    # least s_cutoff 4096 sieves and evaluates 2F1 over j <= 4096 once
+    # the stop test needs four extrapolates, so a k = 2 sum stopping at its
+    # least cutoff, t_cutoff 8192, sieves and evaluates 2F1 over j <= 4096 once
     calls = {"counts": 0, "_hyp2f1_quadratic": 0}
     for owner, name in ((analytic._DirichletSieve, "counts"), (analytic, "_hyp2f1_quadratic")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
-    assert lhs_latticesum(4, 12, -4, tol=1e-4).cutoff == {"s_cutoff": 4096, "stop_rule": "tol", "met_tol": True}
+    assert lhs_latticesum(2, 12, -4, tol=1e-2).cutoff == {"t_cutoff": 8192, "stop_rule": "tol", "met_tol": True}
     assert calls == {"counts": 1, "_hyp2f1_quadratic": 1}
 
 
 def test_latticesum_builds_one_sieve_and_one_character_table(monkeypatch):
-    # (2, 24, -4) runs past its first pass to s_cutoff 32768, so it sieves
+    # (2, 24, -4) runs past its first pass to t_cutoff 65536, so it sieves
     # four windows; the one sieve takes chi_(-4) once, in 4 kronecker calls
     calls = {"sieves": 0, "kronecker": 0}
     init, kronecker = analytic._DirichletSieve.__init__, analytic.kronecker
@@ -959,7 +998,7 @@ def test_latticesum_builds_one_sieve_and_one_character_table(monkeypatch):
 
     monkeypatch.setattr(analytic._DirichletSieve, "__init__", counted_init)
     monkeypatch.setattr(analytic, "kronecker", counted_kronecker)
-    assert lhs_latticesum(2, 24, -4, tol=2e-3).cutoff == {"s_cutoff": 32768, "stop_rule": "tol", "met_tol": True}
+    assert lhs_latticesum(2, 24, -4, tol=2e-3).cutoff == {"t_cutoff": 65536, "stop_rule": "tol", "met_tol": True}
     assert calls == {"sieves": 1, "kronecker": 4}
 
 

@@ -96,6 +96,20 @@ def test_usage_errors_exit_3(args, code, capsys):
     assert "usage: cyclotrace" in (err if code else out)
 
 
+@pytest.mark.parametrize("args", [
+    "trace --k 400 --D 12 --method latticesum",
+    "trace --k 40 --D 1000000000000001 --method latticesum",
+    "trace --k 2000 --D 12 --method latticesum",
+    "trace --k 300 --D 12 --d -163 --method geodesic",
+    "verify --k 5000 --D 12",
+])
+def test_float_overflowing_k_or_D_exits_3(args, capsys):
+    # a prefactor past the float range is invalid input, not a mismatch
+    # (exit 1, which an OverflowError's traceback gave)
+    assert main(args.split()) == 3
+    assert "overflows a float" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
 def test_invalid_tol_exit_3(tol):
     # the lattice sum would double its cutoff to the ceiling (exit 4)

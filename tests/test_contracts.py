@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cyclotrace
-from cyclotrace.arith import check_discriminant
+from cyclotrace.arith import check_discriminant, dirichlet_L_value
 from cyclotrace.analytic import FkAEvaluator, cycle_integral, lhs_geodesic, lhs_latticesum
 from cyclotrace.bqf import (
     BQF,
@@ -83,6 +83,17 @@ def test_invalid_D_raises_documented_error(name, D, error):
     # only a positive square is a SquareDiscriminant; 7 is not a square
     with pytest.raises(error):
         TAKES_D[name](D)
+
+
+# the L-value takes a discriminant of either sign, and D = 1, the int,
+# for the trivial character: 6, 0 and 9 raised NonFundamental, 13.0
+# TypeError, and True read as D = 1
+@pytest.mark.parametrize("D, error", [(6, ValueError), (0, ValueError), (-5, ValueError),
+                                      (9, SquareDiscriminant), (13.0, ValueError),
+                                      (-3.0, ValueError), (True, ValueError)])
+def test_dirichlet_L_value_checks_its_discriminant(D, error):
+    with pytest.raises(error):
+        dirichlet_L_value(D, -1)
 
 
 @pytest.mark.parametrize("d", [-5, 4] + NOT_INTEGERS)
