@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import pairwise
@@ -209,6 +210,17 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, not {tol}")
 
 
+def _float_range(prefactor: Callable[[], float], at: str) -> float:
+    """prefactor(), or ValueError if it overflows a float, naming `at`: k and D, or k and d."""
+    try:
+        value = prefactor()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the prefactor at {at} overflows a float")
+    return value
+
+
 def eisenstein_oracle(z: complex, terms: int = 40) -> tuple[complex, complex, complex]:
     """(E4, E6, Delta) at z by q-series; tails < 1e-12 for Im z >= 0.5."""
     if z.imag < 0.5:
@@ -319,10 +331,7 @@ class FkAEvaluator:
         reps = definite_class_reps(d)
         self.rep = reduce_definite(rep)[0] if rep is not None else reps[0]
         self.filter_class = len(reps) > 1
-        try:
-            self.prefactor = (-d) ** ((k + 1) / 2) / math.pi
-        except OverflowError:
-            raise ValueError(f"the prefactor |d|^((k+1)/2) at k = {k}, d = {d} overflows a float") from None
+        self.prefactor = _float_range(lambda: (-d) ** ((k + 1) / 2) / math.pi, f"k = {k}, d = {d}")
         a, b, c = self.rep.a, self.rep.b, self.rep.c
         tau = complex(-b, math.sqrt(-d)) / (2 * a)
         # E = E4^p E6^r; its order at tau and the ramification e of j there
@@ -356,33 +365,36 @@ class FkAEvaluator:
         if not np.isfinite(self._jA):
             raise ValueError(f"j at the root of the class of d = {d} overflows a float")
 
-        # Laurent coefficients of orders -1..-eM, each times radius^order,
-        # from a discrete Fourier transform of values on the circle at
-        # those orders only: row m - 1 holds order -m
-        E4, E6, delta = circle
-        # s, the median of |j - j_A| there, keeps u near 1 on the circle
-        self._scale = float(np.sort(np.abs(E4 * E4 * E4 / delta - self._jA))[self.NODES // 2])
-        turns = np.outer(np.arange(1, e * self._M + 1), np.arange(self.NODES)) % self.NODES
-        phase = np.exp(2j * np.pi * turns / self.NODES)
-        G = phase @ self._terms(E4, E6, delta)[0] / self.NODES
-        target = phase @ (self.prefactor / _power(a * zc * zc + b * zc + c, k)) / self.NODES
-        # E u^m has a pole of order e m - order: the rows at those orders
-        # are a triangular system in the c_m
-        self._c = np.zeros(self._M, dtype=complex)
-        for m in reversed(range(self._M)):
-            row = e * (m + 1) - order - 1
-            self._c[m] = (target[row] - G[row, m + 1 :] @ self._c[m + 1 :]) / G[row, m]
-        # the mismatch beyond the rounding of G c - target: zero for a
-        # consistent fit
-        rounding = 16 * EPS * (np.sum(np.abs(G) @ np.abs(self._c)) + np.sum(np.abs(target)))
-        fit = max(0.0, float(np.sum(np.abs(G @ self._c - target)) - rounding))
-        fractions = self._terms(*at_probes)[0]
-        cancellation = 16 * EPS * float(np.min(np.abs(fractions) @ np.abs(self._c)))
+        # a large k overflows the fit or the pin: the checks below reject
+        # what is not finite, without numpy's warnings
+        with np.errstate(all="ignore"):
+            # Laurent coefficients of orders -1..-eM, each times radius^order,
+            # from a discrete Fourier transform of values on the circle at
+            # those orders only: row m - 1 holds order -m
+            E4, E6, delta = circle
+            # s, the median of |j - j_A| there, keeps u near 1 on the circle
+            self._scale = float(np.sort(np.abs(E4 * E4 * E4 / delta - self._jA))[self.NODES // 2])
+            turns = np.outer(np.arange(1, e * self._M + 1), np.arange(self.NODES)) % self.NODES
+            phase = np.exp(2j * np.pi * turns / self.NODES)
+            G = phase @ self._terms(E4, E6, delta)[0] / self.NODES
+            target = phase @ (self.prefactor / _power(a * zc * zc + b * zc + c, k)) / self.NODES
+            # E u^m has a pole of order e m - order: the rows at those orders
+            # are a triangular system in the c_m
+            self._c = np.zeros(self._M, dtype=complex)
+            for m in reversed(range(self._M)):
+                row = e * (m + 1) - order - 1
+                self._c[m] = (target[row] - G[row, m + 1 :] @ self._c[m + 1 :]) / G[row, m]
+            # the mismatch beyond the rounding of G c - target: zero for a
+            # consistent fit
+            rounding = 16 * EPS * (np.sum(np.abs(G) @ np.abs(self._c)) + np.sum(np.abs(target)))
+            fit = max(0.0, float(np.sum(np.abs(G @ self._c - target)) - rounding))
+            fractions = self._terms(*at_probes)[0]
+            cancellation = 16 * EPS * float(np.min(np.abs(fractions) @ np.abs(self._c)))
 
-        self.cutoff = self.PIN_CUTOFF if dim else 0
-        self._beta, pin_change = self._pin(self.cutoff) if dim else (np.zeros(0), 0.0)
+            self.cutoff = self.PIN_CUTOFF if dim else 0
+            self._beta, pin_change = self._pin(self.cutoff) if dim else (np.zeros(0), 0.0)
         if not (np.all(np.isfinite(self._c)) and np.all(np.isfinite(self._beta))):
-            raise ValueError(f"the coefficients of f_(k,A) at d = {d} are not finite")
+            raise ValueError(f"the coefficients of f_(k,A) at k = {k}, d = {d} are not finite")
         self.residual = fit + cancellation + pin_change
 
     def _parts(self, E4, E6, delta) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -498,21 +510,31 @@ def _stop_rule(change: float, rest: float, tol: float) -> str | None:
     return None
 
 
-def _check_trace(k: int, D: int, d: int, tol: float) -> None:
-    """The argument checks of a numeric trace, the hypothesis last."""
+def _check_trace(k: int, D: int, d: int, tol: float, prefactor: Callable[[], float], Q: BQF | None = None) -> float:
+    """Returns prefactor() after the preconditions of a numeric trace, in one
+    order: k, tol, the float range (prefactor(), by `_float_range`), and the
+    hypothesis (with Q, on Q's geodesic alone) last, whose check takes
+    ~sqrt(D) steps, so that invalid input is rejected at any D at once."""
     if k < 2:
         raise ValueError("k must be >= 2")
     check_tol(tol)
-    if not hypothesis_check(D, d):
+    value = _float_range(prefactor, f"k = {k}, D = {D}")
+    if Q is not None:
+        if any(equivalent_indefinite(X, Q) for X in on_geodesic_forms(D, d)):
+            raise PoleOnGeodesic(f"a pole lies on the geodesic of {Q}")
+    elif not hypothesis_check(D, d):
         raise HypothesisViolated(f"CM point of disc {d} lies on a disc {D} geodesic")
+    return value
 
 
-def _numeric_report(method: str, k: int, D: int, d: int, tol: float, t0: float,
-                    value: float, error_estimate: float, cutoff: dict) -> TraceReport:
-    """The report of a numeric trace started at t0; its cutoff gains met_tol."""
+def trace_report(method: str, k: int, D: int, d: int, t0: float, value=None, error_estimate: float = 0.0,
+                 hypothesis_ok: bool = True, tol: float | None = None, cutoff: dict | None = None) -> TraceReport:
+    """The report of a trace started at t0: exact, numeric (with tol, and a
+    cutoff that gains met_tol) or a row with no value."""
+    if tol is not None:
+        cutoff = {**cutoff, "met_tol": error_estimate <= tol}
     return TraceReport(k=k, D=D, d=d, method=method, value=value, error_estimate=error_estimate,
-                       hypothesis_ok=True, seconds=time.perf_counter() - t0,
-                       cutoff={**cutoff, "met_tol": error_estimate <= tol})
+                       hypothesis_ok=hypothesis_ok, seconds=time.perf_counter() - t0, cutoff=cutoff or {})
 
 
 # The 48-point Gauss--Legendre rule on [-1, 1]: its 24 positive nodes,
@@ -672,10 +694,7 @@ def cycle_integral(
     of the rule's terms.  This is the one-form case of `_cycle_integrals`,
     through which `lhs_geodesic` integrates all its classes at once.
     """
-    check_tol(tol)
-    for X in on_geodesic_forms(Q.disc, d):
-        if equivalent_indefinite(X, Q):
-            raise PoleOnGeodesic(f"a pole lies on the geodesic of {Q}")
+    _check_trace(k, Q.disc, d, tol, lambda: get_evaluator(k, d).prefactor, Q)
     return _cycle_integrals([Q], k, d, tol)[0]
 
 
@@ -689,7 +708,8 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
     over the pieces of its reduced cycle, and its `stop_rule` the loosest
     of the classes' rules."""
     t0 = time.perf_counter()
-    _check_trace(k, D, d, tol)
+    # the evaluator, built or fetched from the cache, checks the float range
+    _check_trace(k, D, d, tol, lambda: get_evaluator(k, d).prefactor)
     total = 0j
     err = 0.0
     metas = []
@@ -702,7 +722,7 @@ def lhs_geodesic(k: int, D: int, d: int = -4, tol: float = 1e-8) -> TraceReport:
     cutoff = {"panels": max(m["panels"] for m in metas),
               "stop_rule": max((m["stop_rule"] for m in metas), key=("tol", "rest", "noise_floor").index),
               "classes": len(reps)}
-    return _numeric_report("geodesic", k, D, d, tol, t0, total.real, max(err, abs(total.imag)), cutoff)
+    return trace_report("geodesic", k, D, d, t0, total.real, max(err, abs(total.imag)), tol=tol, cutoff=cutoff)
 
 
 # ----------------------------------------------------------------------
@@ -993,34 +1013,24 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
     window's sum and the next four increments are read off it; each
     later doubling is one pass over its new half.  Every pass runs in
     slices of at most TAIL_SLICE terms.  A sieved sum builds one
-    `_DirichletSieve` and keeps it across its doublings; the sieve works
-    in int64, so a sieved d and D with n(S_CEILING) beyond int64 raise
-    ValueError, before the hypothesis check.
+    `_DirichletSieve` and keeps it across its doublings.  The checks run
+    in one order: D and d, the sieve's int64 range (a sieved d and D with
+    n(S_CEILING) beyond int64 raise ValueError), then `_check_trace`: k,
+    tol, the prefactor's float range, and the hypothesis last.
     """
     t0 = time.perf_counter()
     # the sieve takes D and d as integers before _check_trace runs
     check_discriminant(D)
     check_discriminant(d, positive=False)
     sieve = _DirichletSieve(d, D) if d in CLASS_NUMBER_ONE else None
-    _check_trace(k, D, d, tol)
+    # w, the stabilizer order, is 1 at every d off CLASS_NUMBER_ONE
+    pref = _check_trace(k, D, d, tol, lambda: 2**k * math.sqrt(-d) * D ** (k - 0.5)
+                        / ((sieve.w if sieve else 1) * comb(2 * k - 2, k - 1) * math.pi * (2 * k - 1)))
     ceiling = S_CEILING if sieve else 1 << 15
     e = -d * D % 2  # t = 2j - e
-    w_stab = stabilizer_order(d)
-    try:
-        pref = (
-            (-1) ** k
-            * 2**k
-            * math.sqrt(-d)
-            * D ** (k - 0.5)
-            / (w_stab * comb(2 * k - 2, k - 1) * math.pi * (2 * k - 1))
-        )
-    except OverflowError:
-        pref = math.inf
-    if not math.isfinite(pref):
-        raise ValueError(f"latticesum: the prefactor at k = {k}, D = {D} overflows a float")
     if k % 2 == 1:
         # sgn(t)^k is odd while N(t) is even in t: exact cancellation
-        return _numeric_report("latticesum", k, D, d, tol, t0, 0.0, 0.0, {"t_cutoff": 0, "stop_rule": "tol"})
+        return trace_report("latticesum", k, D, d, t0, 0.0, 0.0, tol=tol, cutoff={"t_cutoff": 0, "stop_rule": "tol"})
     if sieve:
         counts = sieve.counts
     else:
@@ -1065,5 +1075,5 @@ def lhs_latticesum(k: int, D: int, d: int = -4, tol: float = 1e-6) -> TraceRepor
             rest = ROUNDING_FLOOR * EPS * abs(pref * total)
             if rule := _stop_rule(est, rest, tol):
                 break
-    return _numeric_report("latticesum", k, D, d, tol, t0, R[-1], max(est + rest, 1e-15),
-                           {"t_cutoff": 2 * S, "stop_rule": rule})
+    return trace_report("latticesum", k, D, d, t0, R[-1], max(est + rest, 1e-15), tol=tol,
+                        cutoff={"t_cutoff": 2 * S, "stop_rule": rule})

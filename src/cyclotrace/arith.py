@@ -283,7 +283,8 @@ def dirichlet_L_value(D: int, one_minus_r: int) -> Fraction:
     r = 1 - one_minus_r
     if type(D) is int and D == 1:
         return zeta_negative(r - 1)
-    check_discriminant(D, positive=D > 0)
+    # the sign is read only off an integer: anything else fails the check
+    check_discriminant(D, positive=hasattr(type(D), "__index__") and D > 0)
     if is_fundamental_discriminant(D):
         return -gen_bernoulli(r, D) / r
     if (D > 0) == (r % 2 == 0):

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedK,
 )
 from .special_forms import EXACT_K, ExactSeries, rhs_trace
-from .analytic import TraceReport, check_tol, lhs_geodesic, lhs_latticesum
+from .analytic import TraceReport, check_tol, lhs_geodesic, lhs_latticesum, trace_report
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -71,11 +71,7 @@ def compute_trace(method: str, k: int, D: int, d: int, tol: float,
         if not _exact_applies(k, d):
             raise ValueError(f"exact method requires {_EXACT_SCOPE}")
         t0 = time.perf_counter()
-        value = rhs_trace(k, D, series)
-        return TraceReport(
-            k=k, D=D, d=d, method="exact", value=value, error_estimate=0.0,
-            hypothesis_ok=True, seconds=time.perf_counter() - t0,
-        )
+        return trace_report("exact", k, D, d, t0, rhs_trace(k, D, series))
     if method == "geodesic":
         return lhs_geodesic(k, D, d, tol=tol)
     if method == "latticesum":
@@ -170,10 +166,7 @@ def cmd_table(cfg: RunConfig) -> int:
             # the row stays in the table with no value; the others are kept
             print(f"no convergence at D={D} ({m}): {e}", file=sys.stderr)
             stalled.append(D)
-        return TraceReport(
-            k=cfg.k, D=D, d=cfg.d, method=m, value=None, error_estimate=0.0,
-            hypothesis_ok=hypothesis_ok, seconds=time.perf_counter() - t0,
-        )
+        return trace_report(m, cfg.k, D, cfg.d, t0, hypothesis_ok=hypothesis_ok)
 
     reports = [run(D, m) for D in Ds for m in methods]
     rows = [_row_fields(r) for r in reports]

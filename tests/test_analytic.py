@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import product
 from concurrent.futures import ThreadPoolExecutor
 
@@ -362,6 +363,21 @@ def test_latticesum_rejects_an_overflowing_prefactor(k, D):
     # at (200, 33) their product is inf without one
     with pytest.raises(ValueError, match=f"k = {k}, D = {D} overflows"):
         lhs_latticesum(k, D)
+
+
+@pytest.mark.parametrize("trace", [
+    lambda: lhs_latticesum(40, 10**15 + 1),
+    lambda: lhs_geodesic(300, 10**15 + 1, -163),
+    lambda: cycle_integral(BQF(1, 1, -(10**15) // 4), 300, -163),  # disc 10^15 + 1
+], ids=["latticesum", "geodesic", "cycle_integral"])
+def test_invalid_input_is_rejected_before_the_hypothesis_check(trace):
+    # the hypothesis check (the pole guard for one cycle integral) takes
+    # ~sqrt(D) steps, seconds to minutes at D = 10^15 + 1; the float range
+    # is checked before it
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="overflows a float"):
+        trace()
+    assert time.perf_counter() - start < 1
 
 
 def test_evaluator_rejects_rep_of_another_discriminant():

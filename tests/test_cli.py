@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,37 @@ def test_float_overflowing_k_or_D_exits_3(args, capsys):
     # (exit 1, which an OverflowError's traceback gave)
     assert main(args.split()) == 3
     assert "overflows a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    "trace --k 400 --D 5 --method latticesum",
+    "trace --k 300 --D 5 --method geodesic",
+    "trace --k 40 --D 1000000000000001 --method latticesum",
+    "trace --k 300 --D 1000000000000001 --d -163 --method geodesic",
+])
+def test_invalid_input_exits_3_before_the_hypothesis_check(args):
+    # D = 5 violates the hypothesis (exit 2), and D = 10^15 + 1 takes
+    # seconds to minutes to check: invalid input is reported first, at any
+    # D.  The subprocess's timeout fails a regression instead of hanging
+    code = ("import time\nfrom cyclotrace.cli import main\nstart = time.perf_counter()\n"
+            f"status = main({args.split()!r})\nprint(status, time.perf_counter() - start)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    status, seconds = proc.stdout.split()
+    assert status == "3" and float(seconds) < 1, proc.stderr
+    assert "invalid input" in proc.stderr
+
+
+@pytest.mark.parametrize("args, k", [("trace --k 120 --D 12 --method geodesic", 120),
+                                     ("trace --k 60 --D 12 --d -163 --method geodesic", 60)])
+def test_overflowing_evaluator_fit_exits_3_without_warnings(args, k, capsys):
+    # the fit of f_(k,A) overflows at a large k: the evaluator rejects it,
+    # naming k, and numpy warns of nothing on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args.split()) == 3
+    err = capsys.readouterr().err
+    assert not caught and "RuntimeWarning" not in err
+    assert f"k = {k}" in err
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])

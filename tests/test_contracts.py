@@ -90,7 +90,8 @@ def test_invalid_D_raises_documented_error(name, D, error):
 # TypeError, and True read as D = 1
 @pytest.mark.parametrize("D, error", [(6, ValueError), (0, ValueError), (-5, ValueError),
                                       (9, SquareDiscriminant), (13.0, ValueError),
-                                      (-3.0, ValueError), (True, ValueError)])
+                                      (-3.0, ValueError), (True, ValueError),
+                                      ("13", ValueError), (None, ValueError)])
 def test_dirichlet_L_value_checks_its_discriminant(D, error):
     with pytest.raises(error):
         dirichlet_L_value(D, -1)
