@@ -203,12 +203,10 @@ def _rho(Q: BQF) -> tuple[BQF, SL2Z]:
     return new, g
 
 
-def _reduce_indefinite_with_matrix(Q: BQF) -> tuple[BQF, SL2Z]:
-    cur, g = Q, SL2Z.identity()
-    while not is_reduced_indefinite(cur):
-        cur, step = _rho(cur)
-        g = step * g
-    return cur, g
+def _reduce_indefinite(Q: BQF) -> BQF:
+    while not is_reduced_indefinite(Q):
+        Q, _ = _rho(Q)
+    return Q
 
 
 def reduced_cycle(Q: BQF) -> tuple[list[BQF], SL2Z]:
@@ -218,7 +216,7 @@ def reduced_cycle(Q: BQF) -> tuple[list[BQF], SL2Z]:
     Q and g (the composition of the rho-steps once around) stabilises it.
     """
     check_discriminant(Q.disc)
-    start, _ = _reduce_indefinite_with_matrix(Q)
+    start = _reduce_indefinite(Q)
     cycle = [start]
     cur = start
     total = SL2Z.identity()
@@ -268,7 +266,7 @@ def equivalent_indefinite(Q1: BQF, Q2: BQF) -> bool:
     if Q1.disc != Q2.disc:
         return False
     cycle, _ = reduced_cycle(Q1)
-    start, _ = _reduce_indefinite_with_matrix(Q2)
+    start = _reduce_indefinite(Q2)
     return start in cycle
 
 

@@ -1,4 +1,4 @@
-"""The coverage-gate harness, tests/gates.py, and the CI steps that run it."""
+"""The gate harness, tests/gates.py, and the CI steps that run it."""
 
 import ast
 import os
@@ -53,6 +53,24 @@ def test_a_method_that_raises_fails_and_names_the_raise():
         in proc.stderr
 
 
+def test_one_mismatch_fails_the_shared_summary_and_names_its_case():
+    proc = run_optimized("-c", "import gates, time\n"
+                         "gates.conclude(time.perf_counter(), '3 counts', {'mismatches': [(-7, 12, 4)], 'strays': []})")
+    assert proc.returncode == 1
+    assert re.fullmatch(r"3 counts: 1 mismatches, 0 strays, \d+\.\d s\n", proc.stdout)
+    assert proc.stderr == "mismatches: [(-7, 12, 4)]\nstrays: []\n"
+
+
+def test_a_command_line_run_with_the_wrong_exit_code_fails_and_names_its_arguments():
+    # the exact trace exits 0, and a violated hypothesis exits 2, not the 1 asked of it
+    runs = [("trace --k 2 --D 12 --method exact", 0), ("trace --k 4 --D 41 --d -20 --method geodesic", 1)]
+    proc = run_optimized("-c", f"import gates\ngates.GATES['cli-runs'].func('runs', {runs})")
+    assert proc.returncode == 1
+    assert "2 runs: 1 wrong exit codes (arguments, got, expected)" in proc.stdout
+    assert proc.stderr.endswith("wrong exit codes (arguments, got, expected): "
+                                "[('trace --k 4 --D 41 --d -20 --method geodesic', 2, 1)]\n")
+
+
 @pytest.mark.parametrize("args", [[], ["geodesics"], ["geodesic", "stop-rules"]])
 def test_a_missing_or_unknown_gate_name_fails_and_lists_the_names(args):
     proc = run_optimized("tests/gates.py", *args)
@@ -68,10 +86,18 @@ def test_the_harness_has_no_assert_statements():
 
 
 def test_every_gate_runs_in_exactly_one_ci_step():
-    # a gate missing from the workflow, or a step naming no gate, would drop
-    # its check silently
+    # the workflow is setup, tier-1, one step per gate in the order of GATES, and the
+    # benchmark smoke test: a check anywhere else (a heredoc, a shell loop, a bare
+    # cyclotrace.cli run) cannot run locally, and a gate with no step is dropped silently
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    runs = re.findall(r"^ *(?:- )?run: (.*tests/gates\.py.*)$", workflow, re.M)
-    assert len(runs) == workflow.count("tests/gates.py")
-    assert all(run.startswith(CI_STEP) for run in runs), runs
-    assert sorted(run[len(CI_STEP):] for run in runs) == sorted(gates.GATES)
+    steps = re.split(r"^      - ", workflow.split("\n    steps:\n")[1], flags=re.M)
+    assert steps[:5] == [
+        "",
+        "uses: actions/checkout@v4\n",
+        'uses: actions/setup-python@v5\n        with:\n          python-version: "3.11"\n',
+        "name: Install numpy, scipy, mpmath and pytest\n"
+        "        run: python -m pip install numpy scipy mpmath pytest\n",
+        "name: Tier-1 tests\n"
+        "        run: PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors\n"]
+    assert steps[5:-1] == [f"run: {CI_STEP}{name}\n" for name in gates.GATES]
+    assert steps[-1] == "name: Benchmark smoke test\n        run: python3 -m pytest perfbench/test_smoke.py\n"
