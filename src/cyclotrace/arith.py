@@ -28,6 +28,7 @@ __all__ = [
     "factor",
     "moebius",
     "sigma",
+    "sigma_table",
     "divisors",
     "is_square",
 ]
@@ -238,6 +239,16 @@ def divisors(n: int) -> list[int]:
 
 def sigma(k: int, n: int) -> int:
     return sum(d**k for d in divisors(n))
+
+
+def sigma_table(k: int, nmax: int) -> list[int]:
+    """sigma_k(n) for n = 0..nmax, with entry 0 set to 0, by a divisor sieve."""
+    table = [0] * (nmax + 1)
+    for d in range(1, nmax + 1):
+        power = d**k
+        for n in range(d, nmax + 1, d):
+            table[n] += power
+    return table
 
 
 def cohen_H(r: int, N: int) -> Fraction:

@@ -3,7 +3,9 @@
 The series type VVSeries stores a map (component, rational exponent) ->
 rational coefficient together with a weight tag and a pi-power tag, and
 supports tensor products, restriction and trace along a finite-index
-sublattice, Rankin--Cohen brackets, and the constant-term pairing.
+sublattice, Rankin--Cohen brackets, and the constant-term pairing.  The
+integer sum behind a product (PairSum) is set up once and can be read
+one coefficient at a time, without building the product series.
 Numeric helpers evaluate Weil representation matrices, truncated series,
 and the Siegel theta function of a signature (1,2) lattice.
 """
@@ -35,6 +37,8 @@ __all__ = [
     "tensor",
     "restrict",
     "trace_up",
+    "PairSum",
+    "rankin_cohen_sum",
     "rankin_cohen",
     "ct_pairing",
     "weil_matrices",
@@ -244,6 +248,15 @@ class FQModule:
     def bilinear_value(self, t1, t2) -> Fraction:
         return self.lattice.bilinear(self.rep_vector(t1), self.rep_vector(t2)) % 1
 
+    def check_support(self, c: int, n: int, den: int, sigma: int) -> None:
+        """Raise ValueError unless the exponent n/den on component c is
+        congruent to sigma q(c) (mod 1)."""
+        q = self._q[c]
+        # n / den - sigma q is an integer when den q.denominator divides its numerator
+        if (n * q.denominator - sigma * q.numerator * den) % (den * q.denominator):
+            raise ValueError(f"exponent {Fraction(n, den)} on component {c} is not "
+                             f"congruent to {sigma * q % 1} (mod 1)")
+
     def element_of_vector(self, x) -> tuple:
         """The coset of a dual vector x (lattice basis coords, Fractions)."""
         n = self.lattice.rank
@@ -342,11 +355,7 @@ class VVSeries:
         if self.sigma is None:
             return
         for (c, n) in self.terms:
-            q = self.module._q[c]
-            # n / den - sigma q is an integer when den q.denominator divides its numerator
-            if (n * q.denominator - self.sigma * q.numerator * self.den) % (self.den * q.denominator):
-                raise ValueError(f"exponent {Fraction(n, self.den)} on component {c} is not "
-                                 f"congruent to {self.sigma * q % 1} (mod 1)")
+            self.module.check_support(c, n, self.den, self.sigma)
 
 
 def theta_series(K: IntLattice, prec, module: FQModule | None = None) -> VVSeries:
@@ -407,102 +416,141 @@ def _exponent_denominator(M: FQModule) -> int:
     return math.lcm(*(q.denominator for q in M._q))
 
 
-def _convolve(f: VVSeries, g: VVSeries, C, L: int, weight: Fraction, module: FQModule | None,
-              targets) -> VVSeries:
-    """The product series sum P(e_f, e_g) f(mu, e_f) g(nu, e_g) q^(e_f+e_g) e_(mu,nu).
+class PairSum:
+    """The integer sum behind a product of two series, set up once.
 
-    The sum runs over pairs of terms, with the pair weight
+    The product sum P(e_f, e_g) f(mu, e_f) g(nu, e_g) q^(e_f+e_g) e_(mu,nu)
+    runs over pairs of terms, with the pair weight
     P(e_f, e_g) = sum_r C[r] e_f^r e_g^(n-r) / L, n = len(C) - 1, for
     integers C[r] and L, over the direct-sum module, whose component
     (mu, nu) has index mu |g| + nu; the product has the given weight.
-    Without targets every pair below the product's precision is summed.
-    With targets, an iterable of (component, exponent) pairs with int or
-    Fraction exponents, only those coefficients are computed: for each,
-    the g-terms on its g-component are walked and their f partners
-    looked up.
-    A requested coefficient that is zero is absent, as in the full sum;
-    a target at or beyond the precision raises InsufficientPrecision.
 
-    Both sums run in integers.  With the exponents x_f, x_g in units of
-    1/den and the integer views L_f f, L_g g of the series, a pair adds
+    The sum runs in integers.  With the exponents x_f, x_g in units of
+    1/den, den the lcm of the two series' denominators, and the integer
+    views L_f f, L_g g of the series, a pair adds
     W(x_f, x_g) (L_f f) (L_g g), W(x, y) = sum_r C[r] x^r y^(n-r), to its
-    coefficient, which is divided once by L den^n L_f L_g.  The sums
-    reduced by their common factor with that divisor are the product's
-    integer view, so a pairing with it converts nothing.
+    coefficient, which is that sum divided once by
+    scale = L den^n L_f L_g.  Everything a coefficient reads is taken here
+    once: the integer views, f's least exponent, the scale, and the
+    precision prec below which the product is complete, kept as the
+    integer ratio prec den = top / top_den.
     """
-    M = module if module is not None else FQModule.direct_sum(f.module, g.module)
-    den = math.lcm(f.den, g.den)
-    fs, gs = den // f.den, den // g.den
-    ng = len(g.module.elements)
-    Lf, fi, _ = f.integers()
-    Lg, _, g_comp = g.integers()
-    # the least exponents in units of 1/den
-    xf_min, xg_min = f.scaled_floor() * fs, g.scaled_floor() * gs
-    prec = min(f.prec + Fraction(xg_min, den), g.prec + Fraction(xf_min, den))
-    scale = L * den ** (len(C) - 1) * Lf * Lg
 
-    def pair_weight(x, y):
-        # Horner's rule in x over the falling powers of y
+    def __init__(self, f: VVSeries, g: VVSeries, C, L: int, weight: Fraction):
+        self.f, self.g, self.C, self.weight = f, g, tuple(C), weight
+        self.den = den = math.lcm(f.den, g.den)
+        self.fs, self.gs = den // f.den, den // g.den
+        self.ng = len(g.module.elements)
+        Lf, self._fi, _ = f.integers()
+        Lg, _, g_comp = g.integers()
+        self.scale = L * den ** (len(C) - 1) * Lf * Lg
+        self.pi_power = f.pi_power + g.pi_power
+        # the least exponents in units of 1/den
+        self._xf_min = f.scaled_floor() * self.fs
+        xg_min = g.scaled_floor() * self.gs
+        self.prec = min(f.prec + Fraction(xg_min, den), g.prec + Fraction(self._xf_min, den))
+        self._top, self._top_den = self.prec.numerator * den, self.prec.denominator
+        # f's numerators by component and exponent, g's by component in
+        # rising exponent, both in units of 1/den
+        self._f_comp = {}
+        for (c, n), v in self._fi.items():
+            self._f_comp.setdefault(c, {})[n * self.fs] = v
+        self._g_comp = {c: [(m * self.gs, v) for m, v in pairs] for c, pairs in g_comp.items()}
+
+    def pair_weight(self, x: int, y: int) -> int:
+        """W(x, y), by Horner's rule in x over the falling powers of y."""
+        C = self.C
         acc, ypow = C[-1], 1
         for c in C[-2::-1]:
             ypow *= y
             acc = acc * x + c * ypow
         return acc
 
-    # each component's g-terms rise in exponent, so a walk stops at the
-    # first whose exponent is too large
+    def check(self, N) -> None:
+        """Raise InsufficientPrecision unless the exponent N/den, N an int
+        or a Fraction, lies below prec."""
+        if N * self._top_den >= self._top:
+            e = Fraction(N, self.den)
+            raise InsufficientPrecision(
+                f"product complete only below {self.prec}, target exponent {e}", required=e)
+
+    def coefficient(self, c: int, N: int) -> int:
+        """The product's coefficient at component c and exponent N/den,
+        times scale.
+
+        Walks the g-terms on c's g-component, up to the first whose f
+        partner would lie below f's least exponent, and looks up their f
+        partners.  An exponent at or beyond prec raises
+        InsufficientPrecision.
+        """
+        self.check(N)
+        cf, cg = divmod(c, self.ng)
+        fc = self._f_comp.get(cf, {})
+        acc, xg_max = 0, N - self._xf_min
+        for xg, vg in self._g_comp.get(cg, ()):
+            if xg > xg_max:
+                break
+            vf = fc.get(N - xg)
+            if vf:
+                acc += self.pair_weight(N - xg, xg) * vg * vf
+        return acc
+
+
+def _convolve(s: PairSum, module: FQModule | None, targets) -> VVSeries:
+    """The product of s's two series as a series over module, by default
+    their direct sum.
+
+    Without targets every pair below the product's precision is summed.
+    With targets, an iterable of (component, exponent) pairs with int or
+    Fraction exponents, only those coefficients are computed, each by
+    s.coefficient.  A requested coefficient that is zero is absent, as in
+    the full sum; a target at or beyond the precision raises
+    InsufficientPrecision.  The sums reduced by their common factor with
+    s.scale are the product's integer view, so a pairing with it converts
+    nothing.
+    """
+    f, g = s.f, s.g
+    M = module if module is not None else FQModule.direct_sum(f.module, g.module)
     sums = {}
     if targets is None:
-        top = math.ceil(prec * den)  # x_f + x_g < prec den
-        for (cf, nf), vf in fi.items():
-            xf = nf * fs
-            for cg, pairs in g_comp.items():
-                for m, vg in pairs:
-                    xg = m * gs
+        # each component's g-terms rise in exponent, so a walk stops at the
+        # first whose exponent is too large
+        top = -(-s._top // s._top_den)  # x_f + x_g < prec den
+        for (cf, nf), vf in s._fi.items():
+            xf = nf * s.fs
+            for cg, pairs in s._g_comp.items():
+                for xg, vg in pairs:
                     if xf + xg >= top:
                         break
-                    key = (cf * ng + cg, xf + xg)
-                    sums[key] = sums.get(key, 0) + pair_weight(xf, xg) * vf * vg
+                    key = (cf * s.ng + cg, xf + xg)
+                    sums[key] = sums.get(key, 0) + s.pair_weight(xf, xg) * vf * vg
     else:
         for c, e in targets:
             if not 0 <= c < len(M.elements):
                 raise ValueError(f"target component {c} is not in the module")
-            p, q = e.numerator, e.denominator
-            if p * prec.denominator >= prec.numerator * q:
-                raise InsufficientPrecision(
-                    f"product complete only below {prec}, target exponent {e}", required=e)
-            N, rem = divmod(p * den, q)
-            if rem:
-                continue
-            cf, cg = divmod(c, ng)
-            acc, xg_max = 0, N - xf_min
-            for m, vg in g_comp.get(cg, ()):
-                xg = m * gs
-                if xg > xg_max:
-                    break
-                nf, rem = divmod(N - xg, fs)
-                vf = None if rem else fi.get((cf, nf))
-                if vf:
-                    acc += pair_weight(N - xg, xg) * vg * vf
-            sums[(c, N)] = acc
+            N = Fraction(e) * s.den
+            if N.denominator == 1:
+                sums[(c, N.numerator)] = s.coefficient(c, N.numerator)
+            else:
+                s.check(N)  # not an exponent of the product, so absent, but checked like any target
     sums = {key: v for key, v in sums.items() if v}
     out = VVSeries(
         module=M,
-        weight=weight,
-        den=den,
-        terms={key: Fraction(v, scale) for key, v in sums.items()},
-        prec=prec,
-        pi_power=f.pi_power + g.pi_power,
+        weight=s.weight,
+        den=s.den,
+        terms={key: Fraction(v, s.scale) for key, v in sums.items()},
+        prec=s.prec,
+        pi_power=s.pi_power,
         sigma=f.sigma if f.sigma == g.sigma else None,
     )
-    common = math.gcd(scale, *sums.values())
-    out._keep_integers(scale // common, {key: v // common for key, v in sums.items()})
+    common = math.gcd(s.scale, *sums.values())
+    out._keep_integers(s.scale // common, {key: v // common for key, v in sums.items()})
     return out
 
 
 def tensor(f: VVSeries, g: VVSeries, module: FQModule | None = None) -> VVSeries:
     """Componentwise tensor product over the direct-sum module."""
-    return _convolve(f, g, (1,), 1, f.weight + g.weight, module, None)
+    return _convolve(PairSum(f, g, (1,), 1, f.weight + g.weight), module, None)
 
 
 @dataclass(frozen=True)
@@ -510,6 +558,8 @@ class LatticeEmbedding:
     """A finite-index inclusion K ⊂ L of even lattices of equal rank.
 
     `matrix` has the K-basis vectors as columns, written in L-coordinates.
+    `fibers` maps each component index of L'/L to the indices of the
+    components of L'/K above it.
     """
 
     source: FQModule
@@ -540,7 +590,7 @@ class LatticeEmbedding:
             if ci is not None:
                 fibers.setdefault(ci, []).append(ti)
         object.__setattr__(self, "_bar_index", bar_index)
-        object.__setattr__(self, "_fibers", fibers)
+        object.__setattr__(self, "fibers", fibers)
 
     @property
     def index(self) -> int:
@@ -581,7 +631,7 @@ def restrict(f: VVSeries, E: LatticeEmbedding) -> VVSeries:
     terms = {
         (ti, n * step): v
         for (c, n), v in f.terms.items()
-        for ti in E._fibers.get(c, ())
+        for ti in E.fibers.get(c, ())
     }
     return VVSeries(
         module=E.source,
@@ -618,22 +668,18 @@ def trace_up(g: VVSeries, E: LatticeEmbedding) -> VVSeries:
     )
 
 
-def rankin_cohen(f: VVSeries, g: VVSeries, n: int, module: FQModule | None = None,
-                 targets=None) -> VVSeries:
-    """n-th Rankin--Cohen bracket via the exponent operator q d/dq.
+def rankin_cohen_sum(f: VVSeries, g: VVSeries, n: int) -> PairSum:
+    """The integer sum behind the n-th Rankin--Cohen bracket of f and g.
 
-    [f, g]_n = sum_{r+s=n} (-1)^r C(kappa, s) C(ell, r) theta^r f ⊗ theta^s g
-    with C(kappa, s) = Gamma(kappa+n)/(Gamma(s+1) Gamma(kappa+n-s)), the
+    [f, g]_n = sum_{r+s=n} (-1)^r C(kappa, s) C(ell, r) theta^r f ⊗ theta^s g,
+    with theta = q d/dq and
+    C(kappa, s) = Gamma(kappa+n)/(Gamma(s+1) Gamma(kappa+n-s)), the
     product of kappa + n - i over i = 1..s divided by s!; weight
     kappa + ell + 2n.  A pair of terms at exponents e_f, e_g is weighted by
     sum_r (-1)^r C(kappa, s) C(ell, r) e_f^r e_g^s.  With kappa = a/b and
     ell = c/e in lowest terms, these coefficients times b^n e^n n! are the
     integers (-1)^r binom(n, r) b^r e^s prod_i (a + b (n - i)) prod_j (c + e (n - j)),
     i = 1..s, j = 1..r.
-
-    targets, an iterable of (component, exponent) pairs, restricts the
-    result to those coefficients (see _convolve); without it the whole
-    bracket below its precision is computed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -645,8 +691,19 @@ def rankin_cohen(f: VVSeries, g: VVSeries, n: int, module: FQModule | None = Non
          * math.prod(a + b * (n - i) for i in range(1, n - r + 1))
          * math.prod(c + e * (n - j) for j in range(1, r + 1))
          for r in range(n + 1)]
-    return _convolve(f, g, C, b**n * e**n * math.factorial(n),
-                     Fraction(a * e + c * b + 2 * n * b * e, b * e), module, targets)
+    return PairSum(f, g, C, b**n * e**n * math.factorial(n),
+                   Fraction(a * e + c * b + 2 * n * b * e, b * e))
+
+
+def rankin_cohen(f: VVSeries, g: VVSeries, n: int, module: FQModule | None = None,
+                 targets=None) -> VVSeries:
+    """n-th Rankin--Cohen bracket [f, g]_n as a series (see rankin_cohen_sum).
+
+    targets, an iterable of (component, exponent) pairs, restricts the
+    result to those coefficients (see _convolve); without it the whole
+    bracket below its precision is computed.
+    """
+    return _convolve(rankin_cohen_sum(f, g, n), module, targets)
 
 
 def ct_pairing(f: VVSeries, g: VVSeries) -> tuple[Fraction, int]:

@@ -4,25 +4,27 @@ Hurwitz class numbers (two independent algorithms), the vector-valued
 class-number generating function, the theta series of the negated
 negative-definite sublattice, principal parts of the half-integral
 weight input forms, and the finite constant-term formula for the trace.
+The trace is one integer sum over the bracket's PairSum; ExactSeries
+holds the bracket's inputs and fills, once per k, what every trace at
+that k reads of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 
-from .arith import check_discriminant, dirichlet_L_value, divisors, sigma
+from .arith import check_discriminant, dirichlet_L_value, divisors, sigma, sigma_table
 from .bqf import definite_class_reps, hypothesis_check
 from .errors import HypothesisViolated, UnsupportedK
 from .fqm import (
     FQModule,
     IntLattice,
     LatticeEmbedding,
+    PairSum,
     VVSeries,
-    ct_pairing,
-    rankin_cohen,
-    restrict,
+    rankin_cohen_sum,
     theta_series,
 )
 
@@ -184,7 +186,8 @@ def embedding_PN_in_L() -> LatticeEmbedding:
     return LatticeEmbedding(source=module_K(), target=module_L(), matrix=iota)
 
 
-_L_NONTRIVIAL = (0, 0, 1)  # the odd-b coset of L'/L, q = 3/4 mod 1
+# the zero coset of L'/L, and the odd-b coset, whose q is 3/4 mod 1
+_L_ZERO, _L_NONTRIVIAL = (0, 0, 0), (0, 0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -226,23 +229,50 @@ def theta_N_minus(prec) -> VVSeries:
 
 
 class ExactSeries:
-    """Both inputs of the bracket, complete for every trace with D <= Dmax.
+    """Both inputs of the bracket, complete for every trace with D <= Dmax,
+    and what each k's traces read of them.
 
     The series for a smaller D is a prefix of these, so a table builds one
-    object at its largest D and passes it to each exact trace.
+    object at its largest D and passes it to each exact trace.  On the
+    first trace at a k the object also takes, once, the bracket's integer
+    sum (its pair weights, scale, exponent floor and precision bound) with
+    its pi-power check, and the sigma_(k-1) table that f_D's constant term
+    reads, up to the largest D/4 the series covers.
     """
 
     def __init__(self, Dmax: int):
         prec = Fraction(Dmax + 4, 4)
         self.hurwitz = hurwitz_gen(prec)
         self.theta = theta_N_minus(prec)
+        # the bracket is complete below exponent prec, so for D < Dmax + 4
+        self._nmax = (Dmax + 3) // 4
+        self._brackets, self._sigmas = {}, {}
+
+    def bracket(self, k: int) -> PairSum:
+        """The integer sum of the bracket [hurwitz, theta]_(k/2 - 1) that the
+        trace at k pairs f_D with."""
+        if k not in self._brackets:
+            bracket = rankin_cohen_sum(self.hurwitz, self.theta, k // 2 - 1)
+            # f_D carries no pi, so the pairing carries the bracket's
+            if bracket.pi_power != 1:
+                raise RuntimeError(f"the pairing carries pi^{bracket.pi_power}, "
+                                   "not the pi^1 the prefactor cancels")
+            self._brackets[k] = bracket
+        return self._brackets[k]
+
+    def sigmas(self, k: int) -> list[int]:
+        """sigma_(k-1)(n) for every n <= D/4 at every D the series covers:
+        the divisor sums of fD_const_term(k, D)."""
+        if k not in self._sigmas:
+            self._sigmas[k] = sigma_table(k - 1, self._nmax)
+        return self._sigmas[k]
 
 
 # ----------------------------------------------------------------------
 # input forms f_D
 
 
-def fD_const_term(k: int, D: int) -> int:
+def fD_const_term(k: int, D: int, sigmas: list[int] | None = None) -> int:
     """Constant term of the weight 3/2 - k plus-space form with q^{-D} pole.
 
     Pairing against the weight k + 1/2 Cohen--Eisenstein series gives
@@ -255,12 +285,16 @@ def fD_const_term(k: int, D: int) -> int:
     H(4, 0) = 1/240, c(0) is 24 S_1(D) at k = 2 and -240 S_3(D) at k = 4,
     an integer.  arith.cohen_H, through generalized Bernoulli numbers, is
     the independent route to the same values.
+
+    sigmas, a table of sigma_(k-1)(n) for n <= D/4 (ExactSeries.sigmas),
+    supplies the divisor sums; without it each is computed by
+    arith.sigma.
     """
     _check_exact_k(k)
     check_discriminant(D)
+    sig = sigmas.__getitem__ if sigmas is not None else partial(sigma, k - 1)
     # b and -b give one term; b = 0 only for even D, which is not a square
-    S = sum((2 if b else 1) * sigma(k - 1, (D - b * b) // 4)
-            for b in range(D % 2, isqrt(D) + 1, 2))
+    S = sum((2 if b else 1) * sig((D - b * b) // 4) for b in range(D % 2, isqrt(D) + 1, 2))
     return 24 * S if k == 2 else -240 * S
 
 
@@ -289,20 +323,27 @@ def build_fD(k: int, D: int) -> VVSeries:
     _check_exact_k(k)
     check_discriminant(D)
     M = module_L()
-    zero = M.index[(0, 0, 0)]
-    comp = zero if D % 2 == 0 else M.index[_L_NONTRIVIAL]
-    f = VVSeries(
+    return VVSeries(
         module=M,
         weight=Fraction(3 - 2 * k, 2),
         den=4,
         # D is not 0, so the pole and the constant term are two keys
-        terms={(comp, -D): 1, (zero, 0): fD_const_term(k, D)},
+        terms={(_fD_pole(D), -D): 1, (M.index[_L_ZERO], 0): fD_const_term(k, D)},
         prec=Fraction(1, 4),
         pi_power=0,
         sigma=+1,
     )
-    f.validate_support()
-    return f
+
+
+def _fD_pole(D: int) -> int:
+    """The component of L'/L that carries f_D's pole q^(-D/4), the one
+    fixed by D mod 2; raises ValueError if the pole's exponent breaks the
+    plus-space congruence there (the constant term, at exponent 0 on the
+    zero component, always meets it)."""
+    M = module_L()
+    c = M.index[_L_ZERO if D % 2 == 0 else _L_NONTRIVIAL]
+    M.check_support(c, -D, 4, +1)
+    return c
 
 
 # ----------------------------------------------------------------------
@@ -326,14 +367,18 @@ def rhs_trace(k: int, D: int, series: ExactSeries | None = None) -> Fraction:
     the bracket's pi-power).  Covers k in {2, 4} with d = -4; see
     build_fD for why even k >= 6 has no two-term input form.
 
-    f_D's constant term is a divisor sum (fD_const_term), and the bracket
-    is computed only at the two exponents the pairing reads, in integers;
-    the one division is the pairing's, and the prefactor scales its
-    numerator and denominator.
+    f_D has two terms, its pole and its constant term (fD_const_term).
+    Restricted to P ⊕ N, each sits on the fiber above its component of
+    L'/L, and the pairing reads the bracket opposite them, at exponents
+    D/4 and 0.  So the trace is one integer sum of those bracket
+    coefficients, read from the bracket's integer sum (ExactSeries.bracket),
+    and one Fraction: the sum over the bracket's scale, times the
+    prefactor.
 
-    series, shared by the traces of a table, holds the bracket's inputs;
-    without it they are built for this D.  A series too short for D
-    raises InsufficientPrecision from the bracket.
+    series, shared by the traces of a table, holds the bracket's inputs
+    and what each k reads of them; without it they are built for this D.
+    A series too short for D raises InsufficientPrecision from the
+    bracket.
     """
     # invalid k or D raise before the hypothesis is checked (hypothesis_check
     # validates D), and a violated hypothesis before f_D's constant term is computed
@@ -342,19 +387,18 @@ def rhs_trace(k: int, D: int, series: ExactSeries | None = None) -> Fraction:
         raise HypothesisViolated(
             f"the CM point of disc -4 lies on a geodesic of disc {D}"
         )
-    fK = restrict(build_fD(k, D), embedding_PN_in_L())
-    # the pairing reads the bracket only opposite fK's terms (exponents D/4 and 0)
-    targets = [(c, Fraction(-n, fK.den)) for (c, n) in fK.terms]
     if series is None:
         series = ExactSeries(D)
-    bracket = rankin_cohen(series.hurwitz, series.theta, k // 2 - 1,
-                           module=module_K_minus(), targets=targets)
-    ct, pi_power = ct_pairing(fK, bracket)
-    if pi_power != 1:
-        raise RuntimeError(f"the pairing carries pi^{pi_power}, not the pi^1 the prefactor cancels")
+    bracket = series.bracket(k)
+    fibers = embedding_PN_in_L().fibers
+    # f_D's exponents are in units of 1/4, a divisor of the bracket's 1/den;
+    # the precision check at the pole comes before the sigma table is read
+    total = sum(bracket.coefficient(c, D * (bracket.den // 4)) for c in fibers[_fD_pole(D)])
+    total += fD_const_term(k, D, series.sigmas(k)) * sum(
+        bracket.coefficient(c, 0) for c in fibers[module_L().index[_L_ZERO]])
     # 2^(k-3) * |d|^(1/2) / (pi * |stab(z_A)|) with |d|^(1/2) = 2, |stab| = 2,
     # where the 1/pi cancels pi_power = 1, times the shadow's 1/2: 2^k / 16
-    return Fraction(ct.numerator << k, ct.denominator << 4)
+    return Fraction(total << k, bracket.scale << 4)
 
 
 def closed_formula(k: int, D: int) -> Fraction:

@@ -14,6 +14,8 @@ from cyclotrace.arith import (
     is_fundamental_discriminant,
     is_square,
     kronecker,
+    sigma,
+    sigma_table,
     zeta_negative,
 )
 from cyclotrace.errors import NonFundamental
@@ -128,6 +130,11 @@ def test_cohen_H_cross_module_constant_term():
     for D in range(5, 101):
         if D % 4 in (0, 1) and not is_square(D):
             assert -120 * dirichlet_L_value(D, -1) == fD_const_term(2, D)
+
+
+def test_sigma_table_matches_sigma():
+    for k in (0, 1, 3):
+        assert sigma_table(k, 300) == [0] + [sigma(k, n) for n in range(1, 301)]
 
 
 def test_factor_vs_brute():

@@ -11,15 +11,18 @@ from cyclotrace.errors import (
     SquareDiscriminant,
     UnsupportedK,
 )
+from cyclotrace.fqm import ct_pairing, rankin_cohen, restrict
 from cyclotrace.special_forms import (
     ExactSeries,
     build_fD,
     closed_formula,
+    embedding_PN_in_L,
     fD_const_term,
     hurwitz,
     hurwitz_gen,
     hurwitz_table,
     hurwitz_table_recursive,
+    module_K_minus,
     module_L,
     module_P,
     rhs_trace,
@@ -104,6 +107,16 @@ def test_fD_const_term_is_cohens_divisor_sum():
             assert fD_const_term(k, D) == -cohen_H(k, D) / cohen_H(k, 0), (k, D)
 
 
+def test_fD_const_term_from_the_series_sigma_tables():
+    # the divisor sums read from one ExactSeries(2000)'s sigma tables,
+    # against -H(k, D)/H(k, 0) from generalized Bernoulli numbers
+    series = ExactSeries(2000)
+    for k in (2, 4):
+        sigmas = series.sigmas(k)
+        for D in admissible(2000, require_hypothesis=False):
+            assert fD_const_term(k, D, sigmas) == -cohen_H(k, D) / cohen_H(k, 0), (k, D)
+
+
 @pytest.mark.parametrize("k", [1, 3, 6, 8])
 def test_fD_const_term_rejects_k_without_an_input_form(k):
     with pytest.raises(UnsupportedK):
@@ -169,6 +182,34 @@ def test_shared_series_gives_the_same_traces():
     # complete only below exponent 26, so D = 120 needs more than it holds
     with pytest.raises(InsufficientPrecision):
         rhs_trace(2, 120, series=ExactSeries(100))
+
+
+def test_row_reads_the_full_brackets_coefficients():
+    # the bracket coefficients a row reads off the series, opposite each
+    # term of f_D restricted to P ⊕ N, against the full bracket, and the
+    # row against pairing that restriction with the full bracket
+    series = ExactSeries(200)
+    E = embedding_PN_in_L()
+    for k in (2, 4):
+        bracket = series.bracket(k)
+        full = rankin_cohen(series.hurwitz, series.theta, k // 2 - 1, module=module_K_minus())
+        for D in admissible(200):
+            fK = restrict(build_fD(k, D), E)
+            for (c, n) in fK.terms:
+                read = Fraction(bracket.coefficient(c, -n * bracket.den // fK.den), bracket.scale)
+                assert read == full.coefficient(c, Fraction(-n, fK.den)), (k, D, c)
+            ct, pi_power = ct_pairing(fK, full)
+            assert pi_power == 1 and rhs_trace(k, D, series=series) == ct * 2**k / 16, (k, D)
+
+
+def test_series_covers_D_below_Dmax_plus_4():
+    # the bracket is complete below exponent (Dmax + 4)/4: D = 12 needs
+    # sigma(3) from ExactSeries(9), and D = 120 more than ExactSeries(100) holds
+    for k in (2, 4):
+        assert rhs_trace(k, 12, series=ExactSeries(9)) == rhs_trace(k, 12)
+    with pytest.raises(InsufficientPrecision) as err:
+        rhs_trace(2, 120, series=ExactSeries(100))
+    assert err.value.required == Fraction(120, 4)
 
 
 def test_rhs_trace_rejects_higher_even_k():
