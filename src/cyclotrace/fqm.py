@@ -4,21 +4,17 @@ The series type VVSeries stores a map (component, rational exponent) ->
 rational coefficient together with a weight tag and a pi-power tag, and
 supports tensor products, restriction and trace along a finite-index
 sublattice, Rankin--Cohen brackets, and the constant-term pairing.  The
-integer sum behind a product (PairSum) is set up once and can be read
-one coefficient at a time, without building the product series.
-Numeric helpers evaluate Weil representation matrices, truncated series,
-and the Siegel theta function of a signature (1,2) lattice.
+integer sum behind a product (PairSum) is set up once and is read one
+coefficient at a time, or summed over every pair into the product
+series.  Everything here is exact: Python ints and Fractions.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-
-import numpy as np
 
 from .errors import (
     GammaPole,
@@ -41,10 +37,6 @@ __all__ = [
     "rankin_cohen_sum",
     "rankin_cohen",
     "ct_pairing",
-    "weil_matrices",
-    "milgram_defect",
-    "eval_series",
-    "siegel_theta_eval",
 ]
 
 
@@ -286,13 +278,6 @@ class FQModule:
         return out
 
 
-def milgram_defect(M: FQModule) -> float:
-    """| sum_mu e(q(mu)) - sqrt(|M|) e(sig/8) |, should vanish."""
-    s = sum(cmath.exp(2j * cmath.pi * float(M.q_value(t))) for t in M.elements)
-    target = math.sqrt(M.order) * cmath.exp(2j * cmath.pi * M.signature_mod_8 / 8)
-    return abs(s - target)
-
-
 # ----------------------------------------------------------------------
 # vector-valued sparse q-series
 
@@ -309,9 +294,8 @@ class VVSeries:
     exponents satisfy (None when mixed, e.g. after tensor products).
 
     terms is never changed after construction: the integer view that
-    `integers` fills on first use, or that a product fills as it sums, is
-    kept with the series and read again by every later product, pairing
-    or scaled_floor.
+    `integers` fills on first use is kept with the series and read again
+    by every later product, pairing or scaled_floor.
     """
 
     module: FQModule
@@ -329,15 +313,12 @@ class VVSeries:
         component's (scaled exponent, L c) pairs by rising exponent."""
         if self._integers is None:
             L = math.lcm(*(v.denominator for v in self.terms.values()))
-            self._keep_integers(L, {key: v.numerator * (L // v.denominator)
-                                    for key, v in self.terms.items()})
+            by_key = {key: v.numerator * (L // v.denominator) for key, v in self.terms.items()}
+            by_comp = {}
+            for (c, n), v in sorted(by_key.items()):
+                by_comp.setdefault(c, []).append((n, v))
+            self._integers = (L, by_key, by_comp)
         return self._integers
-
-    def _keep_integers(self, L: int, by_key: dict) -> None:
-        by_comp = {}
-        for (c, n), v in sorted(by_key.items()):
-            by_comp.setdefault(c, []).append((n, v))
-        self._integers = (L, by_key, by_comp)
 
     def coefficient(self, comp: int, exponent: Fraction) -> Fraction:
         n = Fraction(exponent) * self.den
@@ -358,8 +339,9 @@ class VVSeries:
             self.module.check_support(c, n, self.den, self.sigma)
 
 
-def theta_series(K: IntLattice, prec, module: FQModule | None = None) -> VVSeries:
-    """Vector-valued theta series of a positive definite even lattice.
+def theta_series(M: FQModule, prec) -> VVSeries:
+    """Vector-valued theta series of the positive definite even lattice K
+    of the module M = K'/K.
 
     Coefficient at (mu, n) counts vectors of norm q = n in the coset
     K + mu; weight rank/2, complete for exponents < prec.  The count is
@@ -369,9 +351,9 @@ def theta_series(K: IntLattice, prec, module: FQModule | None = None) -> VVSerie
     a y has y_i^2 < B adj(G)_ii / det G, so y_i runs over the residues
     ≡ s mu_i (mod s) in that box.
     """
+    K = M.lattice
     if not K.is_positive_definite:
         raise NotPositiveDefinite("theta series needs a positive definite lattice")
-    M = module if module is not None else FQModule(K)
     prec = Fraction(prec)
     den = _exponent_denominator(M)
     g, n, det = K.gram, K.rank, K.det
@@ -433,29 +415,31 @@ class PairSum:
     scale = L den^n L_f L_g.  Everything a coefficient reads is taken here
     once: the integer views, f's least exponent, the scale, and the
     precision prec below which the product is complete, kept as the
-    integer ratio prec den = top / top_den.
+    integer ratio prec den = top / top_den.  `coefficient` reads one
+    coefficient; `series` sums every pair into the product series.
     """
 
     def __init__(self, f: VVSeries, g: VVSeries, C, L: int, weight: Fraction):
         self.f, self.g, self.C, self.weight = f, g, tuple(C), weight
         self.den = den = math.lcm(f.den, g.den)
-        self.fs, self.gs = den // f.den, den // g.den
+        fs, gs = den // f.den, den // g.den
         self.ng = len(g.module.elements)
-        Lf, self._fi, _ = f.integers()
+        self._order = len(f.module.elements) * self.ng
+        Lf, f_key, _ = f.integers()
         Lg, _, g_comp = g.integers()
         self.scale = L * den ** (len(C) - 1) * Lf * Lg
         self.pi_power = f.pi_power + g.pi_power
         # the least exponents in units of 1/den
-        self._xf_min = f.scaled_floor() * self.fs
-        xg_min = g.scaled_floor() * self.gs
+        self._xf_min = f.scaled_floor() * fs
+        xg_min = g.scaled_floor() * gs
         self.prec = min(f.prec + Fraction(xg_min, den), g.prec + Fraction(self._xf_min, den))
         self._top, self._top_den = self.prec.numerator * den, self.prec.denominator
         # f's numerators by component and exponent, g's by component in
         # rising exponent, both in units of 1/den
         self._f_comp = {}
-        for (c, n), v in self._fi.items():
-            self._f_comp.setdefault(c, {})[n * self.fs] = v
-        self._g_comp = {c: [(m * self.gs, v) for m, v in pairs] for c, pairs in g_comp.items()}
+        for (c, n), v in f_key.items():
+            self._f_comp.setdefault(c, {})[n * fs] = v
+        self._g_comp = {c: [(m * gs, v) for m, v in pairs] for c, pairs in g_comp.items()}
 
     def pair_weight(self, x: int, y: int) -> int:
         """W(x, y), by Horner's rule in x over the falling powers of y."""
@@ -466,24 +450,23 @@ class PairSum:
             acc = acc * x + c * ypow
         return acc
 
-    def check(self, N) -> None:
-        """Raise InsufficientPrecision unless the exponent N/den, N an int
-        or a Fraction, lies below prec."""
+    def coefficient(self, c: int, N) -> int:
+        """The product's coefficient at component c and exponent N/den,
+        times scale.
+
+        N is an int, or a Fraction for an exponent off the 1/den grid, where
+        the coefficient is 0.  Walks the g-terms on c's g-component, up to
+        the first whose f partner would lie below f's least exponent, and
+        looks up their f partners.  A component outside the product's
+        module raises ValueError, and an exponent at or beyond prec
+        InsufficientPrecision.
+        """
+        if not 0 <= c < self._order:
+            raise ValueError(f"component {c} is not one of the product's {self._order}")
         if N * self._top_den >= self._top:
             e = Fraction(N, self.den)
             raise InsufficientPrecision(
                 f"product complete only below {self.prec}, target exponent {e}", required=e)
-
-    def coefficient(self, c: int, N: int) -> int:
-        """The product's coefficient at component c and exponent N/den,
-        times scale.
-
-        Walks the g-terms on c's g-component, up to the first whose f
-        partner would lie below f's least exponent, and looks up their f
-        partners.  An exponent at or beyond prec raises
-        InsufficientPrecision.
-        """
-        self.check(N)
         cf, cg = divmod(c, self.ng)
         fc = self._f_comp.get(cf, {})
         acc, xg_max = 0, N - self._xf_min
@@ -495,62 +478,37 @@ class PairSum:
                 acc += self.pair_weight(N - xg, xg) * vg * vf
         return acc
 
-
-def _convolve(s: PairSum, module: FQModule | None, targets) -> VVSeries:
-    """The product of s's two series as a series over module, by default
-    their direct sum.
-
-    Without targets every pair below the product's precision is summed.
-    With targets, an iterable of (component, exponent) pairs with int or
-    Fraction exponents, only those coefficients are computed, each by
-    s.coefficient.  A requested coefficient that is zero is absent, as in
-    the full sum; a target at or beyond the precision raises
-    InsufficientPrecision.  The sums reduced by their common factor with
-    s.scale are the product's integer view, so a pairing with it converts
-    nothing.
-    """
-    f, g = s.f, s.g
-    M = module if module is not None else FQModule.direct_sum(f.module, g.module)
-    sums = {}
-    if targets is None:
+    def series(self) -> VVSeries:
+        """The whole product below prec, over the direct sum of the two
+        modules: every pair of terms summed, each coefficient divided by
+        scale once."""
         # each component's g-terms rise in exponent, so a walk stops at the
         # first whose exponent is too large
-        top = -(-s._top // s._top_den)  # x_f + x_g < prec den
-        for (cf, nf), vf in s._fi.items():
-            xf = nf * s.fs
-            for cg, pairs in s._g_comp.items():
-                for xg, vg in pairs:
-                    if xf + xg >= top:
-                        break
-                    key = (cf * s.ng + cg, xf + xg)
-                    sums[key] = sums.get(key, 0) + s.pair_weight(xf, xg) * vf * vg
-    else:
-        for c, e in targets:
-            if not 0 <= c < len(M.elements):
-                raise ValueError(f"target component {c} is not in the module")
-            N = Fraction(e) * s.den
-            if N.denominator == 1:
-                sums[(c, N.numerator)] = s.coefficient(c, N.numerator)
-            else:
-                s.check(N)  # not an exponent of the product, so absent, but checked like any target
-    sums = {key: v for key, v in sums.items() if v}
-    out = VVSeries(
-        module=M,
-        weight=s.weight,
-        den=s.den,
-        terms={key: Fraction(v, s.scale) for key, v in sums.items()},
-        prec=s.prec,
-        pi_power=s.pi_power,
-        sigma=f.sigma if f.sigma == g.sigma else None,
-    )
-    common = math.gcd(s.scale, *sums.values())
-    out._keep_integers(s.scale // common, {key: v // common for key, v in sums.items()})
-    return out
+        top = -(-self._top // self._top_den)  # x_f + x_g < prec den
+        sums = {}
+        for cf, by_exponent in self._f_comp.items():
+            for xf, vf in by_exponent.items():
+                for cg, pairs in self._g_comp.items():
+                    for xg, vg in pairs:
+                        if xf + xg >= top:
+                            break
+                        key = (cf * self.ng + cg, xf + xg)
+                        sums[key] = sums.get(key, 0) + self.pair_weight(xf, xg) * vf * vg
+        f, g = self.f, self.g
+        return VVSeries(
+            module=FQModule.direct_sum(f.module, g.module),
+            weight=self.weight,
+            den=self.den,
+            terms={key: Fraction(v, self.scale) for key, v in sums.items() if v},
+            prec=self.prec,
+            pi_power=self.pi_power,
+            sigma=f.sigma if f.sigma == g.sigma else None,
+        )
 
 
-def tensor(f: VVSeries, g: VVSeries, module: FQModule | None = None) -> VVSeries:
+def tensor(f: VVSeries, g: VVSeries) -> VVSeries:
     """Componentwise tensor product over the direct-sum module."""
-    return _convolve(PairSum(f, g, (1,), 1, f.weight + g.weight), module, None)
+    return PairSum(f, g, (1,), 1, f.weight + g.weight).series()
 
 
 @dataclass(frozen=True)
@@ -695,15 +653,9 @@ def rankin_cohen_sum(f: VVSeries, g: VVSeries, n: int) -> PairSum:
                    Fraction(a * e + c * b + 2 * n * b * e, b * e))
 
 
-def rankin_cohen(f: VVSeries, g: VVSeries, n: int, module: FQModule | None = None,
-                 targets=None) -> VVSeries:
-    """n-th Rankin--Cohen bracket [f, g]_n as a series (see rankin_cohen_sum).
-
-    targets, an iterable of (component, exponent) pairs, restricts the
-    result to those coefficients (see _convolve); without it the whole
-    bracket below its precision is computed.
-    """
-    return _convolve(rankin_cohen_sum(f, g, n), module, targets)
+def rankin_cohen(f: VVSeries, g: VVSeries, n: int) -> VVSeries:
+    """n-th Rankin--Cohen bracket [f, g]_n as a series (see rankin_cohen_sum)."""
+    return rankin_cohen_sum(f, g, n).series()
 
 
 def ct_pairing(f: VVSeries, g: VVSeries) -> tuple[Fraction, int]:
@@ -732,74 +684,3 @@ def ct_pairing(f: VVSeries, g: VVSeries) -> tuple[Fraction, int]:
         if not rem:
             total += vf * gi.get((c, ng), 0)
     return Fraction(total, Lf * Lg), f.pi_power + g.pi_power
-
-
-# ----------------------------------------------------------------------
-# numeric helpers
-
-
-def weil_matrices(M: FQModule) -> tuple[np.ndarray, np.ndarray]:
-    """Numeric matrices of rho(T) and rho(S) on the group ring of M.
-
-    rho(T) e_mu = e(q(mu)) e_mu;
-    rho(S) e_mu = e((s-r)/8)/sqrt(|M|) * sum_nu e(-(nu,mu)) e_nu.
-    """
-    m = M.order
-    T = np.zeros((m, m), dtype=complex)
-    S = np.zeros((m, m), dtype=complex)
-    phase = cmath.exp(-2j * cmath.pi * M.signature_mod_8 / 8)
-    for i, mu in enumerate(M.elements):
-        T[i, i] = cmath.exp(2j * cmath.pi * float(M.q_value(mu)))
-        for j, nu in enumerate(M.elements):
-            S[j, i] = cmath.exp(-2j * cmath.pi * float(M.bilinear_value(nu, mu)))
-    S *= phase / math.sqrt(m)
-    return T, S
-
-
-def eval_series(f: VVSeries, tau: complex) -> np.ndarray:
-    """Numeric component vector of the truncated series at tau."""
-    out = np.zeros(len(f.module.elements), dtype=complex)
-    for (c, n), v in f.terms.items():
-        out[c] += float(v) * cmath.exp(2j * cmath.pi * Fraction(n, f.den) * tau)
-    if f.pi_power:
-        out *= math.pi**f.pi_power
-    return out
-
-
-def siegel_theta_eval(
-    module: FQModule,
-    form_map,
-    tau: complex,
-    z: complex,
-    cutoff: int = 10,
-) -> np.ndarray:
-    """Siegel theta function of a signature (1,2) lattice of binary forms.
-
-    form_map sends lattice basis coordinates to form coefficients [a,b,c];
-    with p_X(z) = (a|z|^2 + bx + c)/y and Q_X(z) = az^2 + bz + c the sum is
-
-        v * sum_mu sum_X e( q(X_z) tau + q(X_{z perp}) conj(tau) ) e_mu,
-
-    q(X_z) = p_X(z)^2/4 and q(X_{z perp}) = -|Q_X(z)|^2 / (4 y^2).
-    Truncated to |coords| <= cutoff (Gaussian tail).
-    """
-    v = tau.imag
-    y = z.imag
-    x = z.real
-    out = np.zeros(len(module.elements), dtype=complex)
-    if module.lattice.rank != 3:
-        raise ValueError("the Siegel theta needs a rank-3 lattice of binary forms")
-    F = np.array([[float(form_map[i][j]) for j in range(3)] for i in range(3)])
-    rng = np.arange(-cutoff, cutoff + 1)
-    g0, g1, g2 = np.meshgrid(rng, rng, rng, indexing="ij")
-    grid = np.stack([g0.ravel(), g1.ravel(), g2.ravel()], axis=1).astype(float)
-    for ci, t in enumerate(module.elements):
-        shift = np.array([float(s) for s in module.rep_vector(t)])
-        abc = (grid + shift) @ F.T
-        a, b, c = abc[:, 0], abc[:, 1], abc[:, 2]
-        p = (a * (x * x + y * y) + b * x + c) / y
-        Q = a * (z * z) + b * z + c
-        qz = p * p / 4
-        qperp = -np.abs(Q) ** 2 / (4 * y * y)
-        out[ci] = np.sum(np.exp(2j * np.pi * (qz * tau + qperp * np.conj(tau))))
-    return v * out

@@ -1,17 +1,106 @@
 """Built-in invariant suite for `cyclotrace selftest`.
 
 Each check is a named callable returning True on success; the runner
-prints one PASS/FAIL line per check and the total counts.
+prints one PASS/FAIL line per check and the total counts.  The numeric
+helpers the checks use come first: the Milgram defect and Weil
+representation matrices of a discriminant form, a truncated series
+evaluated at a point, and the Siegel theta function of a signature
+(1,2) lattice.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
+
+from .fqm import FQModule, VVSeries
+
+
+# ----------------------------------------------------------------------
+# numeric helpers
+
+
+def milgram_defect(M: FQModule) -> float:
+    """| sum_mu e(q(mu)) - sqrt(|M|) e(sig/8) |, should vanish."""
+    s = sum(cmath.exp(2j * cmath.pi * float(M.q_value(t))) for t in M.elements)
+    target = math.sqrt(M.order) * cmath.exp(2j * cmath.pi * M.signature_mod_8 / 8)
+    return abs(s - target)
+
+
+def weil_matrices(M: FQModule) -> tuple[np.ndarray, np.ndarray]:
+    """Numeric matrices of rho(T) and rho(S) on the group ring of M.
+
+    rho(T) e_mu = e(q(mu)) e_mu;
+    rho(S) e_mu = e((s-r)/8)/sqrt(|M|) * sum_nu e(-(nu,mu)) e_nu.
+    """
+    m = M.order
+    T = np.zeros((m, m), dtype=complex)
+    S = np.zeros((m, m), dtype=complex)
+    phase = cmath.exp(-2j * cmath.pi * M.signature_mod_8 / 8)
+    for i, mu in enumerate(M.elements):
+        T[i, i] = cmath.exp(2j * cmath.pi * float(M.q_value(mu)))
+        for j, nu in enumerate(M.elements):
+            S[j, i] = cmath.exp(-2j * cmath.pi * float(M.bilinear_value(nu, mu)))
+    S *= phase / math.sqrt(m)
+    return T, S
+
+
+def eval_series(f: VVSeries, tau: complex) -> np.ndarray:
+    """Numeric component vector of the truncated series at tau."""
+    out = np.zeros(len(f.module.elements), dtype=complex)
+    for (c, n), v in f.terms.items():
+        out[c] += float(v) * cmath.exp(2j * cmath.pi * Fraction(n, f.den) * tau)
+    if f.pi_power:
+        out *= math.pi**f.pi_power
+    return out
+
+
+def siegel_theta_eval(
+    module: FQModule,
+    form_map,
+    tau: complex,
+    z: complex,
+    cutoff: int = 10,
+) -> np.ndarray:
+    """Siegel theta function of a signature (1,2) lattice of binary forms.
+
+    form_map sends lattice basis coordinates to form coefficients [a,b,c];
+    with p_X(z) = (a|z|^2 + bx + c)/y and Q_X(z) = az^2 + bz + c the sum is
+
+        v * sum_mu sum_X e( q(X_z) tau + q(X_{z perp}) conj(tau) ) e_mu,
+
+    q(X_z) = p_X(z)^2/4 and q(X_{z perp}) = -|Q_X(z)|^2 / (4 y^2).
+    Truncated to |coords| <= cutoff (Gaussian tail).
+    """
+    v = tau.imag
+    y = z.imag
+    x = z.real
+    out = np.zeros(len(module.elements), dtype=complex)
+    if module.lattice.rank != 3:
+        raise ValueError("the Siegel theta needs a rank-3 lattice of binary forms")
+    F = np.array([[float(form_map[i][j]) for j in range(3)] for i in range(3)])
+    rng = np.arange(-cutoff, cutoff + 1)
+    g0, g1, g2 = np.meshgrid(rng, rng, rng, indexing="ij")
+    grid = np.stack([g0.ravel(), g1.ravel(), g2.ravel()], axis=1).astype(float)
+    for ci, t in enumerate(module.elements):
+        shift = np.array([float(s) for s in module.rep_vector(t)])
+        abc = (grid + shift) @ F.T
+        a, b, c = abc[:, 0], abc[:, 1], abc[:, 2]
+        p = (a * (x * x + y * y) + b * x + c) / y
+        Q = a * (z * z) + b * z + c
+        qz = p * p / 4
+        qperp = -np.abs(Q) ** 2 / (4 * y * y)
+        out[ci] = np.sum(np.exp(2j * np.pi * (qz * tau + qperp * np.conj(tau))))
+    return v * out
+
+
+# ----------------------------------------------------------------------
+# the checks
 
 
 def _check_kronecker() -> bool:
@@ -126,7 +215,6 @@ def _check_exact_oracle() -> bool:
 
 
 def _check_milgram_weil() -> bool:
-    from .fqm import milgram_defect, weil_matrices
     from .special_forms import module_L, module_N_minus, module_P
 
     for M in (module_P(), module_N_minus(), module_L()):
@@ -139,14 +227,14 @@ def _check_milgram_weil() -> bool:
 
 
 def _check_siegel_split() -> bool:
-    from .fqm import eval_series, siegel_theta_eval, theta_series
-    from .special_forms import lattice_P, module_K, module_P, theta_N_minus
+    from .fqm import theta_series
+    from .special_forms import module_K, module_P, theta_N_minus
 
     tau, z = 2j, 1j
     MK = module_K()
     FK = ((-1, 1, 0), (0, 0, 2), (-1, -1, 0))
     thK = siegel_theta_eval(MK, FK, tau, z, cutoff=8)
-    thP = eval_series(theta_series(lattice_P(), 30, module=module_P()), tau)
+    thP = eval_series(theta_series(module_P(), 30), tau)
     thNm = eval_series(theta_N_minus(30), tau)
     split = np.array([p * tau.imag * np.conj(q) for p in thP for q in thNm])
     return float(np.max(np.abs(thK - split))) < 1e-8

@@ -225,7 +225,7 @@ def hurwitz_gen(prec) -> VVSeries:
 
 def theta_N_minus(prec) -> VVSeries:
     """Theta series of N^- = (Z^2, x^2 + y^2); weight 1."""
-    return theta_series(lattice_N_minus(), prec, module=module_N_minus())
+    return theta_series(module_N_minus(), prec)
 
 
 class ExactSeries:

@@ -136,13 +136,8 @@ def test_criterion_6_hurwitz_suite():
 def test_criterion_7_theta_weil_numeric():
     import cmath
 
-    from cyclotrace.fqm import (
-        eval_series,
-        milgram_defect,
-        siegel_theta_eval,
-        theta_series,
-        weil_matrices,
-    )
+    from cyclotrace.fqm import theta_series
+    from cyclotrace.selftest import eval_series, milgram_defect, siegel_theta_eval, weil_matrices
     from cyclotrace.special_forms import (
         lattice_N_minus,
         lattice_P,
@@ -157,14 +152,14 @@ def test_criterion_7_theta_weil_numeric():
     MK = module_K()
     FK = ((-1, 1, 0), (0, 0, 2), (-1, -1, 0))
     thK = siegel_theta_eval(MK, FK, tau, z, cutoff=9)
-    thP = eval_series(theta_series(lattice_P(), 40, module=module_P()), tau)
+    thP = eval_series(theta_series(module_P(), 40), tau)
     thNm = eval_series(theta_N_minus(40), tau)
     split = np.array([p * tau.imag * np.conj(q) for p in thP for q in thNm])
     split_defect = float(np.max(np.abs(thK - split)))
 
     trans_defect = 0.0
     for K, M in ((lattice_P(), module_P()), (lattice_N_minus(), module_N_minus())):
-        th = theta_series(K, 60, module=M)
+        th = theta_series(M, 60)
         T, S = weil_matrices(M)
         tau0 = 0.3 + 1j
         dT = np.max(np.abs(eval_series(th, tau0 + 1) - T @ eval_series(th, tau0)))

@@ -134,3 +134,14 @@ def test_no_assert_statements_in_source():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+@pytest.mark.parametrize("name", ["arith", "fqm"])
+def test_exact_modules_import_no_numpy(name):
+    # the exact side runs in ints and Fractions; numpy stays with the
+    # analytic engine and the selftest's numeric checks
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
+    assert not found, found

@@ -21,17 +21,15 @@ from cyclotrace.fqm import (
     LatticeEmbedding,
     VVSeries,
     ct_pairing,
-    eval_series,
-    milgram_defect,
     rankin_cohen,
+    rankin_cohen_sum,
     restrict,
-    siegel_theta_eval,
     smith_normal_form,
     tensor,
     theta_series,
     trace_up,
-    weil_matrices,
 )
+from cyclotrace.selftest import eval_series, milgram_defect, siegel_theta_eval, weil_matrices
 from cyclotrace.special_forms import (
     embedding_PN_in_L,
     lattice_L,
@@ -163,7 +161,7 @@ def test_theta_series_examples():
     assert th.coefficient(i00, 0) == 1
     assert th.coefficient(i00, 1) == 4
     assert th.coefficient(i00, 2) == 4
-    thP = theta_series(lattice_P(), 2, module=module_P())
+    thP = theta_series(module_P(), 2)
     # component of the half-integer coset: two vectors ±1/2 of norm 1/4
     i1 = module_P().index[(1,)]
     assert thP.coefficient(i1, Fraction(1, 4)) == 2
@@ -171,7 +169,7 @@ def test_theta_series_examples():
     th.validate_support()
     thP.validate_support()
     with pytest.raises(NotPositiveDefinite):
-        theta_series(IntLattice(((-2,),)), 3)
+        theta_series(FQModule(IntLattice(((-2,),))), 3)
 
 
 def test_theta_trace_compatibility_positive_definite():
@@ -182,8 +180,8 @@ def test_theta_trace_compatibility_positive_definite():
     E = LatticeEmbedding(source=MK, target=ML, matrix=((3,),))
     assert E.index == 3
     prec = 110
-    thL = theta_series(L, prec, module=ML)
-    thK = theta_series(K, prec, module=MK)
+    thL = theta_series(ML, prec)
+    thK = theta_series(MK, prec)
     lifted = trace_up(thK, E)
     assert lifted.module is ML
     exps = {Fraction(n, thL.den) for (_, n) in thL.terms}
@@ -212,7 +210,7 @@ def test_tensor_examples():
     assert tg.terms == {(1 * 4 + 2, 14): Fraction(15)}
     assert tg.weight == Fraction(3, 2)
     # Theta_P ⊗ Theta_{N^-} coefficient at ((0,0,0), 2) by brute convolution
-    thP = theta_series(lattice_P(), 5, module=MP)
+    thP = theta_series(MP, 5)
     thN = theta_N_minus(5)
     tt = tensor(thP, thN)
     want = sum(
@@ -269,7 +267,7 @@ def test_embedding_validation():
 
 def test_rankin_cohen():
     MP, MNm = module_P(), module_N_minus()
-    thP = theta_series(lattice_P(), 6, module=MP)
+    thP = theta_series(MP, 6)
     thN = theta_N_minus(6)
     # n = 0 reduces to the tensor product
     assert rankin_cohen(thP, thN, 0).terms == tensor(thP, thN).terms
@@ -376,7 +374,7 @@ def test_weil_matrices():
 def test_theta_transformation_vs_weil():
     tau0 = 0.3 + 1j
     for K, M in ((lattice_P(), module_P()), (lattice_N_minus(), module_N_minus())):
-        th = theta_series(K, 60, module=M)
+        th = theta_series(M, 60)
         T, S = weil_matrices(M)
         n = K.rank
         assert np.max(np.abs(eval_series(th, tau0 + 1) - T @ eval_series(th, tau0))) < 1e-6
@@ -390,7 +388,7 @@ def test_siegel_theta_splitting():
     MK = module_K()
     FK = ((-1, 1, 0), (0, 0, 2), (-1, -1, 0))
     thK = siegel_theta_eval(MK, FK, tau, z, cutoff=9)
-    thP = eval_series(theta_series(lattice_P(), 40, module=module_P()), tau)
+    thP = eval_series(theta_series(module_P(), 40), tau)
     thNm = eval_series(theta_N_minus(40), tau)
     split = np.array([p * tau.imag * np.conj(q) for p in thP for q in thNm])
     assert np.max(np.abs(thK - split)) < 1e-8
@@ -463,51 +461,17 @@ def test_serialization_roundtrip_and_golden():
     assert _to_text(g) == golden_g
 
 
-def _targets_of(series):
+def _keys(series):
     """Every (component, exponent) key of a series."""
     return [(c, Fraction(n, series.den)) for (c, n) in series.terms]
 
 
-def test_targeted_bracket_matches_full():
-    from cyclotrace.special_forms import build_fD, hurwitz_gen, module_K_minus
-
-    MK = module_K_minus()
-    E = embedding_PN_in_L()
-    for D in (12, 21, 44, 76, 149):
-        prec = Fraction(D + 4, 4)
-        h, th = hurwitz_gen(prec), theta_N_minus(prec)
-        fK = restrict(build_fD(4, D), E)
-        # the keys the pairing reads, plus a spread of others, some with coefficient 0
-        wanted = [(c, -e) for (c, e) in _targets_of(fK)]
-        wanted += [(c, Fraction(m, 4)) for c in range(MK.order) for m in range(0, D + 1, 7)]
-        wanted += [(3, Fraction(1, 3))]  # not an exponent of the bracket
-        for n in (0, 1):
-            full = rankin_cohen(h, th, n, module=MK)
-            part = rankin_cohen(h, th, n, module=MK, targets=wanted)
-            keys = {(c, e * full.den) for (c, e) in wanted}
-            assert set(part.terms) <= keys
-            for c, e in wanted:
-                assert part.coefficient(c, e) == full.coefficient(c, e), (D, n, c, e)
-            assert any(part.coefficient(c, -e) for (c, e) in _targets_of(fK))
-            assert (part.den, part.prec, part.weight, part.pi_power, part.sigma) == (
-                full.den, full.prec, full.weight, full.pi_power, full.sigma)
-    # a hand-built pair with negative exponents
-    MP, MNm = module_P(), module_N_minus()
-    f = VVSeries(module=MP, weight=Fraction(1, 2), den=4,
-                 terms={(0, -8): Fraction(2), (1, -3): Fraction(-1, 3), (0, 4): Fraction(5),
-                        (1, 1): Fraction(7, 2)}, prec=Fraction(3))
-    g = VVSeries(module=MNm, weight=Fraction(1), den=2,
-                 terms={(0, -2): Fraction(1), (3, -1): Fraction(4), (0, 0): Fraction(-2),
-                        (2, 3): Fraction(1, 5), (3, 1): Fraction(3)}, prec=Fraction(2))
-    for n in (0, 1):
-        full = rankin_cohen(f, g, n)
-        wanted = _targets_of(full) + [(0, Fraction(-7, 4)), (5, Fraction(-1, 2)), (7, Fraction(-1, 3))]
-        part = rankin_cohen(f, g, n, targets=wanted)
-        assert part.terms == full.terms
-        few = wanted[::3]
-        part = rankin_cohen(f, g, n, targets=few)
-        assert part.terms == {k: v for k, v in full.terms.items()
-                              if (k[0], Fraction(k[1], full.den)) in few}
+def _read(s, c, e):
+    """The coefficient of s's product at component c and exponent e, read
+    as rhs_trace reads it: one walk, over the scale.  An exponent off the
+    product's 1/den grid goes in as a Fraction."""
+    N = Fraction(e) * s.den
+    return Fraction(s.coefficient(c, N.numerator if N.denominator == 1 else N), s.scale)
 
 
 def test_integer_view_equals_the_fraction_terms():
@@ -521,11 +485,7 @@ def test_integer_view_equals_the_fraction_terms():
     g = VVSeries(module=module_N_minus(), weight=Fraction(1), den=2,
                  terms={(0, -2): Fraction(1), (3, -1): Fraction(4), (0, 0): Fraction(-2),
                         (2, 3): Fraction(1, 5), (3, 1): Fraction(3)}, prec=Fraction(2))
-    # a product keeps the integer view it summed, reduced to the least denominator
-    products = [rankin_cohen(f, g, n) for n in (0, 1, 2)]
-    products += [rankin_cohen(f, g, 2, targets=_targets_of(products[2])[::2]),
-                 rankin_cohen(f, g, 1, targets=[(5, Fraction(-1, 2))]), tensor(f, g)]
-    assert all(p._integers is not None for p in products)
+    products = [rankin_cohen(f, g, n) for n in (0, 1, 2)] + [tensor(f, g)]
     for series in (hurwitz_gen(Fraction(52)), theta_N_minus(Fraction(52)), fK, f, empty,
                    *products):
         L, by_key, by_comp = series.integers()
@@ -561,7 +521,7 @@ def _bracket_by_fractions(f, g, n):
 
 
 def test_bracket_matches_its_fraction_definition():
-    from cyclotrace.special_forms import hurwitz_gen, module_K_minus
+    from cyclotrace.special_forms import hurwitz_gen
 
     h, th = hurwitz_gen(Fraction(13)), theta_N_minus(Fraction(13))
     f = VVSeries(module=module_P(), weight=Fraction(1, 2), den=4,
@@ -571,73 +531,111 @@ def test_bracket_matches_its_fraction_definition():
                  terms={(0, -2): Fraction(1), (3, -1): Fraction(4), (0, 0): Fraction(-2),
                         (2, 3): Fraction(1, 5), (3, 1): Fraction(3)}, prec=Fraction(2))
     for n in (0, 1, 2, 3):
-        assert rankin_cohen(h, th, n, module=module_K_minus()).terms == _bracket_by_fractions(h, th, n)
+        assert rankin_cohen(h, th, n).terms == _bracket_by_fractions(h, th, n)
         assert rankin_cohen(f, g, n).terms == _bracket_by_fractions(f, g, n)
 
 
-def test_targeted_bracket_matches_full_for_every_trace():
-    # the keys rhs_trace reads, for k in {2, 4} and every D <= 200, off one
-    # pair of series
-    from cyclotrace.special_forms import ExactSeries, build_fD, module_K_minus
+def _check_bracket_sum(Ds, degrees, hand_built):
+    """Read the bracket sum of h and Theta_{N^-} for each D in Ds at the keys
+    the pairing with f_D reads, plus a spread of others, some with
+    coefficient 0, and one that is not an exponent of the bracket; then read
+    the hand-built pairs (f, g) at every key of their full bracket and at
+    exponents the bracket does not have.  Every read must equal the full
+    bracket's coefficient."""
+    from cyclotrace.special_forms import build_fD, hurwitz_gen
+
+    MK = module_K_minus()
+    E = embedding_PN_in_L()
+    for D in Ds:
+        prec = Fraction(D + 4, 4)
+        h, th = hurwitz_gen(prec), theta_N_minus(prec)
+        read = [(c, -e) for (c, e) in _keys(restrict(build_fD(4, D), E))]
+        wanted = read + [(c, Fraction(m, 4)) for c in range(MK.order) for m in range(0, D + 1)
+                         if m % 5 == 0 or m % 7 == 0]
+        wanted += [(3, Fraction(1, 3))]
+        for n in degrees:
+            s, full = rankin_cohen_sum(h, th, n), rankin_cohen(h, th, n)
+            for c, e in wanted:
+                assert _read(s, c, e) == full.coefficient(c, e), (D, n, c, e)
+            assert any(_read(s, c, e) for (c, e) in read)
+            assert (s.den, s.prec, s.weight, s.pi_power) == (full.den, full.prec, full.weight,
+                                                             full.pi_power)
+    absent = [(0, Fraction(-7, 4)), (5, Fraction(-1, 2)), (7, Fraction(-1, 3))]
+    for f, g in hand_built:
+        for n in degrees:
+            s, full = rankin_cohen_sum(f, g, n), rankin_cohen(f, g, n)
+            assert full.terms
+            for c, e in _keys(full) + absent:
+                assert _read(s, c, e) == full.coefficient(c, e), (n, c, e)
+            assert not any(full.coefficient(c, e) for c, e in absent)
+
+
+def _hand_built_pair(extra_f=None, extra_g=None):
+    """A pair with f.den = 4, g.den = 2 and negative exponents."""
+    f = VVSeries(module=module_P(), weight=Fraction(1, 2), den=4,
+                 terms={(0, -8): Fraction(2), (1, -3): Fraction(-1, 3), (0, 4): Fraction(5),
+                        (1, 1): Fraction(7, 2), **(extra_f or {})}, prec=Fraction(3))
+    g = VVSeries(module=module_N_minus(), weight=Fraction(1), den=2,
+                 terms={(0, -2): Fraction(1), (3, -1): Fraction(4), (0, 0): Fraction(-2),
+                        (2, 3): Fraction(1, 5), (3, 1): Fraction(3), **(extra_g or {})},
+                 prec=Fraction(2))
+    return f, g
+
+
+def test_targeted_bracket_matches_full():
+    # the targeted reads rhs_trace makes, through rankin_cohen_sum(...).coefficient,
+    # at degrees 0 and 1, which the traces read
+    _check_bracket_sum((12, 21, 44, 76, 149), (0, 1), [_hand_built_pair()])
+
+
+def test_targeted_bracket_integer_weights_at_higher_degree():
+    # degrees 2 and 3 scale the pair weights by den^n and a coefficient
+    # lcm L > 1, which the traces (n = 0, 1) barely exercise
+    pair = _hand_built_pair({(1, -7): Fraction(3, 4)}, {(1, -3): Fraction(2, 7)})
+    _check_bracket_sum((21, 76), (2, 3), [pair])
+
+
+def test_bracket_sum_matches_the_full_bracket_for_every_trace():
+    # the keys rhs_trace reads, for k in {2, 4} and every non-square D <= 200,
+    # off the one bracket sum of one pair of series
+    from cyclotrace.special_forms import ExactSeries, build_fD
 
     series = ExactSeries(200)
     E = embedding_PN_in_L()
     for k in (2, 4):
-        full = rankin_cohen(series.hurwitz, series.theta, k // 2 - 1, module=module_K_minus())
+        s = series.bracket(k)
+        full = rankin_cohen(series.hurwitz, series.theta, k // 2 - 1)
         for D in range(5, 201):
             if D % 4 not in (0, 1) or math.isqrt(D) ** 2 == D:
                 continue
-            wanted = [(c, -e) for (c, e) in _targets_of(restrict(build_fD(k, D), E))]
-            part = rankin_cohen(series.hurwitz, series.theta, k // 2 - 1, module=module_K_minus(),
-                                targets=wanted)
-            for c, e in wanted:
-                assert part.coefficient(c, e) == full.coefficient(c, e), (k, D, c, e)
+            for c, e in _keys(restrict(build_fD(k, D), E)):
+                assert _read(s, c, -e) == full.coefficient(c, -e), (k, D, c, e)
 
 
-def test_targeted_bracket_integer_weights_at_higher_degree():
-    # degrees 2 and 3 scale the pair weights by den^deg and a coefficient
-    # lcm L > 1, which the traces (n = 0, 1) barely exercise
-    from cyclotrace.special_forms import build_fD, hurwitz_gen, module_K_minus
-
-    MK = module_K_minus()
-    for D in (21, 76):
-        prec = Fraction(D + 4, 4)
-        h, th = hurwitz_gen(prec), theta_N_minus(prec)
-        fK = restrict(build_fD(4, D), embedding_PN_in_L())
-        wanted = [(c, -e) for (c, e) in _targets_of(fK)]
-        wanted += [(c, Fraction(m, 4)) for c in range(MK.order) for m in range(0, D + 1, 5)]
-        for n in (2, 3):
-            full = rankin_cohen(h, th, n, module=MK)
-            part = rankin_cohen(h, th, n, module=MK, targets=wanted)
-            for c, e in wanted:
-                assert part.coefficient(c, e) == full.coefficient(c, e), (D, n, c, e)
-            assert any(part.coefficient(c, -e) for (c, e) in _targets_of(fK))
-    # a hand-built pair with f.den = 4, g.den = 2 and negative exponents
-    f = VVSeries(module=module_P(), weight=Fraction(1, 2), den=4,
-                 terms={(0, -8): Fraction(2), (1, -3): Fraction(-1, 3), (0, 4): Fraction(5),
-                        (1, 1): Fraction(7, 2), (1, -7): Fraction(3, 4)}, prec=Fraction(3))
-    g = VVSeries(module=module_N_minus(), weight=Fraction(1), den=2,
-                 terms={(0, -2): Fraction(1), (3, -1): Fraction(4), (0, 0): Fraction(-2),
-                        (2, 3): Fraction(1, 5), (3, 1): Fraction(3), (1, -3): Fraction(2, 7)},
-                 prec=Fraction(2))
-    for n in (2, 3):
-        full = rankin_cohen(f, g, n)
-        assert full.terms
-        part = rankin_cohen(f, g, n, targets=_targets_of(full) + [(5, Fraction(-1, 2))])
-        assert part.terms == full.terms
-
-
-def test_targeted_bracket_precision():
-    MP, MNm = module_P(), module_N_minus()
-    thP = theta_series(lattice_P(), Fraction(9, 2), module=MP)
+def test_bracket_sum_precision():
+    thP = theta_series(module_P(), Fraction(9, 2))
     thN = theta_N_minus(Fraction(7, 2))
-    full = rankin_cohen(thP, thN, 1)
-    assert full.prec == Fraction(7, 2)
-    rankin_cohen(thP, thN, 1, targets=[(0, Fraction(13, 4))])
-    for e in (Fraction(7, 2), Fraction(15, 4), 40):
+    s = rankin_cohen_sum(thP, thN, 1)
+    assert s.prec == rankin_cohen(thP, thN, 1).prec == Fraction(7, 2)
+    _read(s, 0, 0)
+    _read(s, 0, Fraction(13, 4))
+    # at and above prec, on the exponent grid and off it
+    for e in (Fraction(7, 2), Fraction(15, 4), 40, Fraction(11, 3)):
         with pytest.raises(InsufficientPrecision) as err:
-            rankin_cohen(thP, thN, 1, targets=[(0, 0), (5, e)])
+            _read(s, 5, e)
         assert err.value.required == e
+
+
+def test_bracket_sum_rejects_components_outside_its_module():
+    # a component outside P ⊕ N^- is an error, not a zero coefficient
+    from cyclotrace.special_forms import ExactSeries
+
+    s = ExactSeries(40).bracket(4)
+    order = module_K_minus().order
+    assert isinstance(s.coefficient(order - 1, s.den), int)
+    for c in (-1, order, 99):
+        with pytest.raises(ValueError, match="component"):
+            s.coefficient(c, 0)
 
 
 def _brute_theta(K, prec):
@@ -675,7 +673,7 @@ def test_theta_series_matches_box_count():
     for gram, prec in cases:
         K = IntLattice(gram)
         M, counts = _brute_theta(K, prec)
-        th = theta_series(K, prec, module=M)
+        th = theta_series(M, prec)
         assert th.terms == counts, gram
         assert th.prec == prec and all(Fraction(n, th.den) < prec for (_, n) in th.terms)
         th.validate_support()
@@ -684,8 +682,8 @@ def test_theta_series_matches_box_count():
 def test_theta_series_stops_strictly_below_prec():
     # the vectors x = ±1 of P have norm exactly 1
     i0 = module_P().index[(0,)]
-    assert theta_series(lattice_P(), 1, module=module_P()).coefficient(i0, 1) == 0
-    assert theta_series(lattice_P(), Fraction(5, 4), module=module_P()).coefficient(i0, 1) == 2
+    assert theta_series(module_P(), 1).coefficient(i0, 1) == 0
+    assert theta_series(module_P(), Fraction(5, 4)).coefficient(i0, 1) == 2
     for prec in (0, -1):
-        th = theta_series(lattice_P(), prec, module=module_P())
+        th = theta_series(module_P(), prec)
         assert th.terms == {} and th.prec == prec

@@ -22,7 +22,6 @@ from cyclotrace.special_forms import (
     hurwitz_gen,
     hurwitz_table,
     hurwitz_table_recursive,
-    module_K_minus,
     module_L,
     module_P,
     rhs_trace,
@@ -192,7 +191,7 @@ def test_row_reads_the_full_brackets_coefficients():
     E = embedding_PN_in_L()
     for k in (2, 4):
         bracket = series.bracket(k)
-        full = rankin_cohen(series.hurwitz, series.theta, k // 2 - 1, module=module_K_minus())
+        full = rankin_cohen(series.hurwitz, series.theta, k // 2 - 1)
         for D in admissible(200):
             fK = restrict(build_fD(k, D), E)
             for (c, n) in fK.terms:
