@@ -203,26 +203,32 @@ class FQModule:
     representative x = V (t_i / d_i) in the dual lattice, since then
     U G x = t; a dual vector x lies in the coset U G x mod d.  Each
     element knows its representative, its Q/Z-valued quadratic form
-    value, and the bilinear form mod 1.  Direct sums keep the factor
-    structure so that component tuples of a tensor product are
-    concatenations.
+    value, and the bilinear form mod 1.  The representatives and
+    q-values are computed in integers: over the largest elementary divisor
+    e, x = X / e with the integer vector X = V (t_i e / d_i), and
+    q(x) = X G X / (2 e^2) mod 1, one Fraction per entry.  Direct
+    sums keep the factor structure so that component tuples of a tensor
+    product are concatenations.
     """
 
     def __init__(self, lattice: IntLattice):
         if lattice.det == 0:
             raise SingularGram("gram matrix is singular")
         self.lattice = lattice
-        n = lattice.rank
-        U, Dm, V = smith_normal_form([list(r) for r in lattice.gram])
+        g, n = lattice.gram, lattice.rank
+        U, Dm, V = smith_normal_form([list(r) for r in g])
         self.orders = tuple(Dm[i][i] for i in range(n))
         self._u = U
         self.elements = [tuple(t) for t in product(*(range(d) for d in self.orders))]
         self.index = {t: i for i, t in enumerate(self.elements)}
-        self._rep = {
-            t: tuple(sum(V[i][j] * Fraction(t[j], self.orders[j]) for j in range(n)) for i in range(n))
-            for t in self.elements
-        }
-        self._q = [lattice.q(self._rep[t]) % 1 for t in self.elements]
+        e = math.lcm(*self.orders)
+        self._rep, self._q = {}, []
+        for t in self.elements:
+            s = [tj * (e // dj) for tj, dj in zip(t, self.orders)]
+            X = [sum(V[i][j] * s[j] for j in range(n)) for i in range(n)]
+            self._rep[t] = tuple(Fraction(x, e) for x in X)
+            norm = sum(X[i] * g[i][j] * X[j] for i in range(n) for j in range(n))
+            self._q.append(Fraction(norm % (2 * e * e), 2 * e * e))
         pos, neg = lattice.signature
         self.signature_mod_8 = (pos - neg) % 8
 
@@ -256,7 +262,11 @@ class FQModule:
         m = [sum(Fraction(g[i][j]) * x[j] for j in range(n)) for i in range(n)]
         if any(mi.denominator != 1 for mi in m):
             raise ValueError(f"{x} is not in the dual lattice")
-        return tuple(sum(u * int(mj) for u, mj in zip(row, m)) % d for row, d in zip(self._u, self.orders))
+        return self._coset([int(mi) for mi in m])
+
+    def _coset(self, m) -> tuple:
+        """The coset of the dual vector x with the integer vector m = G x."""
+        return tuple(sum(u * mj for u, mj in zip(row, m)) % d for row, d in zip(self._u, self.orders))
 
     @staticmethod
     def direct_sum(A: "FQModule", B: "FQModule") -> "FQModule":
@@ -516,8 +526,10 @@ class LatticeEmbedding:
     """A finite-index inclusion K ⊂ L of even lattices of equal rank.
 
     `matrix` has the K-basis vectors as columns, written in L-coordinates.
-    `fibers` maps each component index of L'/L to the indices of the
-    components of L'/K above it.
+    Each coset of K'/K is mapped to L'/L once, in integers, on
+    construction; `in_target_dual`, `bar` and `fibers`, which maps each
+    component index of L'/L to the indices of the components of L'/K
+    above it, all read that one map.
     """
 
     source: FQModule
@@ -530,24 +542,28 @@ class LatticeEmbedding:
         if L.rank != n:
             raise IncompatibleEmbedding("ranks differ")
         M = [list(r) for r in self.matrix]
-        GL = [list(r) for r in L.gram]
-        MT = [[M[j][i] for j in range(n)] for i in range(n)]
-        gram_K = _mat_mul(_mat_mul(MT, GL), M)
+        GM = _mat_mul([list(r) for r in L.gram], M)
+        gram_K = _mat_mul([list(c) for c in zip(*M)], GM)
         if any(gram_K[i][j] != K.gram[i][j] for i in range(n) for j in range(n)):
             raise IncompatibleEmbedding("gram matrices incompatible with the inclusion")
         idx = self.index
         if idx * idx * self.target.order != self.source.order:
             raise IncompatibleEmbedding("index^2 |L'/L| != |K'/K|")
-        # source index -> index of its image in L'/L, None off L'/K
-        bar_index = tuple(
-            self.target.index[self.bar(t)] if self.in_target_dual(t) else None
-            for t in self.source.elements
-        )
+        # source index -> index of its image in L'/L, None off L'/K: the
+        # representative x = X / e of a coset maps to M x in L-coordinates,
+        # which lies in L' when e divides G_L M X, in the coset of G_L M X / e
+        bar_index = []
+        for x in map(self.source.rep_vector, self.source.elements):
+            e = math.lcm(*(v.denominator for v in x))
+            X = [v.numerator * (e // v.denominator) for v in x]
+            m = [sum(a * b for a, b in zip(row, X)) for row in GM]
+            in_dual = not any(v % e for v in m)
+            bar_index.append(self.target.index[self.target._coset([v // e for v in m])] if in_dual else None)
         fibers = {}
         for ti, ci in enumerate(bar_index):
             if ci is not None:
                 fibers.setdefault(ci, []).append(ti)
-        object.__setattr__(self, "_bar_index", bar_index)
+        object.__setattr__(self, "_bar_index", tuple(bar_index))
         object.__setattr__(self, "fibers", fibers)
 
     @property
@@ -557,26 +573,16 @@ class LatticeEmbedding:
             raise RuntimeError("the embedding matrix is singular")
         return abs(d)
 
-    def source_vector_in_target(self, x) -> tuple[Fraction, ...]:
-        n = self.source.lattice.rank
-        return tuple(
-            sum(Fraction(self.matrix[i][j]) * x[j] for j in range(n)) for i in range(n)
-        )
-
     def in_target_dual(self, t_source) -> bool:
         """Does the coset t of K'/K lie in L'/K?"""
-        xL = self.source_vector_in_target(self.source.rep_vector(t_source))
-        GL = self.target.lattice.gram
-        n = len(GL)
-        for i in range(n):
-            if sum(Fraction(GL[i][j]) * xL[j] for j in range(n)).denominator != 1:
-                return False
-        return True
+        return self._bar_index[self.source.index[tuple(t_source)]] is not None
 
     def bar(self, t_source) -> tuple:
-        """The image of t in L'/L (requires t in L'/K)."""
-        xL = self.source_vector_in_target(self.source.rep_vector(t_source))
-        return self.target.element_of_vector(xL)
+        """The image of t in L'/L; raises ValueError unless t is in L'/K."""
+        ci = self._bar_index[self.source.index[tuple(t_source)]]
+        if ci is None:
+            raise ValueError(f"{t_source} is not in L'/K")
+        return self.target.elements[ci]
 
 
 def restrict(f: VVSeries, E: LatticeEmbedding) -> VVSeries:

@@ -1,9 +1,11 @@
 """Concrete modular objects for discriminant -4 and the exact trace formula.
 
-Hurwitz class numbers (two independent algorithms), the vector-valued
-class-number generating function, the theta series of the negated
-negative-definite sublattice, principal parts of the half-integral
-weight input forms, and the finite constant-term formula for the trace.
+Hurwitz class numbers (the table from one sweep over reduced forms, the
+per-n count, and the independent Hurwitz--Kronecker recursion), the
+vector-valued class-number generating function, the theta series of the
+negated negative-definite sublattice, principal parts of the
+half-integral weight input forms, and the finite constant-term formula
+for the trace.
 The trace is one integer sum over the bracket's PairSum; ExactSeries
 holds the bracket's inputs and fills, once per k, what every trace at
 that k reads of them.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import isqrt
+from math import ceil, isqrt
 
 from .arith import check_discriminant, dirichlet_L_value, divisors, sigma, sigma_table
 from .bqf import definite_class_reps, hypothesis_check
@@ -60,15 +62,21 @@ EXACT_K = (2, 4)
 # Hurwitz class numbers
 
 
-@lru_cache(maxsize=None)
+def _check_n(n) -> None:
+    """Reject n unless it is an integer >= 0; a bool is not one."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__") or n < 0:
+        raise ValueError(f"{n!r} is not an integer >= 0")
+
+
+# typed: hurwitz(1.0) and hurwitz(True) must not hit the entry of hurwitz(1)
+@lru_cache(maxsize=None, typed=True)
 def hurwitz(n: int) -> Fraction:
     """Hurwitz class number H(n), with H(0) = -1/12.
 
     Weighted count of reduced positive definite forms of discriminant -n:
     forms proportional to [1,0,1] weigh 1/2, to [1,1,1] weigh 1/3.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_n(n)
     if n == 0:
         return Fraction(-1, 12)
     if n % 4 in (1, 2):
@@ -85,8 +93,32 @@ def hurwitz(n: int) -> Fraction:
 
 
 def hurwitz_table(nmax: int) -> list[Fraction]:
-    """H(0..nmax) by reduced-form counting (the primary algorithm)."""
-    return [hurwitz(n) for n in range(nmax + 1)]
+    """H(0..nmax) from one sweep over the reduced forms (the primary algorithm).
+
+    Each reduced form [a, b, c], |b| <= a <= c, with 4ac - b^2 <= nmax adds
+    its weight, as in hurwitz, to 12 H(4ac - b^2), an integer; for fixed
+    a and b the discriminants run through a progression of step 4a in c.
+    That is one pass over about nmax^(3/2) forms, not one enumeration of
+    forms per n (Cohen, GTM 138, 5.3), and one Fraction per n.
+    """
+    _check_n(nmax)
+    h12 = [0] * (nmax + 1)
+    a = 1
+    while 3 * a * a <= nmax:
+        step = 4 * a
+        for b in range(a + 1):
+            n = step * a - b * b
+            if n > nmax:
+                continue
+            # c = a: [a, 0, a] weighs 1/2, [a, a, a] 1/3; [a, -b, a] is not reduced
+            h12[n] += 6 if b == 0 else 4 if b == a else 12
+            # c > a: [a, b, c] and [a, -b, c], one form if b is 0 or a
+            w = 12 if b in (0, a) else 24
+            for m in range(n + step, nmax + 1, step):
+                h12[m] += w
+        a += 1
+    h12[0] = -1
+    return [Fraction(h, 12) for h in h12]
 
 
 def hurwitz_table_recursive(nmax: int) -> list[Fraction]:
@@ -99,6 +131,7 @@ def hurwitz_table_recursive(nmax: int) -> list[Fraction]:
     top entry H(4m).  Entries n ≡ 1, 2 (mod 4) vanish.  Entirely
     independent of the reduced-form counting path.
     """
+    _check_n(nmax)
     H = [Fraction(0)] * (nmax + 1)
     H[0] = Fraction(-1, 12)
     for n in range(1, nmax + 1):
@@ -199,19 +232,17 @@ def hurwitz_gen(prec) -> VVSeries:
 
     Weight 3/2 for the dual Weil representation of P (sigma = -1):
     component mu carries -16 H(4n) at exponents n ≡ -q(mu) (mod 1),
-    with an overall factor pi (pi_power = 1).
+    with an overall factor pi (pi_power = 1).  The class numbers come
+    from one hurwitz_table sweep up to 4 prec, about (4 prec)^(3/2)
+    forms.
     """
     prec = Fraction(prec)
     M = module_P()
-    terms = {}
     i0, i1 = M.index[(0,)], M.index[(1,)]
-    n_scaled = 0
-    while Fraction(n_scaled, 4) < prec:
-        h = hurwitz(n_scaled)
-        if h:
-            comp = i0 if n_scaled % 4 == 0 else i1
-            terms[(comp, n_scaled)] = -16 * h
-        n_scaled += 1
+    # every n >= 0 with n/4 < prec
+    nmax = ceil(4 * prec) - 1
+    H = hurwitz_table(nmax) if nmax >= 0 else []
+    terms = {(i0 if n % 4 == 0 else i1, n): -16 * h for n, h in enumerate(H) if h}
     return VVSeries(
         module=M,
         weight=Fraction(3, 2),

@@ -33,11 +33,13 @@ from cyclotrace.selftest import eval_series, milgram_defect, siegel_theta_eval, 
 from cyclotrace.special_forms import (
     embedding_PN_in_L,
     lattice_L,
+    lattice_N,
     lattice_N_minus,
     lattice_P,
     module_K,
     module_K_minus,
     module_L,
+    module_N,
     module_N_minus,
     module_P,
     theta_N_minus,
@@ -109,6 +111,7 @@ def test_fqmodule_round_trips_random():
                 break
         M = FQModule(L)
         assert M.order == abs(L.det)
+        assert (M._rep, M._q) == _fraction_module_data(L)
         for t in M.elements:
             rep = M.rep_vector(t)
             assert M.element_of_vector(rep) == t
@@ -126,6 +129,96 @@ def test_direct_sum_coset_round_trip():
     for M in (module_K(), module_K_minus()):
         for t in M.elements:
             assert M.element_of_vector(M.rep_vector(t)) == t
+
+
+def _fraction_module_data(L):
+    """The representatives and q-values of L'/L from their Fraction
+    definitions: x = V (t_i / d_i) from the Smith form U G V = diag(d),
+    and q(x) = B(x, x)/2 mod 1."""
+    _, D, V = smith_normal_form([list(r) for r in L.gram])
+    n = L.rank
+    orders = [D[i][i] for i in range(n)]
+    rep = {
+        t: tuple(sum(V[i][j] * Fraction(t[j], orders[j]) for j in range(n)) for i in range(n))
+        for t in product(*(range(d) for d in orders))
+    }
+    return rep, [L.q(x) % 1 for x in rep.values()]
+
+
+def _fraction_bar_index(E):
+    """Each source coset's image in L'/L, None off L'/K, from the Fraction
+    definition: the representative x maps to M x, which must have G_L M x
+    integral."""
+    n = E.source.lattice.rank
+    GL = E.target.lattice.gram
+    out = []
+    for t in E.source.elements:
+        x = E.source.rep_vector(t)
+        xL = tuple(sum(Fraction(E.matrix[i][j]) * x[j] for j in range(n)) for i in range(n))
+        if any(sum(Fraction(GL[i][j]) * xL[j] for j in range(n)).denominator != 1 for i in range(n)):
+            out.append(None)
+        else:
+            out.append(E.target.index[E.target.element_of_vector(xL)])
+    return tuple(out)
+
+
+# the lattices whose modules these tests build, besides the random ones
+_GRAMS = [
+    ((0, 1), (1, 0)), ((4, 1), (1, 4)), ((-2,),), ((2,),), ((18,),), ((2, -1), (-1, 2)),
+    ((4, 2, 1), (2, 6, 1), (1, 1, 8)), ((2, 1), (1, 50)), ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+]
+
+
+def test_module_data_equals_its_fraction_definition():
+    lattices = [lattice_L(), lattice_P(), lattice_N(), lattice_N_minus()]
+    for L, M in zip(lattices, (module_L(), module_P(), module_N(), module_N_minus())):
+        assert (M._rep, M._q) == _fraction_module_data(L)
+    for gram in _GRAMS:
+        L = IntLattice(gram)
+        M = FQModule(L)
+        assert (M._rep, M._q) == _fraction_module_data(L), gram
+    # a direct sum concatenates its summands' data
+    for M, B in ((module_K(), lattice_N()), (module_K_minus(), lattice_N_minus())):
+        rep_a, q_a = _fraction_module_data(lattice_P())
+        rep_b, q_b = _fraction_module_data(B)
+        assert M._rep == {ta + tb: rep_a[ta] + rep_b[tb] for ta in rep_a for tb in rep_b}
+        assert M._q == [(qa + qb) % 1 for qa in q_a for qb in q_b]
+
+
+def test_embedding_map_equals_its_fraction_definition():
+    embeddings = [
+        embedding_PN_in_L(),
+        LatticeEmbedding(source=FQModule(IntLattice(((18,),))), target=FQModule(IntLattice(((2,),))),
+                         matrix=((3,),)),
+        LatticeEmbedding(source=FQModule(lattice_N_minus()), target=module_N_minus(), matrix=((1, 0), (0, 1))),
+    ]
+    for E in embeddings:
+        bar_index = _fraction_bar_index(E)
+        assert E._bar_index == bar_index
+        fibers = {}
+        for ti, ci in enumerate(bar_index):
+            if ci is not None:
+                fibers.setdefault(ci, []).append(ti)
+        assert E.fibers == fibers
+        for t, ci in zip(E.source.elements, bar_index):
+            assert E.in_target_dual(t) == (ci is not None)
+            if ci is None:
+                with pytest.raises(ValueError):
+                    E.bar(t)
+            else:
+                assert E.bar(t) == E.target.elements[ci]
+    assert sum(len(c) for c in embeddings[0].fibers.values()) == 4
+
+
+def test_module_data_needs_no_fraction_bilinear_form(monkeypatch):
+    def bilinear(self, v, w):
+        raise AssertionError("the Fraction bilinear form")
+
+    monkeypatch.setattr(IntLattice, "bilinear", bilinear)
+    ML = FQModule(lattice_L())
+    E = embedding_PN_in_L.__wrapped__()
+    assert ML._q == module_L()._q and ML._rep == module_L()._rep
+    assert E._bar_index == embedding_PN_in_L()._bar_index and E.fibers == embedding_PN_in_L().fibers
 
 
 def test_disc_group_examples():

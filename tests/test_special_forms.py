@@ -59,6 +59,59 @@ def test_hurwitz_two_algorithms_agree():
     assert hurwitz_table(200) == hurwitz_table_recursive(200)
 
 
+def test_hurwitz_sweep_agrees_with_the_recursion_to_1000():
+    assert hurwitz_table(1000) == hurwitz_table_recursive(1000)
+
+
+def test_hurwitz_sweep_is_the_per_n_count():
+    assert hurwitz_table(2000) == [hurwitz(n) for n in range(2001)]
+    assert [hurwitz_table(n) for n in range(5)] == [[hurwitz(m) for m in range(n + 1)] for n in range(5)]
+
+
+@pytest.mark.parametrize("f", [hurwitz, hurwitz_table, hurwitz_table_recursive])
+@pytest.mark.parametrize("n", [-1, -4, 0.0, 1.0, 2.0, 3.0, True, False, Fraction(4), "4", None])
+def test_hurwitz_functions_reject_bad_n(f, n):
+    # as check_discriminant: a bool, a non-integer or a negative n is a ValueError
+    with pytest.raises(ValueError):
+        f(n)
+
+
+def _hurwitz_gen_terms_per_n(prec):
+    """hurwitz_gen's terms built one hurwitz(n) at a time, the construction
+    the sweep replaced."""
+    M = module_P()
+    terms = {}
+    n = 0
+    while Fraction(n, 4) < prec:
+        h = hurwitz(n)
+        if h:
+            terms[(M.index[(0,)] if n % 4 == 0 else M.index[(1,)], n)] = -16 * h
+        n += 1
+    return terms
+
+
+@pytest.mark.parametrize("prec", [0, Fraction(1, 8), Fraction(1, 4), Fraction(3, 4), Fraction(5, 4), 38, 251])
+def test_hurwitz_gen_matches_the_per_n_construction(prec):
+    g = hurwitz_gen(prec)
+    assert list(g.terms.items()) == list(_hurwitz_gen_terms_per_n(prec).items())
+    assert g.prec == prec
+
+
+def test_exact_series_counts_no_class_number_per_n(monkeypatch):
+    import cyclotrace.special_forms as sf
+
+    def per_n(*args):
+        raise AssertionError("a class number counted on its own")
+
+    monkeypatch.setattr(sf, "hurwitz", per_n)
+    monkeypatch.setattr(sf, "definite_class_reps", per_n)
+    series = ExactSeries(1000)
+    assert series.hurwitz.prec == Fraction(1004, 4)
+    H = hurwitz_table_recursive(1003)
+    i1 = module_P().index[(1,)]
+    assert all(series.hurwitz.terms[(i1, n)] == -16 * H[n] for n in range(3, 1004, 4))
+
+
 def test_hurwitz_kronecker_relation():
     # sum_{s^2 <= 4n} H(4n - s^2) = sum_{d | n} max(d, n/d)
     for n in range(1, 51):
